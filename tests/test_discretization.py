@@ -50,6 +50,22 @@ def test_pointset_io_roundtrip(tmp_path):
     np.testing.assert_allclose(back.points, ps.points, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("", 1),
+    ("dim 2\n", 1),
+    ("dim x 3\n", 1),
+    ("dim 2 3\n0.1 0.2\n0.3 0.4\n", 4),   # ends after 2 of 3 points
+    ("dim 2 2\n0.1 0.2\n0.3\n", 3),       # short line
+    ("dim 1 2\n0.5\nabc\n", 3),           # not a number
+    ("dim 1 2\n0.5\nnan\n", 3),
+])
+def test_read_pointset_names_file_and_line(tmp_path, text, lineno):
+    path = tmp_path / "points.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"points\.txt:{lineno}: "):
+        read_pointset(path)
+
+
 def test_random_points_mean_exponential_concentrates():
     # the empirical mean of e^{ix} decays at the 1/sqrt(m) scale;
     # 5/sqrt(m) leaves a wide margin for any healthy uniform sampler
@@ -200,6 +216,15 @@ def test_check_usd_validation():
         check_usd(sampled, 2, p=4.0)  # p != 2 has no exhaustive certificate
     with pytest.raises(ValueError):
         check_usd(sampled, 2, subset_cap=3)
+
+
+def test_subset_cap_counts_supports_not_classes():
+    # the exhaustive scan solves about 7,900 of the C(21, 6) = 54,264
+    # blocks, but the cap still refuses on the number of supports
+    sampled = build_sampled(TrigSystem(1, (10,)), draw_points(30, 1, seed=0))
+    with pytest.raises(ValueError, match="54264 supports exceed"):
+        check_usd(sampled, 6, subset_cap=54_263)
+    assert check_usd(sampled, 6, subset_cap=54_264).method == "exhaustive"
 
 
 def test_randomized_p4_is_labeled_empirical():

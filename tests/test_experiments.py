@@ -279,6 +279,17 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_truncated_points_file_is_exit_2(tmp_path, capsys):
+    points = tmp_path / "points.txt"
+    points.write_text("dim 1 3\n0.1\n0.2\n")
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[check-disc]\npoints_file = {points}\n")
+    code = main(["check-disc", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"{points}:4: file ends after 2 of 3 points" in capsys.readouterr().err
+
+
 def test_cli_dump_config_prints_merged_view(tmp_path, capsys):
     code = main(["rate-sweep", "--seed", "9", "--dump-config"])
     assert code == 0
