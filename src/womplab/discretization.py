@@ -166,6 +166,11 @@ class DiscretizationReport:
     over all supports of size u (smaller supports interlace, so they are
     covered); with a randomized method they are bounds from the witnesses
     found, and `holds` only means no violation was discovered.
+
+    eigensolves counts the work done: the u x u Gram blocks passed to
+    eigvalsh on the p = 2 paths (the trials, for a randomized one), and the
+    supports drawn on the randomized p != 2 path.  It is not part of the
+    CSV row.
     """
 
     m: int
@@ -179,6 +184,7 @@ class DiscretizationReport:
     worst_support: tuple
     method: str
     seed: int | None = None
+    eigensolves: int = 0
 
     CSV_HEADER = "m,N,u,p,mode,holds,c_low,c_high,method,seed"
 
@@ -395,8 +401,11 @@ def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap, d_constant
     c_low, c_high = math.inf, -math.inf
     arg_low = arg_high = None
     chunk = 4096
+    solves = 0
 
     def solve(idx):
+        nonlocal solves
+        solves += len(idx)
         eig = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
         return eig[:, 0], eig[:, -1]
 
@@ -452,7 +461,7 @@ def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap, d_constant
         m=sampled.m, size=n, u=u, p=2.0, mode=mode,
         holds=_holds(mode, c_low, c_high, 2.0, d_constant),
         c_low=c_low, c_high=c_high, worst_support=worst,
-        method=method_tag, seed=used_seed)
+        method=method_tag, seed=used_seed, eigensolves=solves)
 
 
 def _pick_worst(mode, c_low, arg_low, c_high, arg_high):
@@ -515,7 +524,7 @@ def _check_usd_lp(sampled, u, p, mode, trials, seed, d_constant, oversample):
         m=m, size=n, u=u, p=float(p), mode=mode,
         holds=_holds(mode, c_low, c_high, p, d_constant),
         c_low=float(c_low), c_high=float(c_high), worst_support=worst,
-        method=f"randomized({trials})", seed=used_seed)
+        method=f"randomized({trials})", seed=used_seed, eigensolves=trials)
 
 
 def write_reports_csv(reports, path) -> None:

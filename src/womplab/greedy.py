@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .discretization import DEFAULT_SUBSET_CAP, SampledSystem
@@ -130,7 +131,14 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
         "adversarial-weak" picks the lowest index clearing t * max.
 
     Selection always happens against columns normalized in the discrete
-    norm, so the weakness comparison is scale-free.
+    norm, so the weakness comparison is scale-free.  The selected columns
+    are kept as an incremental QR factorisation (Gram-Schmidt with one
+    reorthogonalisation): each step costs one product of the residual with
+    the dictionary, the residual is updated with the new orthonormal
+    vector, and the final coefficients solve R c = Q^H y.  A column whose
+    orthogonal part is at or below lstsq's rank cutoff, eps * max(m, k)
+    times its norm, sets rank_deficient; such a run returns project()'s
+    minimum-norm coefficients.
     """
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
@@ -142,13 +150,21 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
         raise ValueError(f"step budget {steps} exceeds min(m, N) = {min(h.m, h.size)}")
 
     target = np.asarray(target, dtype=complex)
-    col_norms = np.linalg.norm(h.matrix, axis=0) / math.sqrt(h.m)
+    matrix = h.matrix
+    m = h.m
+    col_norms = np.linalg.norm(matrix, axis=0) / math.sqrt(m)
     if np.any(col_norms < 1e-15):
         raise ValueError("dictionary contains a zero column")
-    normalized = h.matrix / col_norms
+    ip_scale = m * col_norms
+    eps = np.finfo(float).eps
 
     norm0 = h.norm(target)
     residual = target.copy()
+    # qh[:rank] holds the conjugated orthonormal basis of the selected
+    # columns as rows, so qh[:rank] @ v is Q^H v; r is the triangular factor
+    qh = np.empty((steps, m), dtype=complex)
+    r = np.zeros((steps, steps), dtype=complex)
+    rank = 0
     selected = []
     res_norms = [norm0]
     chosen_ips = []
@@ -156,8 +172,7 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     rank_flag = False
 
     for _ in range(steps):
-        ips = normalized.conj().T @ residual / h.m
-        abs_ips = np.abs(ips)
+        abs_ips = np.abs(residual.conj() @ matrix) / ip_scale
         max_ip = float(abs_ips.max())
         if max_ip <= STOP_REL_TOL * norm0:
             break
@@ -166,19 +181,42 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
         else:
             pick = int(np.argmax(abs_ips >= t * max_ip))
         selected.append(pick)
-        proj = project(h, target, selected)
-        residual = proj.residual
-        rank_flag = rank_flag or proj.rank_deficient
+        # Gram-Schmidt with one reorthogonalisation; a column whose
+        # orthogonal part falls to lstsq's rank cutoff leaves the span,
+        # and with it the residual, unchanged
+        col = matrix[:, pick]
+        basis = qh[:rank]
+        s1 = basis @ col
+        w = col - (s1.conj() @ basis).conj()
+        s2 = basis @ w
+        w -= (s2.conj() @ basis).conj()
+        w_norm = float(np.linalg.norm(w))
+        cutoff = eps * max(m, len(selected)) * float(np.linalg.norm(col))
+        if w_norm <= cutoff:
+            rank_flag = True
+        else:
+            q = w / w_norm
+            qh[rank] = q.conj()
+            r[:rank, rank] = s1 + s2
+            r[rank, rank] = w_norm
+            residual -= (qh[rank] @ residual) * q
+            rank += 1
         res_norms.append(h.norm(residual))
         chosen_ips.append(float(abs_ips[pick]))
         max_ips.append(max_ip)
 
-    final = project(h, target, selected)
+    if rank_flag:
+        coefficients = project(h, target, selected).coefficients
+    elif selected:
+        coefficients = scipy.linalg.solve_triangular(r[:rank, :rank],
+                                                     qh[:rank] @ target)
+    else:
+        coefficients = np.zeros(0, dtype=complex)
     return WompTrace(t=t, selected=tuple(selected),
                      residual_norms=tuple(res_norms),
-                     coefficients=final.coefficients,
+                     coefficients=coefficients,
                      chosen_ips=tuple(chosen_ips), max_ips=tuple(max_ips),
-                     rank_deficient=rank_flag or final.rank_deficient)
+                     rank_deficient=rank_flag)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,29 @@ def reconstruct(system: TrigSystem, columns, coefficients) -> TrigPolynomial:
     return TrigPolynomial(system.dim, coeffs)
 
 
+def sample_target(f0: TrigPolynomial, sampled: SampledSystem) -> np.ndarray:
+    """Samples of f0 at the sampled points.
+
+    The terms of f0 inside the box are a coefficient vector a on the
+    dictionary, sampled as sampled.matrix @ a without a second pass of
+    exponentials; terms outside the box are evaluated directly and added.
+    """
+    system = sampled.system
+    if f0.dim != system.dim:
+        raise ValueError("target and system dimensions differ")
+    a = np.zeros(system.size, dtype=complex)
+    rest = {}
+    for k, c in f0.coeffs.items():
+        if all(abs(ki) <= b for ki, b in zip(k, system.box)):
+            a[system.column_of(k)] = c
+        else:
+            rest[k] = c
+    y = sampled.matrix @ a
+    if rest:
+        y += TrigPolynomial(f0.dim, rest).eval(sampled.pointset.points)
+    return y
+
+
 def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int,
                        subset_cap: int = DEFAULT_SUBSET_CAP):
     """Best v-term approximation in the mixture norm L2(mu_xi), exhaustive.
@@ -49,7 +72,7 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int,
     if count > subset_cap:
         raise ValueError(f"C({n},{v}) = {count} supports exceed cap {subset_cap}")
     indices = sampled.system.indices()
-    y = f0.eval(sampled.pointset.points)
+    y = sample_target(f0, sampled)
     a_box = np.array([f0.coeffs.get(k, 0.0) for k in indices])
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     if v == 0:
@@ -174,7 +197,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         warning = "certificate failed; recovery proceeded without a guarantee"
 
     h = DiscreteHilbert.from_sampled(sampled)
-    y = f0.eval(xi.points)
+    y = sample_target(f0, sampled)
     trace = womp(h, y, t=t, steps=min(steps, min(h.m, h.size)),
                  selection=selection)
     approx = reconstruct(system, trace.selected, trace.coefficients)

@@ -283,13 +283,30 @@ class TrigSystem:
         return TrigPolynomial(self.dim, {key: 1.0})
 
     def evaluate_at(self, points) -> np.ndarray:
-        """Evaluation matrix with entry [i, j] = exp(i <k_j, x_i>)."""
+        """Evaluation matrix with entry [i, j] = exp(i <k_j, x_i>).
+
+        Column size - 1 - j carries -k_j, and exp(1j * -t) is bit for bit
+        conj(exp(1j * t)) up to the sign of a zero imaginary part, so only
+        the columns from k = 0 on are exponentiated and the others are
+        filled by conjugation; the result is bit for bit that of
+        exponentiating every phase.
+        """
         pts = _as_points(points, self.dim)
         K = np.array(self.indices(), dtype=float)
-        out = np.empty((pts.shape[0], self.size), dtype=complex)
-        chunk = max(1, _EVAL_CHUNK_ENTRIES // max(1, self.size))
+        n = self.size
+        zero = n // 2  # column of k = 0
+        out = np.empty((pts.shape[0], n), dtype=complex)
+        chunk = max(1, _EVAL_CHUNK_ENTRIES // n)
         for lo in range(0, pts.shape[0], chunk):
-            out[lo:lo + chunk] = np.exp(1j * (pts[lo:lo + chunk] @ K.T))
+            block = out[lo:lo + chunk]
+            # phases of all columns from one product: a product of another
+            # shape may round differently in d >= 2
+            phase = pts[lo:lo + chunk] @ K.T
+            np.exp(1j * phase[:, zero:], out=block[:, zero:])
+            # 0 - im, not -im: exp(1j * -0.0) has imaginary part +0.0
+            mirror, left = block[:, :zero:-1], block[:, :zero]
+            left.real = mirror.real
+            np.subtract(0.0, mirror.imag, out=left.imag)
         return out
 
 
@@ -390,25 +407,41 @@ def write_polynomial(poly: TrigPolynomial, path, header_lines=()) -> None:
 
 
 def read_polynomial(path) -> TrigPolynomial:
-    """Read the text form written by write_polynomial; '#' lines are skipped."""
+    """Read the text form written by write_polynomial; '#' lines are skipped.
+
+    A malformed header, a row without d integers and two finite numbers,
+    or a file with no header raises ValueError naming the path and the
+    1-based line.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+
+    def bad(lineno, what):
+        return ValueError(f"{path}:{lineno}: {what}")
+
     dim = None
     coeffs = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if dim is None:
-                parts = line.split()
-                if len(parts) != 2 or parts[0] != "dim":
-                    raise ValueError(f"bad polynomial header: {line!r}")
-                dim = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) != dim + 2:
-                raise ValueError(f"bad coefficient row: {line!r}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if dim is None:
+            header = len(parts) == 2 and parts[0] == "dim"
+            dim = int(parts[1]) if header and parts[1].isdecimal() else 0
+            if dim < 1:
+                raise bad(lineno, f"expected the header 'dim <d>' with d >= 1, "
+                                  f"got {line!r}")
+            continue
+        try:
             k = tuple(int(v) for v in parts[:dim])
-            coeffs[k] = complex(float(parts[dim]), float(parts[dim + 1]))
+            re, im = (float(v) for v in parts[dim:])
+            if len(k) != dim or not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError
+        except ValueError:
+            raise bad(lineno, f"expected {dim} integers and 2 finite numbers, "
+                              f"got {line!r}") from None
+        coeffs[k] = complex(re, im)
     if dim is None:
-        raise ValueError("empty polynomial file")
+        raise bad(len(lines) + 1, "no 'dim <d>' header")
     return TrigPolynomial(dim, coeffs)

@@ -135,3 +135,22 @@ def test_class_representatives_match_brute_force(box, u_max):
         reps = _class_representatives(np.array(supports), system.box)
         assert [tuple(r) for r in reps.tolist()] == [
             _brute_representative(system, s) for s in supports]
+
+
+def test_eigensolves_count_the_blocks_solved():
+    # box 10, u = 6: 7,872 classes and 54,264 supports; the scan solves
+    # every representative plus the members of classes near an extreme
+    system = TrigSystem(1, (10,))
+    rep = check_usd(build_sampled(system, draw_points(600, 1, 3964924996)), 6)
+    assert 7_872 < rep.eigensolves < 54_264
+    assert "eigensolves" not in rep.CSV_HEADER
+    assert len(rep.csv_row().split(",")) == len(rep.CSV_HEADER.split(","))
+    # with m < u every class ties at c_low ~ 0 and every support is solved
+    small = check_usd(build_sampled(system, draw_points(3, 1, 5)), 4)
+    assert small.eigensolves == math.comb(21, 4)
+    rand = check_usd(build_sampled(system, draw_points(30, 1, 5)), 4,
+                     method="randomized", trials=37)
+    assert rand.eigensolves == 37
+    lp = check_usd(build_sampled(system, draw_points(30, 1, 5)), 2, p=4.0,
+                   method="randomized", trials=6)
+    assert lp.eigensolves == 6

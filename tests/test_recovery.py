@@ -9,7 +9,8 @@ from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import PointSet, build_sampled, draw_points
 from womplab.recovery import (FoolingInstance, RecoveryReport, adversary_gap,
                               best_vterm_l2_muxi, make_fooling, reconstruct,
-                              recover, recover_best_vterm, write_fooling)
+                              recover, recover_best_vterm, sample_target,
+                              write_fooling)
 from womplab.trig import (TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
                           multiply, read_polynomial)
 
@@ -112,6 +113,32 @@ def test_recovery_report_csv_row_shape():
 
 
 # ------------------------------------------------------ mixture references
+
+def test_sample_target_adds_terms_outside_the_box():
+    system = TrigSystem(1, (4,))
+    sampled = build_sampled(system, draw_points(50, 1, seed=31))
+    rng = np.random.default_rng(31)
+    inside = TrigPolynomial(1, {(k,): rng.standard_normal() + 1j
+                                for k in range(-4, 5)})
+    f0 = inside + TrigPolynomial(1, {(6,): 0.7, (-5,): -0.2j})
+    want = f0.eval(sampled.pointset.points)
+    got = sample_target(f0, sampled)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_sample_target_inside_the_box_is_the_matrix_product():
+    system = TrigSystem(2, (2, 1))
+    sampled = build_sampled(system, draw_points(40, 2, seed=32))
+    rng = np.random.default_rng(32)
+    a = rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size)
+    a[3] = 0.0
+    f0 = TrigPolynomial(2, dict(zip(system.indices(), a)))
+    np.testing.assert_array_equal(sample_target(f0, sampled),
+                                  sampled.matrix @ a)
+    np.testing.assert_allclose(sample_target(f0, sampled),
+                               f0.eval(sampled.pointset.points),
+                               rtol=1e-12, atol=1e-12)
+
 
 def test_best_vterm_l2_muxi_zero_terms_is_mixture_norm():
     system = TrigSystem(1, (2,))

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from womplab.trig import (TrigPolynomial, TrigSystem, block_index,
-                          dyadic_block, fejer_kernel, lp_norm, multiply,
-                          quadrature_grid_size, read_polynomial,
+from womplab import trig
+from womplab.trig import (_EVAL_CHUNK_ENTRIES, TrigPolynomial, TrigSystem,
+                          block_index, dyadic_block, fejer_kernel, lp_norm,
+                          multiply, quadrature_grid_size, read_polynomial,
                           write_polynomial)
 
 
@@ -202,6 +203,36 @@ def test_system_evaluation_matches_member():
                                    rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("box", [(0,), (1,), (10,), (31,), (2, 1), (3, 3),
+                                 (1, 2, 1), (0, 3), (4, 0), (2, 0, 1)])
+@pytest.mark.parametrize("chunk_entries", [_EVAL_CHUNK_ENTRIES, 200])
+def test_evaluate_at_is_bitwise_the_direct_exponential(box, chunk_entries,
+                                                       monkeypatch):
+    # half the columns are filled by conjugation; every bit, the sign of a
+    # zero imaginary part included, must equal the direct formula.  The
+    # small chunk size makes m = 37 cross chunk boundaries (max(1, 200 // N)
+    # rows each) without a matrix of millions of entries.
+    monkeypatch.setattr(trig, "_EVAL_CHUNK_ENTRIES", chunk_entries)
+    system = TrigSystem(len(box), box)
+    K = np.array(system.indices(), dtype=float)
+    chunk = max(1, chunk_entries // system.size)
+    rng = np.random.default_rng(sum(box))
+    for m in (0, 1, 37):
+        x = rng.uniform(0, 2 * np.pi, size=(m, system.dim))
+        x[:1] = 0.0  # phase exactly zero
+        got = system.evaluate_at(x)
+        # the former implementation: every entry exponentiated, in the
+        # same row chunks (a matrix product of another shape may round
+        # differently in d >= 2)
+        want = np.empty((m, system.size), dtype=complex)
+        for lo in range(0, m, chunk):
+            want[lo:lo + chunk] = np.exp(1j * (x[lo:lo + chunk] @ K.T))
+        assert (got == want).all()
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        if m <= chunk:
+            assert (got == np.exp(1j * (x @ K.T))).all()
+
+
 # ------------------------------------------------------------------- norms
 
 def test_quadrature_grid_size_frozen():
@@ -283,3 +314,24 @@ def test_polynomial_io_roundtrip(tmp_path):
     assert set(g.coeffs) == set(f.coeffs)
     for k in f.coeffs:
         assert g.coeffs[k] == f.coeffs[k]  # %.17g is lossless for doubles
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("", 1),
+    ("# only a comment\n", 2),
+    ("dim\n", 1),
+    ("dim x\n", 1),
+    ("dim 0\n", 1),
+    ("# note\ndom 1\n", 2),
+    ("dim 1\n0 1 0\n2 0.5\n", 3),           # short row
+    ("dim 2\n0 0 1 0\n1 x 1 0\n", 3),       # non-numeric index
+    ("dim 1\n\n0 1 abc\n", 3),               # non-numeric value
+    ("dim 1\n0 nan 0\n", 2),
+    ("dim 1\n1.5 1 0\n", 2),                  # fractional index
+    ("dim 1\n0 1 0 7\n", 2),                  # extra field
+])
+def test_read_polynomial_names_file_and_line(tmp_path, text, lineno):
+    path = tmp_path / "poly.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"poly\.txt:{lineno}: "):
+        read_polynomial(path)
