@@ -1,47 +1,23 @@
 """Sparse trigonometric polynomials, sampling discretization certificates,
 and weak orthogonal greedy recovery experiments."""
 
-from .trig import (TrigPolynomial, TrigSystem, BlockFamily, block_index,
-                   dyadic_block, fejer_kernel, lp_norm, multiply,
-                   quadrature_grid_size, read_polynomial, write_polynomial)
+from .trig import (TrigPolynomial, TrigSystem, block_index, dyadic_block,
+                   fejer_kernel, lp_norm, multiply, quadrature_grid_size,
+                   read_polynomial, write_polynomial)
 from .classes import (ClassSpec, PROFILES, default_truncation_level,
-                      membership_margin, sample_class_function, spike_instance)
+                      sample_class_function)
 from .discretization import (DiscretizationReport, PointSet, SampledSystem,
-                             build_sampled, check_up, check_usd,
-                             constants_report, draw_points, nikolskii_constant,
-                             read_pointset, riesz_constants,
-                             uniform_grid_points, write_pointset,
-                             write_reports_csv)
+                             build_sampled, check_usd, draw_points,
+                             read_pointset, uniform_grid_points,
+                             write_pointset)
 from .greedy import (BestTermResult, DiscreteHilbert, WompTrace, best_vterm,
                      project, womp, write_trace_csv)
 from .recovery import (FoolingInstance, GapRecord, RecoveryReport,
                        adversary_gap, best_vterm_l2_muxi, make_fooling,
-                       reconstruct, recover, recover_best_vterm,
-                       write_fooling, write_recovery_csv)
+                       reconstruct, recover, write_fooling)
 from .experiments import (ConfigError, RateFit, default_config, fit_rate,
                           parse_config, rate_sweep_compute, schedule_m,
                           target_exponent)
 from .acceptance import CriterionResult, Thresholds, run_all, run_criterion
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "TrigPolynomial", "TrigSystem", "BlockFamily", "block_index",
-    "dyadic_block", "fejer_kernel", "lp_norm", "multiply",
-    "quadrature_grid_size", "read_polynomial", "write_polynomial",
-    "ClassSpec", "PROFILES", "default_truncation_level", "membership_margin",
-    "sample_class_function", "spike_instance",
-    "DiscretizationReport", "PointSet", "SampledSystem", "build_sampled",
-    "check_up", "check_usd", "constants_report", "draw_points",
-    "nikolskii_constant", "read_pointset", "riesz_constants",
-    "uniform_grid_points", "write_pointset", "write_reports_csv",
-    "BestTermResult", "DiscreteHilbert", "WompTrace", "best_vterm",
-    "project", "womp", "write_trace_csv",
-    "FoolingInstance", "GapRecord", "RecoveryReport", "adversary_gap",
-    "best_vterm_l2_muxi", "make_fooling", "reconstruct", "recover",
-    "recover_best_vterm", "write_fooling", "write_recovery_csv",
-    "ConfigError", "RateFit", "default_config", "fit_rate", "parse_config",
-    "rate_sweep_compute", "schedule_m", "target_exponent",
-    "CriterionResult", "Thresholds", "run_all", "run_criterion",
-    "__version__",
-]

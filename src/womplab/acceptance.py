@@ -58,13 +58,7 @@ def criterion_fejer(th: Thresholds):
             expected = float(j ** d)
             peak = math.fsum(c.real for c in kern.coeffs.values())
             worst_peak = max(worst_peak, abs(peak - expected) / expected)
-            n = 256 if d == 1 else 64
-            axis = 2 * np.pi * np.arange(n) / n
-            if d == 1:
-                grid = axis.reshape(-1, 1)
-            else:
-                mesh = np.meshgrid(axis, axis, indexing="ij")
-                grid = np.stack([g.ravel() for g in mesh], axis=1)
+            grid = uniform_grid_points(256 if d == 1 else 64, d).points
             vals = kern.eval(grid)
             if np.abs(vals.imag).max() > 1e-12:
                 return False, f"K_{j} (d={d}) is not real on the grid"

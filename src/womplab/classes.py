@@ -3,17 +3,16 @@
 A polynomial belongs to the class with rate r and exponent beta when, for
 every dyadic block j, the l_beta norm of its coefficients inside the block
 is at most 2^(-r*j).  Instances are generated by saturating those budgets
-in a few canonical ways; membership is checked by reporting the per-block
-slack.
+in a few canonical ways, so they meet every budget by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import BlockFamily, TrigPolynomial, block_index, dyadic_block
+from .trig import TrigPolynomial, dyadic_block
 
 PROFILES = ("saturated-spread", "single-spike", "random-support")
 
@@ -25,7 +24,6 @@ class ClassSpec:
     r: float
     beta: float
     J: int
-    blocks: BlockFamily = field(default_factory=BlockFamily)
 
     def __post_init__(self):
         if not self.r > 0:
@@ -40,31 +38,9 @@ class ClassSpec:
         return float(2.0 ** (-self.r * j))
 
 
-def membership_margin(poly: TrigPolynomial, spec: ClassSpec) -> np.ndarray:
-    """Per-block slack budget_j - (sum_{k in block j} |a_k|^beta)^(1/beta).
-
-    Returns slacks for blocks j = 0..J.  All slacks nonnegative means the
-    polynomial satisfies every budget up to the truncation level.  The
-    degree must stay below 2^(J+1) so no mass escapes past the last block
-    plus one; content in block J+1 itself is rejected too.
-    """
-    if poly.degree >= 2 ** (spec.J + 1):
-        raise ValueError(
-            f"degree {poly.degree} too large for truncation level J={spec.J}"
-        )
-    mass = np.zeros(spec.J + 2)
-    for k, c in poly.coeffs.items():
-        mass[spec.blocks.index_of(k)] += abs(c) ** spec.beta
-    if mass[spec.J + 1] > 0:
-        raise ValueError("polynomial has content beyond block J")
-    return np.array(
-        [spec.budget(j) - mass[j] ** (1.0 / spec.beta) for j in range(spec.J + 1)]
-    )
-
-
 def _block_lists(spec: ClassSpec, dim: int) -> list:
     """Sorted index lists per block, fixing a deterministic draw order."""
-    return [sorted(spec.blocks.block(j, dim)) for j in range(spec.J + 1)]
+    return [sorted(dyadic_block(j, dim)) for j in range(spec.J + 1)]
 
 
 def sample_class_function(spec: ClassSpec, profile: str, seed: int, dim: int = 1,
@@ -114,22 +90,6 @@ def sample_class_function(spec: ClassSpec, profile: str, seed: int, dim: int = 1
         for k, ph in zip(support, phases):
             coeffs[k] = mag * ph
     return TrigPolynomial(dim, coeffs)
-
-
-def spike_instance(r: float, j: int, d: int) -> TrigPolynomial:
-    """Single exponential of magnitude 2^(-(r - d/2) j) in block j.
-
-    This is the extremal witness used by lower-bound arguments: it
-    saturates the block-j budget of the class with rate r - d/2 and
-    beta = 1.  Requires r > d/2 so the reduced rate stays positive.
-    """
-    if not r > d / 2:
-        raise ValueError("spike instances need r > d/2")
-    if j < 0:
-        raise ValueError("block index must be >= 0")
-    k = (0,) * d if j == 0 else (2 ** (j - 1),) + (0,) * (d - 1)
-    assert block_index(k) == j
-    return TrigPolynomial(d, {k: 2.0 ** (-(r - d / 2) * j)})
 
 
 def default_truncation_level(v: int) -> int:

@@ -17,9 +17,8 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .trig import TrigPolynomial, TrigSystem, lp_norm
+from .trig import TrigPolynomial, TrigSystem, _tensor_grid, lp_norm
 
 # Two-sided comparison constants: the discrete p-th power must stay within
 # [LOWER_CONST, UPPER_CONST] times the continuous one.
@@ -71,13 +70,7 @@ def uniform_grid_points(n: int, d: int, max_points: int = DEFAULT_SUBSET_CAP) ->
         raise ValueError("n must be >= 1")
     if n ** d > max_points:
         raise ValueError(f"grid of {n ** d} points exceeds cap {max_points}")
-    axis = 2.0 * np.pi * np.arange(n) / n
-    if d == 1:
-        pts = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-    return PointSet(d, pts, "grid")
+    return PointSet(d, _tensor_grid(n, d), "grid")
 
 
 def write_pointset(ps: PointSet, path) -> None:
@@ -525,184 +518,3 @@ def _check_usd_lp(sampled, u, p, mode, trials, seed, d_constant, oversample):
         holds=_holds(mode, c_low, c_high, p, d_constant),
         c_low=float(c_low), c_high=float(c_high), worst_support=worst,
         method=f"randomized({trials})", seed=used_seed, eigensolves=trials)
-
-
-def write_reports_csv(reports, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(DiscretizationReport.CSV_HEADER + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
-
-
-@dataclass(frozen=True)
-class TaggedValue:
-    """A numeric estimate with a provenance tag."""
-
-    value: float
-    tag: str  # "exact" | "empirical-lower-bound" | "theoretical-upper-bound"
-
-
-@dataclass(frozen=True)
-class UnconditionalityEstimate:
-    value: float
-    tag: str
-    support: tuple = ()
-    complement: tuple = ()
-
-
-def riesz_constants(target) -> tuple:
-    """(R1, R2, tag): frame-style bounds of the dictionary.
-
-    For the exponential system under the continuous measure these are
-    exactly (1, 1) by orthonormality.  For a sampled dictionary they are
-    the square roots of the extreme eigenvalues of the full discrete Gram,
-    exact for that finite sample space.
-    """
-    if isinstance(target, TrigSystem):
-        return TaggedValue(1.0, "exact"), TaggedValue(1.0, "exact")
-    eig = np.linalg.eigvalsh(target.gram())
-    lo = math.sqrt(max(float(eig[0]), 0.0))
-    hi = math.sqrt(float(eig[-1]))
-    return TaggedValue(lo, "exact"), TaggedValue(hi, "exact")
-
-
-def check_up(target, u: int, d_cap: int, method: str = "exhaustive",
-             trials: int = 200, seed: int = 0,
-             pair_cap: int = 200_000) -> UnconditionalityEstimate:
-    """Estimate the unconditionality constant U at sparsity u and span cap D.
-
-    U is the largest ratio of ||f_A|| to the distance from f_A to the span
-    of a disjoint index set J, over |A| <= u and |A| + |J| <= d_cap.  Only
-    maximal J are enumerated since shrinking J can only shrink the ratio.
-    An orthonormal continuous dictionary gives exactly 1.
-    """
-    if not 1 <= u <= d_cap:
-        raise ValueError("need 1 <= u <= d_cap")
-    if isinstance(target, TrigSystem):
-        return UnconditionalityEstimate(1.0, "exact")
-    n = target.size
-    gram = target.gram()
-    rng = np.random.default_rng(seed)
-
-    def pairs():
-        for a in range(1, u + 1):
-            jsize = min(d_cap - a, n - a)
-            if jsize < 0:
-                continue
-            if method == "exhaustive":
-                for A in itertools.combinations(range(n), a):
-                    rest = [i for i in range(n) if i not in A]
-                    for J in itertools.combinations(rest, jsize):
-                        yield A, J
-            else:
-                for _ in range(trials):
-                    perm = rng.permutation(n)
-                    yield tuple(sorted(perm[:a])), tuple(sorted(perm[a:a + jsize]))
-
-    if method == "exhaustive":
-        total = sum(
-            math.comb(n, a) * math.comb(n - a, min(d_cap - a, n - a))
-            for a in range(1, u + 1))
-        if total > pair_cap:
-            raise ValueError(f"{total} support pairs exceed cap {pair_cap}; "
-                             "use a randomized budget")
-
-    best = UnconditionalityEstimate(0.0, "unset")
-    for A, J in pairs():
-        gaa = gram[np.ix_(A, A)]
-        if J:
-            gaj = gram[np.ix_(A, J)]
-            gjj = gram[np.ix_(J, J)]
-            schur = gaa - gaj @ np.linalg.pinv(gjj) @ gaj.conj().T
-        else:
-            schur = gaa
-        schur = 0.5 * (schur + schur.conj().T)
-        floor = 1e-12 * max(1.0, float(np.abs(gaa).max()))
-        if float(np.linalg.eigvalsh(schur)[0]) <= floor:
-            value = math.inf
-        else:
-            value = math.sqrt(float(scipy.linalg.eigh(
-                gaa, schur, eigvals_only=True)[-1]))
-        if value > best.value:
-            tag = "exact" if method == "exhaustive" else "empirical-lower-bound"
-            best = UnconditionalityEstimate(value, tag, tuple(A), tuple(J))
-            if value is math.inf:
-                break
-    return best
-
-
-@dataclass(frozen=True)
-class NikolskiiEstimate:
-    theory: float
-    empirical: float
-    u: int
-    p: float
-
-
-def nikolskii_constant(system: TrigSystem, u: int, p: float,
-                       trials: int = 200, seed: int = 0,
-                       oversample: int = 8, tol: float = 1e-9) -> NikolskiiEstimate:
-    """Sparse Nikolskii constant H with ||f||_p <= H ||f||_2 for u-sparse f.
-
-    The theoretical value u^(1/2 - 1/p) follows from Cauchy-Schwarz through
-    the sup norm (the unimodular system has R2 = 1).  The empirical value
-    is the largest ratio over random u-sparse draws; exceeding the theory
-    by more than the tolerance indicates a quadrature bug and raises.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if not 1 <= u <= system.size:
-        raise ValueError("u out of range")
-    theory = float(u ** (0.5 - 1.0 / p))
-    rng = np.random.default_rng(seed)
-    indices = system.indices()
-    worst = 0.0
-    for _ in range(trials):
-        support = rng.choice(system.size, size=u, replace=False)
-        coeff = rng.standard_normal(u) + 1j * rng.standard_normal(u)
-        poly = TrigPolynomial(system.dim,
-                              {indices[c]: w for c, w in zip(support, coeff)})
-        ratio = lp_norm(poly, p, "mu", oversample=oversample) / poly.l2_norm()
-        worst = max(worst, float(ratio))
-    if worst > theory * (1 + tol):
-        raise RuntimeError(
-            f"empirical Nikolskii ratio {worst} exceeds theory {theory}")
-    return NikolskiiEstimate(theory, worst, u, float(p))
-
-
-@dataclass(frozen=True)
-class ConstantsReport:
-    """Bundle of dictionary constants with provenance tags.
-
-    Invariants enforced: R1 <= R2, the Bessel-type constant is at least
-    R1^(-2), and the Nikolskii constant is at least 1.
-    """
-
-    r1: TaggedValue
-    r2: TaggedValue
-    bessel: TaggedValue
-    up: UnconditionalityEstimate
-    nikolskii: NikolskiiEstimate
-
-    def __post_init__(self):
-        if self.r1.value > self.r2.value * (1 + 1e-12):
-            raise ValueError("R1 must not exceed R2")
-        if self.r1.value > 0 and self.bessel.value < self.r1.value ** (-2) * (1 - 1e-12):
-            raise ValueError("Bessel constant below R1^(-2)")
-        if self.nikolskii.theory < 1:
-            raise ValueError("Nikolskii constant below 1")
-
-
-def constants_report(system: TrigSystem, sampled: SampledSystem | None,
-                     u: int, p: float, d_cap: int | None = None,
-                     trials: int = 200, seed: int = 0) -> ConstantsReport:
-    """Assemble the constants the recovery guarantees depend on."""
-    r1, r2 = riesz_constants(system)
-    bessel = TaggedValue(r1.value ** (-2), "exact")
-    if sampled is not None:
-        up = check_up(sampled, u, d_cap if d_cap is not None else 2 * u,
-                      method="randomized", trials=trials, seed=seed)
-    else:
-        up = check_up(system, u, d_cap if d_cap is not None else 2 * u)
-    nik = nikolskii_constant(system, u, max(p, 2.0), trials=trials, seed=seed)
-    return ConstantsReport(r1, r2, bessel, up, nik)

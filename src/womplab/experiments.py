@@ -23,8 +23,8 @@ from .classes import ClassSpec, default_truncation_level, sample_class_function
 from .discretization import (DiscretizationReport, PointSet, build_sampled,
                              check_usd, draw_points, read_pointset,
                              uniform_grid_points, write_pointset)
-from .recovery import (adversary_gap, recover, reconstruct, write_fooling,
-                       write_recovery_csv)
+from .recovery import (RecoveryReport, adversary_gap, recover, reconstruct,
+                       write_fooling)
 from .greedy import DiscreteHilbert, womp, write_trace_csv
 from .trig import TrigPolynomial, TrigSystem, lp_norm
 
@@ -460,9 +460,8 @@ def run_rate_sweep(cfg: dict):
             rows.append(f"{c['seed']},{sec['d']},{c['size']},{c['m']},{c['v']},"
                         f"{rep.u},{p:g},{sec['t']:g},{sec['c_emp']:g},,,,"
                         f"{c['errors'][p]:.12g},,,{c['steps']}")
-    _write_csv(os.path.join(out, "rate_cells.csv"),
-               "seed,d,N,m,v,u,p,t,c_emp,cert_holds,c_low,c_high,"
-               "error_Lp_mu,sigma_ref,ratio,steps_used", rows, echo)
+    _write_csv(os.path.join(out, "rate_cells.csv"), RecoveryReport.CSV_HEADER,
+               rows, echo)
 
     summary = {}
     for p, fit in fits.items():

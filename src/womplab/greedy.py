@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .discretization import DEFAULT_SUBSET_CAP, SampledSystem
 
@@ -31,11 +30,10 @@ class DiscreteHilbert:
     """C^m with the (1/m)-weighted inner product and a column dictionary."""
 
     matrix: np.ndarray
-    sampled: SampledSystem | None = None
 
     @classmethod
     def from_sampled(cls, sampled: SampledSystem) -> "DiscreteHilbert":
-        return cls(sampled.matrix, sampled)
+        return cls(sampled.matrix)
 
     @property
     def m(self) -> int:
@@ -44,9 +42,6 @@ class DiscreteHilbert:
     @property
     def size(self) -> int:
         return self.matrix.shape[1]
-
-    def inner(self, f, g) -> complex:
-        return complex(np.vdot(g, f) / self.m)
 
     def norm(self, f) -> float:
         return float(np.linalg.norm(f) / math.sqrt(self.m))
@@ -129,6 +124,8 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     selection : str
         "argmax" picks the largest inner product (lowest index on ties);
         "adversarial-weak" picks the lowest index clearing t * max.
+        Both take the maximum and the pick over the columns not yet
+        selected.
 
     Selection always happens against columns normalized in the discrete
     norm, so the weakness comparison is scale-free.  The selected columns
@@ -170,16 +167,17 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     chosen_ips = []
     max_ips = []
     rank_flag = False
+    weak = t if selection == "adversarial-weak" else 1.0
 
     for _ in range(steps):
         abs_ips = np.abs(residual.conj() @ matrix) / ip_scale
+        # a selected column's inner product is roundoff, which a small t
+        # could still let through, so it takes no part in the selection
+        abs_ips[selected] = -1.0
         max_ip = float(abs_ips.max())
         if max_ip <= STOP_REL_TOL * norm0:
             break
-        if selection == "argmax":
-            pick = int(np.argmax(abs_ips))
-        else:
-            pick = int(np.argmax(abs_ips >= t * max_ip))
+        pick = int(np.argmax(abs_ips >= weak * max_ip))
         selected.append(pick)
         # Gram-Schmidt with one reorthogonalisation; a column whose
         # orthogonal part falls to lstsq's rank cutoff leaves the span,
@@ -226,69 +224,33 @@ class BestTermResult:
     sigma: float
     support: tuple
     coefficients: np.ndarray
-    tag: str  # "exact" for least squares, "approximate" for p != 2 descent
+    tag: str  # "exact": least squares on every support
 
 
-def best_vterm(h: DiscreteHilbert, target, v: int, p: float = 2.0,
-               subset_cap: int = DEFAULT_SUBSET_CAP,
-               descent_tol: float = 1e-8) -> BestTermResult:
+def best_vterm(h: DiscreteHilbert, target, v: int,
+               subset_cap: int = DEFAULT_SUBSET_CAP) -> BestTermResult:
     """sigma_v of the target over the sampled dictionary, by enumeration.
 
-    Every support of size v is tried; p = 2 uses exact least squares, even
-    p > 2 runs smooth convex descent per support (tagged approximate).
-    Ties keep the lexicographically first support.  v = 0 returns the norm
-    of the target itself.
+    Every support of size v is solved by exact least squares.  Ties keep
+    the lexicographically first support.  v = 0 returns the norm of the
+    target itself.
     """
     target = np.asarray(target, dtype=complex)
     n = h.size
     if v < 0:
         raise ValueError("v must be >= 0")
     if v == 0:
-        if p == 2.0:
-            return BestTermResult(h.norm(target), (), np.zeros(0, complex), "exact")
-        sigma = float(np.mean(np.abs(target) ** p) ** (1 / p))
-        return BestTermResult(sigma, (), np.zeros(0, complex), "exact")
+        return BestTermResult(h.norm(target), (), np.zeros(0, complex), "exact")
     if v > n:
         raise ValueError(f"v exceeds dictionary size {n}")
     count = math.comb(n, v)
     if count > subset_cap:
         raise ValueError(f"C({n},{v}) = {count} supports exceed cap {subset_cap}")
-    if p != 2.0 and (p < 2 or p != int(p) or int(p) % 2):
-        raise ValueError("only p = 2 or even integer p > 2 are supported")
 
     best = None
     for support in itertools.combinations(range(n), v):
-        if p == 2.0:
-            proj = project(h, target, support)
-            err = h.norm(proj.residual)
-            coeff = proj.coefficients
-        else:
-            err, coeff = _lp_fit(h, target, support, p, descent_tol)
+        proj = project(h, target, support)
+        err = h.norm(proj.residual)
         if best is None or err < best[0]:
-            best = (err, support, coeff)
-    tag = "exact" if p == 2.0 else "approximate"
-    return BestTermResult(float(best[0]), tuple(best[1]), best[2], tag)
-
-
-def _lp_fit(h, target, support, p, tol):
-    """Minimize the discrete Lp error over coefficients on one support."""
-    cols = h.matrix[:, list(support)]
-    v = cols.shape[1]
-    start = np.linalg.lstsq(cols, target, rcond=None)[0]
-
-    def objective(x):
-        c = x[:v] + 1j * x[v:]
-        r = target - cols @ c
-        a2 = (r * r.conj()).real
-        val = float(np.mean(a2 ** (p / 2)))
-        # gradient wrt conj(c) is -(p/2) cols^H (|r|^(p-2) r) / m
-        g = -(p / 2) * (cols.conj().T @ (a2 ** (p / 2 - 1) * r)) / h.m
-        grad = 2 * np.concatenate([g.real, g.imag])
-        return val, grad
-
-    x0 = np.concatenate([start.real, start.imag])
-    res = scipy.optimize.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                                  options={"gtol": tol, "ftol": tol * 1e-2})
-    c = res.x[:v] + 1j * res.x[v:]
-    err = float(np.mean(np.abs(target - cols @ c) ** p) ** (1 / p))
-    return err, c
+            best = (err, support, proj.coefficients)
+    return BestTermResult(float(best[0]), tuple(best[1]), best[2], "exact")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
-                             SampledSystem, build_sampled, check_usd)
+                             SampledSystem, build_sampled, check_usd,
+                             uniform_grid_points)
 from .greedy import DiscreteHilbert, WompTrace, best_vterm, womp
 from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm
 
@@ -137,13 +138,6 @@ class RecoveryReport:
                 f"{self.error_lp_mu:.12g},{sigma},{ratio},{steps}")
 
 
-def write_recovery_csv(reports, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(RecoveryReport.CSV_HEADER + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
-
-
 def _ratio(err, sigma, scale):
     """(err/sigma, exact_flag); sigma near zero means exact recovery."""
     if sigma is None:
@@ -224,57 +218,6 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         oversample=oversample)
 
 
-def recover_best_vterm(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
-                       v: int, p: float = 2.0, norm_p: float | None = None,
-                       certificate: DiscretizationReport | None = None,
-                       certify: bool = True, oversample: int = 8,
-                       subset_cap: int = DEFAULT_SUBSET_CAP,
-                       seed: int | None = None) -> RecoveryReport:
-    """Recover by the exhaustive best-v-term oracle on the sampled data.
-
-    The oracle minimizes the discrete L2 norm by default; passing an even
-    norm_p > 2 switches the per-support fit to that discrete Lp norm
-    (approximate convex descent).  The error is measured in Lp(mu) and the
-    conservative Lp(mu_xi) reference is attached, mirroring recover().
-    v = 0 returns the zero approximant.
-    """
-    if v < 0:
-        raise ValueError("v must be >= 0")
-    u = 2 * v if v else 0
-    sampled = build_sampled(system, xi)
-    warning = None
-    if certificate is None and certify and v:
-        try:
-            certificate = check_usd(sampled, max(u, 1), 2.0, "one-sided-lower",
-                                    "exhaustive", subset_cap=subset_cap)
-        except ValueError as exc:
-            warning = f"certificate skipped: {exc}"
-    if certificate is not None and not certificate.holds:
-        warning = "certificate failed; oracle recovery reported anyway"
-
-    h = DiscreteHilbert.from_sampled(sampled)
-    y = f0.eval(xi.points)
-    fit = best_vterm(h, y, v, p=(norm_p if norm_p else 2.0),
-                     subset_cap=subset_cap)
-    approx = reconstruct(system, fit.support, fit.coefficients)
-    error = lp_norm(f0 - approx, p, "mu", oversample=oversample)
-
-    sigma_ref = None
-    if math.comb(system.size, v) <= subset_cap:
-        _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v, subset_cap)
-        sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi,
-                            oversample=oversample)
-    norm0 = float(np.mean(np.abs(y) ** 2) ** 0.5) if xi.m else 0.0
-    ratio_pipe, exact = _ratio(error, sigma_ref, norm0)
-    return RecoveryReport(
-        d=system.dim, size=system.size, m=xi.m, v=v, u=u, p=float(p), t=1.0,
-        c_emp=0.0, seed=seed if seed is not None else xi.seed(),
-        certificate=certificate, cert_warning=warning, error_lp_mu=error,
-        sigma_discrete=fit.sigma, sigma_ref=sigma_ref, ratio_discrete=None,
-        ratio_pipeline=ratio_pipe, exact_recovery=exact, trace=None,
-        approximant=approx, oversample=oversample)
-
-
 @dataclass(frozen=True)
 class FoolingInstance:
     """A sample-annihilating polynomial and its extremal data.
@@ -339,13 +282,7 @@ def make_fooling(xi: PointSet, box, d: int | None = None, oversample: int = 8,
     assert null_dim >= theta - xi.m >= 1
 
     # evaluate the whole null basis on an oversampled grid in one pass
-    n_grid = oversample * (max(box) + 1) + 1
-    axis = 2 * np.pi * np.arange(n_grid) / n_grid
-    if dim == 1:
-        grid = axis.reshape(-1, 1)
-    else:
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        grid = np.stack([g.ravel() for g in mesh], axis=1)
+    grid = uniform_grid_points(oversample * (max(box) + 1) + 1, dim).points
     grid_vals = system.evaluate_at(grid) @ null_basis
     sups = np.abs(grid_vals).max(axis=0)
     l2s = np.sqrt(np.mean(np.abs(grid_vals) ** 2, axis=0))

@@ -204,27 +204,6 @@ def dyadic_block(j: int, d: int) -> frozenset:
 
 
 @dataclass(frozen=True)
-class BlockFamily:
-    """Family of frequency blocks used by smoothness-class budgets.
-
-    Only the dyadic sup-norm family is shipped; the kind tag keeps the
-    door open for other partitions.
-    """
-
-    kind: str = "dyadic-sup"
-
-    def __post_init__(self):
-        if self.kind != "dyadic-sup":
-            raise ValueError(f"unknown block family: {self.kind}")
-
-    def block(self, j: int, d: int) -> frozenset:
-        return dyadic_block(j, d)
-
-    def index_of(self, k) -> int:
-        return block_index(k)
-
-
-@dataclass(frozen=True)
 class TrigSystem:
     """The exponentials exp(i<k, x>) with |k_i| <= box[i], in lexicographic order.
 
@@ -322,15 +301,11 @@ def quadrature_grid_size(degree: int, p, oversample: int) -> int:
     return n
 
 
-def _grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
-    """|f| on the tensor grid {2 pi t / n : t = 0..n-1}^d, flattened."""
+def _tensor_grid(n: int, d: int) -> np.ndarray:
+    """The grid {2 pi t / n : t = 0..n-1}^d as n^d rows, last axis fastest."""
     axis = 2 * np.pi * np.arange(n) / n
-    if poly.dim == 1:
-        pts = axis.reshape(-1, 1)
-    else:
-        grids = np.meshgrid(*([axis] * poly.dim), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-    return np.abs(poly.eval(pts))
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
@@ -379,7 +354,7 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
         return float(np.mean(sample_abs ** p) ** (1.0 / p))
 
     n = quadrature_grid_size(poly.degree, p, oversample)
-    grid_abs = _grid_values(poly, n)
+    grid_abs = np.abs(poly.eval(_tensor_grid(n, poly.dim)))
     if measure == "mu":
         if p == math.inf:
             return float(grid_abs.max())

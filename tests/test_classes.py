@@ -4,9 +4,30 @@ import numpy as np
 import pytest
 
 from womplab.classes import (ClassSpec, PROFILES, default_truncation_level,
-                             membership_margin, sample_class_function,
-                             spike_instance)
+                             sample_class_function)
 from womplab.trig import TrigPolynomial, block_index, dyadic_block
+
+
+def membership_margin(poly: TrigPolynomial, spec: ClassSpec) -> np.ndarray:
+    """Per-block slack budget_j - (sum_{k in block j} |a_k|^beta)^(1/beta).
+
+    Returns slacks for blocks j = 0..J.  All slacks nonnegative means the
+    polynomial satisfies every budget up to the truncation level.  The
+    degree must stay below 2^(J+1) so no mass escapes past the last block
+    plus one; content in block J+1 itself is rejected too.
+    """
+    if poly.degree >= 2 ** (spec.J + 1):
+        raise ValueError(
+            f"degree {poly.degree} too large for truncation level J={spec.J}"
+        )
+    mass = np.zeros(spec.J + 2)
+    for k, c in poly.coeffs.items():
+        mass[block_index(k)] += abs(c) ** spec.beta
+    if mass[spec.J + 1] > 0:
+        raise ValueError("polynomial has content beyond block J")
+    return np.array(
+        [spec.budget(j) - mass[j] ** (1.0 / spec.beta) for j in range(spec.J + 1)]
+    )
 
 
 def test_budget_frozen_values():
@@ -107,15 +128,6 @@ def test_unknown_profile_raises():
         sample_class_function(spec, "bogus", seed=0)
     with pytest.raises(ValueError):
         sample_class_function(spec, "random-support", seed=0, density=0.0)
-
-
-def test_spike_instance_frozen_magnitude():
-    f = spike_instance(r=2.0, j=3, d=1)
-    (k, c), = f.coeffs.items()
-    assert block_index(k) == 3
-    assert abs(c) == pytest.approx(2.0 ** -4.5, rel=1e-15)
-    with pytest.raises(ValueError):
-        spike_instance(r=0.5, j=2, d=1)
 
 
 def test_default_truncation_level_frozen():

@@ -1,4 +1,4 @@
-"""Point sets, sampled systems, discretization certificates, constants."""
+"""Point sets, sampled systems and discretization certificates."""
 
 import itertools
 import math
@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from womplab.discretization import (DiscretizationReport, PointSet,
-                                    build_sampled, check_up, check_usd,
-                                    constants_report, draw_points,
-                                    nikolskii_constant, read_pointset,
-                                    riesz_constants, uniform_grid_points,
+                                    build_sampled, check_usd, draw_points,
+                                    read_pointset, uniform_grid_points,
                                     write_pointset)
 from womplab.trig import TrigPolynomial, TrigSystem, lp_norm
 
@@ -245,50 +243,7 @@ def test_worst_support_is_lexicographically_first_on_grid():
     assert rep.worst_support == (0, 1)
 
 
-# --------------------------------------------------------------- constants
-
-def test_riesz_constants_continuous_and_sampled():
-    system = TrigSystem(1, (3,))
-    r1, r2 = riesz_constants(system)
-    assert (r1.value, r2.value) == (1.0, 1.0)
-    assert r1.tag == "exact"
-    sampled = _grid_sampled(3)
-    s1, s2 = riesz_constants(sampled)
-    assert s1.value == pytest.approx(1.0, abs=1e-10)
-    assert s2.value == pytest.approx(1.0, abs=1e-10)
-
-
-def test_unconditionality_is_one_for_orthonormal_system():
-    est = check_up(TrigSystem(1, (2,)), u=2, d_cap=4)
-    assert est.value == pytest.approx(1.0, rel=1e-10)
-    assert est.tag == "exact"
-
-
-def test_unconditionality_sampled_exceeds_one_with_coherence():
-    # nearly repeated sample points make columns coherent; projecting onto
-    # the complement then removes a real fraction of a sparse element
-    pts = PointSet(1, np.array([[0.0], [1e-3], [3.0], [3.0 + 1e-3]]))
-    sampled = build_sampled(TrigSystem(1, (2,)), pts)
-    est = check_up(sampled, u=1, d_cap=3)
-    assert est.value > 1.0
-    assert set(est.support).isdisjoint(est.complement)
-
-
-def test_check_up_validation():
-    with pytest.raises(ValueError):
-        check_up(TrigSystem(1, (2,)), u=0, d_cap=2)
-    with pytest.raises(ValueError):
-        check_up(TrigSystem(1, (2,)), u=3, d_cap=2)
-
-
-def test_nikolskii_theory_and_empirical():
-    system = TrigSystem(1, (8,))
-    est = nikolskii_constant(system, u=4, p=4.0, trials=100, seed=0)
-    assert est.theory == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert 1.0 <= est.empirical <= est.theory * (1 + 1e-9)
-    with pytest.raises(ValueError):
-        nikolskii_constant(system, u=4, p=1.5)
-
+# ------------------------------------------------------- sparse norm ratio
 
 def test_equal_coefficient_quartic_ratio_under_sparse_bound():
     # f = sum of e^{ikx}, k = 0..3, checked against the 4-sparse bound
@@ -304,14 +259,3 @@ def test_equal_coefficient_quartic_ratio_under_sparse_bound():
     f = TrigPolynomial(1, {(k,): 1.0 for k in range(4)})
     assert lp_norm(f, 4.0, "mu") / lp_norm(f, 2.0, "mu") == pytest.approx(
         l4 / l2, rel=1e-10)
-
-
-def test_constants_report_invariants():
-    system = TrigSystem(1, (3,))
-    report = constants_report(system, None, u=2, p=4.0, trials=50)
-    assert report.r1.value <= report.r2.value
-    assert report.bessel.value >= report.r1.value ** -2 * (1 - 1e-12)
-    assert report.nikolskii.theory >= 1.0
-    sampled = _grid_sampled(3)
-    report2 = constants_report(system, sampled, u=2, p=4.0, trials=50)
-    assert report2.up.value >= 1.0 - 1e-10

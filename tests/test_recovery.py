@@ -9,8 +9,7 @@ from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import PointSet, build_sampled, draw_points
 from womplab.recovery import (FoolingInstance, RecoveryReport, adversary_gap,
                               best_vterm_l2_muxi, make_fooling, reconstruct,
-                              recover, recover_best_vterm, sample_target,
-                              write_fooling)
+                              recover, sample_target, write_fooling)
 from womplab.trig import (TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
                           multiply, read_polynomial)
 
@@ -180,17 +179,6 @@ def test_best_vterm_l2_muxi_exact_on_sparse():
     err, support, _ = best_vterm_l2_muxi(f0, build_sampled(system, xi), 2)
     assert support == (1, 5)
     assert err <= 1e-12
-
-
-def test_recover_best_vterm_oracle_path():
-    system = TrigSystem(1, (3,))
-    f0 = _sparse_target(system, [0, 6], [1.0, 0.5])
-    xi = draw_points(80, 1, seed=9)
-    rep = recover_best_vterm(f0, system, xi, v=2, seed=9)
-    assert rep.exact_recovery
-    assert rep.error_lp_mu <= 1e-10
-    assert rep.u == 4 and rep.trace is None
-    assert rep.certificate is not None and rep.certificate.mode == "one-sided-lower"
 
 
 # ----------------------------------------------------------------- fooling

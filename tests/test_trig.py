@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from womplab import trig
+from womplab.discretization import uniform_grid_points
 from womplab.trig import (_EVAL_CHUNK_ENTRIES, TrigPolynomial, TrigSystem,
-                          block_index, dyadic_block, fejer_kernel, lp_norm,
-                          multiply, quadrature_grid_size, read_polynomial,
+                          _tensor_grid, block_index, dyadic_block,
+                          fejer_kernel, lp_norm, multiply,
+                          quadrature_grid_size, read_polynomial,
                           write_polynomial)
 
 
@@ -266,6 +268,20 @@ def test_sup_norm_is_a_lower_estimate():
     coarse = lp_norm(f, math.inf, "mu", oversample=2)
     fine = lp_norm(f, math.inf, "mu", oversample=64)
     assert coarse <= fine * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tensor_grid_is_bitwise_the_meshgrid(d):
+    # make_fooling's x_star and criteria 1 and 7 rest on these exact
+    # floats: the stacked meshgrid of one axis per dimension
+    for n in (1, 5, 8):
+        axis = 2 * np.pi * np.arange(n) / n
+        mesh = np.meshgrid(*([axis] * d), indexing="ij")
+        expect = np.stack([g.ravel() for g in mesh], axis=1)
+        got = _tensor_grid(n, d)
+        assert got.shape == expect.shape == (n ** d, d)
+        assert got.tobytes() == expect.tobytes()
+        assert uniform_grid_points(n, d).points.tobytes() == expect.tobytes()
 
 
 def test_lp_norm_monotone_in_p():

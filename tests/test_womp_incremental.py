@@ -89,10 +89,11 @@ def greedy_cases(draw):
                                 for c, w in zip(cols, coeff)})
         y = sample_target(f0, sampled)
     # At t of order 1e-15 the weak rule can take a column whose inner
-    # product is pure roundoff (a repeat of a selected one), and at step m
-    # the one-dimensional residual ties the frequencies k and -k exactly
-    # (the node polynomial prod (z - exp(i x_j)) is self-inversive); such
-    # picks are decided by roundoff in either implementation.
+    # product is pure roundoff (the oracle even a selected one, which womp
+    # excludes), and at step m the one-dimensional residual ties the
+    # frequencies k and -k exactly (the node polynomial prod (z - exp(i x_j))
+    # is self-inversive); such picks are decided by roundoff in either
+    # implementation.
     t = draw(st.floats(1e-6, 1.0))
     selection = draw(st.sampled_from(["argmax", "adversarial-weak"]))
     steps = draw(st.integers(0, min(m - 1, system.size)))
