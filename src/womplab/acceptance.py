@@ -21,7 +21,7 @@ from .discretization import build_sampled, check_usd, draw_points, \
 from .experiments import DEFAULTS, rate_sweep_compute
 from .greedy import DiscreteHilbert, best_vterm, project, womp
 from .recovery import adversary_gap, best_vterm_l2_muxi, reconstruct
-from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm
+from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,7 @@ def _recovery_ensemble():
                 "scale": trace.residual_norms[0],
                 "resid_disc": trace.residual_norms[-1],
                 "sigma_disc": sigma_disc,
-                "error": {p: lp_norm(diff, p, "mu") for p in (2.0, 4.0)},
+                "error": dict(zip((2.0, 4.0), lp_norms(diff, (2.0, 4.0)))),
                 "sigma_ref": {p: lp_norm(ref_diff, p, "mu_xi", pointset=pts)
                               for p in (2.0, 4.0)},
             })
@@ -365,7 +365,8 @@ def criterion_nikolskii(th: Thresholds):
         support = rng.choice(system.size, size=u, replace=False)
         coeff = rng.standard_normal(u) + 1j * rng.standard_normal(u)
         f = reconstruct(system, support, coeff)
-        ratio = lp_norm(f, 4.0, "mu") / lp_norm(f, 2.0, "mu")
+        norm4, norm2 = lp_norms(f, (4.0, 2.0))
+        ratio = norm4 / norm2
         margin = ratio / u ** 0.25
         worst = max(worst, margin)
         if margin > 1 + 1e-9:

@@ -20,7 +20,7 @@ from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
                              SampledSystem, build_sampled, check_usd,
                              uniform_grid_points)
 from .greedy import DiscreteHilbert, WompTrace, best_vterm, womp
-from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm
+from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
 
 # A discrete sigma_v below this multiple of the target norm counts as exact
 # recovery; ratios against it are reported as flags, not numbers.
@@ -297,14 +297,12 @@ def make_fooling(xi: PointSet, box, d: int | None = None, oversample: int = 8,
     f = g_xi * kernel
 
     samples_max = float(np.abs(f.eval(xi.points)).max()) if xi.m else 0.0
+    norm_q, norm_p, sup_grid = lp_norms(f, (q, p, math.inf), oversample)
     return FoolingInstance(
         pointset=xi, box=box, g_xi=g_xi, x_star=np.asarray(x_star, float),
-        f=f, q=float(q), p=float(p),
-        norm_q=lp_norm(f, q, "mu", oversample=oversample),
-        norm_p=lp_norm(f, p, "mu", oversample=oversample),
+        f=f, q=float(q), p=float(p), norm_q=norm_q, norm_p=norm_p,
         value_at_xstar=float(abs(f.eval(x_star.reshape(1, -1))[0])),
-        sup_grid=lp_norm(f, math.inf, "mu", oversample=oversample),
-        samples_max=samples_max, null_dim=null_dim)
+        sup_grid=sup_grid, samples_max=samples_max, null_dim=null_dim)
 
 
 @dataclass(frozen=True)

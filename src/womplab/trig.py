@@ -107,7 +107,8 @@ class TrigPolynomial:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return TrigPolynomial(self.dim, _drop_small(out))
+        return TrigPolynomial(self.dim, {k: c for k, c in out.items()
+                                         if abs(c) >= COEFF_DROP_TOL})
 
     def __sub__(self, other):
         return self + (-other)
@@ -127,19 +128,29 @@ class TrigPolynomial:
             raise ValueError("operands must be TrigPolynomial of equal dimension")
 
 
-def _drop_small(coeffs, tol=COEFF_DROP_TOL):
-    return {k: c for k, c in coeffs.items() if abs(c) >= tol}
+def _dense(poly: TrigPolynomial):
+    """Coefficients in a dense array over their bounding box, and its lowest corner."""
+    keys = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
+    lo = keys.min(axis=0)
+    dense = np.zeros(tuple(keys.max(axis=0) - lo + 1), dtype=complex)
+    dense[tuple((keys - lo).T)] = list(poly.coeffs.values())
+    return dense, lo
 
 
 def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
-    """Pointwise product via coefficient convolution."""
+    """Pointwise product: a direct dense convolution of the coefficients,
+    one shifted copy of f's dense array per nonzero coefficient of g."""
     f._check_same_dim(g)
-    out = {}
-    for kf, cf in f.coeffs.items():
-        for kg, cg in g.coeffs.items():
-            k = tuple(a + b for a, b in zip(kf, kg))
-            out[k] = out.get(k, 0) + cf * cg
-    return TrigPolynomial(f.dim, _drop_small(out))
+    if not f.coeffs or not g.coeffs:
+        return TrigPolynomial(f.dim)
+    a, alo = _dense(f)
+    b, blo = _dense(g)
+    out = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=complex)
+    for k in np.argwhere(b):
+        out[tuple(slice(s, s + w) for s, w in zip(k, a.shape))] += b[tuple(k)] * a
+    keep = np.argwhere(np.abs(out) >= COEFF_DROP_TOL)
+    return TrigPolynomial(f.dim, {tuple((k + alo + blo).tolist()): out[tuple(k)]
+                                  for k in keep})
 
 
 def fejer_kernel(j, d: int | None = None) -> TrigPolynomial:
@@ -308,6 +319,44 @@ def _tensor_grid(n: int, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
+    """poly on _tensor_grid(n, poly.dim), in the same row order: the dense
+    coefficient array summed one axis at a time against the table
+    exp(2 pi i t k / n) = roots[(t * k) % n] (sum factorisation, not an FFT)."""
+    if not poly.coeffs:
+        return np.zeros(n ** poly.dim, dtype=complex)
+    vals, lo = _dense(poly)
+    t = np.arange(n)
+    roots = np.exp(2j * np.pi * t / n)
+    for axis in reversed(range(poly.dim)):  # each product puts its grid axis first
+        phase = np.outer(t, np.arange(lo[axis], lo[axis] + vals.shape[-1]))
+        phase %= n
+        vals = np.tensordot(roots[phase], vals, axes=([1], [-1]))
+    return vals.reshape(-1)
+
+
+def _check_norm_args(p, oversample):
+    if p != math.inf and not float(p) >= 1:
+        raise ValueError("p must be >= 1 or inf")
+    if oversample < 2:
+        raise ValueError("oversample must be >= 2")
+
+
+def lp_norms(poly: TrigPolynomial, ps, oversample: int = 8) -> tuple:
+    """Lp norms under the normalized Lebesgue measure, one per p in ps, each
+    bitwise lp_norm(poly, p, "mu", oversample=oversample); exponents that
+    share a grid size share one grid evaluation."""
+    grid_abs, norms = {}, []
+    for p in ps:
+        _check_norm_args(p, oversample)
+        n = quadrature_grid_size(poly.degree, p, oversample)
+        if n not in grid_abs:
+            grid_abs[n] = np.abs(_grid_values(poly, n))
+        norms.append(float(grid_abs[n].max() if p == math.inf
+                           else np.mean(grid_abs[n] ** p) ** (1.0 / p)))
+    return tuple(norms)
+
+
 def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
             oversample: int = 8) -> float:
     """Lp norm of a trigonometric polynomial under one of three measures.
@@ -320,7 +369,8 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
         exact to roundoff; p = inf returns the grid (or sample) maximum,
         which is a lower estimate of the true sup norm.
     measure : str
-        "mu"    normalized Lebesgue measure, tensor-grid quadrature;
+        "mu"    normalized Lebesgue measure, quadrature on the tensor grid
+                {2 pi t / n}^d, summed one axis at a time (_grid_values);
         "mu_m"  empirical measure of a point set (pointset required);
         "mu_xi" the half/half mixture of the two (pointset required).
     pointset : PointSet, optional
@@ -333,36 +383,26 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
     float
         Nonnegative norm value.
     """
-    if p != math.inf and not float(p) >= 1:
-        raise ValueError("p must be >= 1 or inf")
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2")
+    _check_norm_args(p, oversample)
     if measure not in ("mu", "mu_m", "mu_xi"):
         raise ValueError(f"unknown measure: {measure}")
-    if measure in ("mu_m", "mu_xi"):
-        if pointset is None:
-            raise ValueError(f"measure {measure} requires a point set")
-        if pointset.dim != poly.dim:
-            raise ValueError("point set dimension mismatch")
-        sample_abs = np.abs(poly.eval(pointset.points)) if pointset.m else np.zeros(0)
-
-    if measure == "mu_m":
-        if pointset.m == 0:
-            raise ValueError("empirical measure of an empty point set")
-        if p == math.inf:
-            return float(sample_abs.max())
-        return float(np.mean(sample_abs ** p) ** (1.0 / p))
-
-    n = quadrature_grid_size(poly.degree, p, oversample)
-    grid_abs = np.abs(poly.eval(_tensor_grid(n, poly.dim)))
     if measure == "mu":
-        if p == math.inf:
-            return float(grid_abs.max())
-        return float(np.mean(grid_abs ** p) ** (1.0 / p))
+        return lp_norms(poly, (p,), oversample)[0]
+    if pointset is None:
+        raise ValueError(f"measure {measure} requires a point set")
+    if pointset.dim != poly.dim:
+        raise ValueError("point set dimension mismatch")
+    if pointset.m == 0:
+        what = "empirical" if measure == "mu_m" else "mixture"
+        raise ValueError(f"{what} measure of an empty point set")
+    sample_abs = np.abs(poly.eval(pointset.points))
+    if measure == "mu_m":
+        return float(sample_abs.max() if p == math.inf
+                     else np.mean(sample_abs ** p) ** (1.0 / p))
 
     # mu_xi: mean of the p-th powers of the two sides
-    if pointset.m == 0:
-        raise ValueError("mixture measure of an empty point set")
+    n = quadrature_grid_size(poly.degree, p, oversample)
+    grid_abs = np.abs(_grid_values(poly, n))
     if p == math.inf:
         return float(max(grid_abs.max(), sample_abs.max()))
     val = 0.5 * (np.mean(grid_abs ** p) + np.mean(sample_abs ** p))

@@ -1,0 +1,149 @@
+"""The sum-factorised grid kernel, the dense product and the shared norms.
+
+`_grid_values` is checked against the direct evaluation `poly.eval` on the
+same tensor grid, `multiply` against the dict convolution it replaced, and
+the norms `make_fooling` and `lp_norms` take from one grid evaluation
+against `lp_norm` bit for bit.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from womplab.discretization import draw_points
+from womplab.recovery import make_fooling
+from womplab.trig import (COEFF_DROP_TOL, TrigPolynomial, TrigSystem,
+                          _grid_values, _tensor_grid, fejer_kernel, lp_norm,
+                          lp_norms, multiply)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def multiply_dict(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
+    """The former `multiply`: a double loop over the two coefficient maps."""
+    out = {}
+    for kf, cf in f.coeffs.items():
+        for kg, cg in g.coeffs.items():
+            k = tuple(a + b for a, b in zip(kf, kg))
+            out[k] = out.get(k, 0) + cf * cg
+    return TrigPolynomial(f.dim, {k: c for k, c in out.items()
+                                  if abs(c) >= COEFF_DROP_TOL})
+
+
+@st.composite
+def sparse_polys(draw, dim=None):
+    """A sparse polynomial: up to 12 frequencies in an offset window that
+    may lie on either side of 0, random complex coefficients, sometimes
+    none at all."""
+    d = dim if dim is not None else draw(st.sampled_from([1, 2, 3]))
+    terms = draw(st.integers(0, 12))
+    offset = [draw(st.integers(-9, 9)) for _ in range(d)]
+    width = [draw(st.integers(0, 6)) for _ in range(d)]
+    keys = {tuple(o + draw(st.integers(0, w)) for o, w in zip(offset, width))
+            for _ in range(terms)}
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeff = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return TrigPolynomial(d, dict(zip(sorted(keys), coeff)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sparse_polys(), st.integers(1, 24))
+def test_grid_values_match_direct_evaluation(poly, n):
+    # n may be smaller than the support's width: the table then folds
+    # frequencies mod n, as the exponentials themselves do on that grid
+    got = _grid_values(poly, n)
+    expect = poly.eval(_tensor_grid(n, poly.dim))
+    assert got.shape == expect.shape == (n ** poly.dim,)
+    scale = sum(abs(c) for c in poly.coeffs.values())
+    assert np.all(np.abs(got - expect) <= 1e-12 * max(scale, 1e-300))
+
+
+def test_grid_values_edge_cases():
+    zero = TrigPolynomial(2, {})
+    assert np.array_equal(_grid_values(zero, 5), np.zeros(25, dtype=complex))
+    f = TrigPolynomial(3, {(-4, 2, 7): 2.0 - 1.0j, (1, -3, 0): 0.5j})
+    assert _grid_values(f, 1) == pytest.approx([2.0 - 0.5j], abs=1e-15)
+    # row order: the last axis runs fastest, as in _tensor_grid
+    g = TrigPolynomial(2, {(0, 1): 1.0})
+    vals = _grid_values(g, 4).reshape(4, 4)
+    assert np.allclose(vals, np.tile(np.exp(2j * np.pi * np.arange(4) / 4), (4, 1)),
+                       atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(sparse_polys(d), sparse_polys(d))))
+def test_multiply_matches_dict_convolution(pair):
+    f, g = pair
+    got, expect = multiply(f, g), multiply_dict(f, g)
+    assert got.dim == expect.dim
+    assert sorted(got.coeffs) == sorted(expect.coeffs)
+    for k, c in expect.coeffs.items():
+        assert abs(got.coeffs[k] - c) <= 1e-13
+
+
+def test_multiply_drops_exact_cancellation():
+    # (1 + e^{ix})(1 - e^{ix}) = 1 - e^{2ix}: the k = 1 terms cancel exactly
+    f = TrigPolynomial(1, {(0,): 1.0, (1,): 1.0})
+    g = TrigPolynomial(1, {(0,): 1.0, (1,): -1.0})
+    assert multiply(f, g).coeffs == multiply_dict(f, g).coeffs == {(0,): 1.0, (2,): -1.0}
+    assert multiply(f, TrigPolynomial(1, {})).coeffs == {}
+
+
+def test_multiply_fooling_shape_matches_dict_convolution():
+    # the product make_fooling forms: a full box polynomial times a
+    # translated Fejer kernel, in d = 1 and d = 2
+    rng = np.random.default_rng(3)
+    for box in ((32,), (4, 4)):
+        g = TrigPolynomial(len(box), {k: complex(*rng.standard_normal(2))
+                                      for k in TrigSystem(len(box), box).indices()})
+        kernel = fejer_kernel(box).translate(rng.uniform(0, 2 * np.pi, len(box)))
+        got, expect = multiply(g, kernel), multiply_dict(g, kernel)
+        assert sorted(got.coeffs) == sorted(expect.coeffs)
+        for k, c in expect.coeffs.items():
+            assert abs(got.coeffs[k] - c) <= 1e-13
+
+
+@pytest.mark.parametrize("box, m, seed", [((8,), 4, 1), ((16,), 8, 2),
+                                          ((3, 2), 8, 3), ((1,), 1, 4)])
+def test_make_fooling_norms_are_bitwise_lp_norm(box, m, seed):
+    xi = draw_points(m, len(box), seed)
+    inst = make_fooling(xi, box)
+    assert inst.norm_q == lp_norm(inst.f, inst.q, "mu")
+    assert inst.norm_p == lp_norm(inst.f, inst.p, "mu")
+    assert inst.sup_grid == lp_norm(inst.f, math.inf, "mu")
+
+
+def test_lp_norms_are_bitwise_lp_norm():
+    rng = np.random.default_rng(11)
+    f = TrigPolynomial(2, {(i, j): complex(*rng.standard_normal(2))
+                           for i in range(-3, 2) for j in range(0, 4)})
+    # at oversample 2 the p = 6 grid is finer than the p = 2 one
+    for oversample in (2, 8):
+        ps = (2.0, 6, math.inf, 1.5, 4)
+        got = lp_norms(f, ps, oversample)
+        assert got == tuple(lp_norm(f, p, "mu", oversample=oversample) for p in ps)
+    assert lp_norms(TrigPolynomial(1, {}), (2, math.inf)) == (0.0, 0.0)
+    with pytest.raises(ValueError):
+        lp_norms(f, (2, 0.5))
+    with pytest.raises(ValueError):
+        lp_norms(f, (2,), oversample=1)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal takes about 0.8 s to import; the dense product is numpy only
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = "import sys, womplab; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
