@@ -11,7 +11,6 @@ never a certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +25,9 @@ LOWER_CONST = 0.5
 UPPER_CONST = 1.5
 
 DEFAULT_SUBSET_CAP = 2_000_000
+
+# Supports per stacked solve in the exhaustive scans; bounds their memory.
+SUPPORT_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -188,19 +190,37 @@ class DiscretizationReport:
                 f"{self.method},{seed}")
 
 
-def _support_iter(n, u, trials, rng):
-    for _ in range(trials):
-        yield tuple(sorted(rng.choice(n, size=u, replace=False).tolist()))
+def _chunks(rows, size=SUPPORT_CHUNK):
+    """rows split into consecutive blocks of at most size rows."""
+    return np.split(rows, range(size, len(rows), size))
 
 
-def _lex_chunks(n, u, chunk):
-    """All u-subsets of range(n) in lexicographic order, as (rows, u) arrays."""
-    combos = itertools.chain.from_iterable(itertools.combinations(range(n), u))
-    while True:
-        flat = np.fromiter(itertools.islice(combos, chunk * u), dtype=np.intp)
-        if not flat.size:
-            return
-        yield flat.reshape(-1, u)
+def _combinations(n, r, first_below=None):
+    """The r-subsets of range(n) with smallest element below first_below
+    (default n), in lexicographic order, as rows.  Built from the last
+    element up: the tails of size s + 1 are each first element f >= r - s - 1
+    followed by the contiguous run of tails of size s that start above f.
+    """
+    subsets = np.arange(r - 1, n)[:, None]
+    if r == 1:
+        return subsets[:first_below]
+    for size in range(2, r + 1):
+        firsts = np.arange(r - size, n - size + 1)
+        if size == r:
+            firsts = firsts[:first_below]
+        starts = np.searchsorted(subsets[:, 0], firsts, side="right")
+        lengths = len(subsets) - starts
+        offsets = np.repeat(np.cumsum(lengths) - lengths - starts, lengths)
+        subsets = np.column_stack((np.repeat(firsts, lengths),
+                                   subsets[np.arange(lengths.sum()) - offsets]))
+    return subsets
+
+
+def _box_strides(box):
+    """Widths 2 b + 1 of the box axes and the column strides of each axis:
+    column c has coordinate c // strides[i] % widths[i] on axis i."""
+    widths = np.array([2 * b + 1 for b in box])
+    return widths, np.append(np.cumprod(widths[:0:-1])[::-1], 1)
 
 
 def _class_representatives(idx, box):
@@ -212,8 +232,7 @@ def _class_representatives(idx, box):
     corner, whose columns are the support's minus the column offset of its
     coordinatewise minimum.  Reflection maps column c to n - 1 - c.
     """
-    widths = np.array([2 * b + 1 for b in box])
-    strides = np.append(np.cumprod(widths[:0:-1])[::-1], 1)
+    widths, strides = _box_strides(box)
     n = int(np.prod(widths))
 
     def pushed(cols):
@@ -228,19 +247,29 @@ def _class_representatives(idx, box):
     return np.where(take_b[:, None], b, a)
 
 
-def _colex_weights(n, u):
-    """w[c, i] = C(c, i + 1), so sum_i w[s_i, i] ranks a sorted u-subset s
-    of range(n) in colexicographic order, bijectively onto [0, C(n, u)).
+def _class_members(reps, box):
+    """The other members of the given representatives' classes, each once.
 
-    Built by the hockey-stick identity C(c, i + 1) = sum_{j < c} C(j, i).
-    Entries a u-subset never reaches may wrap in int64; the ones it
-    reaches are at most C(n, u) - 1 and exact.
+    A representative R is pushed against the corner, and so is its mirror
+    R' (top coordinate - coordinates, columns reversed).  Its class is the
+    translates of R and of R' that keep the top coordinate on each axis
+    inside the box; two supports pushed against the corner are translates
+    of each other only if equal, so the two sets coincide if R' = R and
+    are disjoint otherwise.
     """
-    w = np.zeros((n, u), dtype=np.int64)
-    w[:, 0] = np.arange(n)
-    for i in range(1, u):
-        np.cumsum(w[:-1, i - 1], out=w[1:, i])
-    return w
+    widths, strides = _box_strides(box)
+    coords = reps[..., None] // strides % widths
+    top = coords.max(axis=1)
+    shifts = np.indices(widths - top.min(axis=0)).reshape(len(widths), -1).T
+    fits = (top[:, None, :] + shifts < widths).all(axis=2)
+    mirror = top[:, None] - coords
+    distinct = ((mirror @ strides)[:, ::-1] != reps).any(axis=1)
+
+    def translates(shape, keep):
+        return ((shape[:, None] + shifts[:, None, :]) @ strides)[keep]
+
+    return np.concatenate([translates(coords, fits & shifts.any(axis=1)),
+                           translates(mirror, fits & distinct[:, None])[:, ::-1]])
 
 
 def _eig_rounding_bound(sampled, u):
@@ -285,8 +314,8 @@ def _eig_rounding_bound(sampled, u):
     returned 2 delta absorbs the rounding of this formula.  An
     overestimate only costs eigensolves of classes near an extreme.  At
     m = 600, u = 6, box 10 the returned bound is 5.7e-12; the largest
-    spread within a class there is below 3e-15, and on four point sets the
-    scan solved 10 to 28 blocks besides the 7,872 class representatives.
+    spread within a class there is below 3e-15, and on six point sets the
+    scan solved 4 to 12 blocks besides the 7,872 class representatives.
     """
     e = np.finfo(float).eps / 2
 
@@ -353,13 +382,15 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     Notes
     -----
     The exhaustive p = 2 scan returns exactly what one eigensolve per
-    support returns, bit for bit, while solving one block per symmetry
-    class plus the members of classes whose first member came within a
-    rounding bound of a running extreme (see _eig_rounding_bound).  This
-    needs sampled.matrix = system.evaluate_at(points), as build_sampled
-    makes it.  For box 10, u = 6 that is about 7,900 eigensolves instead of
-    54,264.  With m < u every block is singular, all classes tie at
-    c_low ~ 0 and every support is solved: no saving there.
+    support returns, bit for bit.  It enumerates only the supports whose
+    first column lies in the box's first slab along axis 0 (15,504 of
+    54,264 for box 10, u = 6), keeps the class representatives among them
+    (7,872), solves those, and then generates and solves the other members
+    of each class whose representative came within a rounding bound of the
+    representatives' extremes (see _eig_rounding_bound).  This needs
+    sampled.matrix = system.evaluate_at(points), as build_sampled makes
+    it.  With m < u every block is singular, all classes tie at c_low ~ 0
+    and every support is solved once: no saving there.
     """
     n = sampled.size
     if not 1 <= u <= n:
@@ -391,59 +422,41 @@ def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap, d_constant
     gram = sampled.gram() if sampled.m else np.zeros((n, n), dtype=complex)
     rng = np.random.default_rng(seed)
 
-    c_low, c_high = math.inf, -math.inf
-    arg_low = arg_high = None
-    chunk = 4096
-    solves = 0
-
     def solve(idx):
-        nonlocal solves
-        solves += len(idx)
-        eig = np.linalg.eigvalsh(gram[idx[:, :, None], idx[:, None, :]])
-        return eig[:, 0], eig[:, -1]
-
-    def update(idx, lo, hi):
-        nonlocal c_low, c_high, arg_low, arg_high
-        if not len(idx):
-            return
-        i = int(np.argmin(lo))
-        if lo[i] < c_low:
-            c_low, arg_low = float(lo[i]), tuple(idx[i].tolist())
-        i = int(np.argmax(hi))
-        if hi[i] > c_high:
-            c_high, arg_high = float(hi[i]), tuple(idx[i].tolist())
+        """(lowest, highest) eigenvalue of each row's Gram block."""
+        return np.concatenate([
+            np.linalg.eigvalsh(gram[b[:, :, None], b[:, None, :]])[:, [0, -1]]
+            for b in _chunks(idx)]).T
 
     if method == "exhaustive":
-        # One eigensolve per symmetry class of supports, plus every member
-        # of a class whose representative (its first member) came within
-        # the rounding bound of a running extreme.  Any support attaining
-        # a final extreme is such a member, so the update below sees the
-        # same extremes and the same first attaining support as a full
-        # scan.
+        # One eigensolve per symmetry class, plus the other members of each
+        # class whose representative came within the rounding bound of the
+        # representatives' extremes: every support attaining an extreme is
+        # solved.  Representatives are pushed against the corner, so their
+        # first column lies in the first slab along axis 0.
+        box = sampled.system.box
+        reps = np.concatenate([
+            c[(_class_representatives(c, box) == c).all(axis=1)] for c in
+            _chunks(_combinations(n, u, first_below=n // (2 * box[0] + 1)))])
+        lo, hi = ext = solve(reps)
         delta = _eig_rounding_bound(sampled, u)
-        weights = _colex_weights(n, u)
-        cols = np.arange(u)
-        admitted = np.zeros(count, dtype=bool)
-        for idx in _lex_chunks(n, u, chunk):
-            rep = _class_representatives(idx, sampled.system.box)
-            rank = weights[rep, cols].sum(axis=1)
-            solved = (rep == idx).all(axis=1)
-            lo, hi = np.empty(len(idx)), np.empty(len(idx))
-            lo[solved], hi[solved] = solve(idx[solved])
-            low = np.min(lo[solved], initial=c_low)
-            high = np.max(hi[solved], initial=c_high)
-            near = (lo[solved] <= low + delta) | (hi[solved] >= high - delta)
-            admitted[rank[solved][near]] = True
-            members = ~solved & admitted[rank]
-            lo[members], hi[members] = solve(idx[members])
-            solved |= members
-            update(idx[solved], lo[solved], hi[solved])
+        near = reps[(lo <= lo.min() + delta) | (hi >= hi.max() - delta)]
+        members = np.concatenate([_class_members(c, box)
+                                  for c in _chunks(near, SUPPORT_CHUNK // n + 1)])
+        idx = np.concatenate([reps, members])
+        order = np.lexsort(idx.T[::-1])
+        idx = idx[order]
+        lo, hi = np.concatenate([ext, solve(members)], axis=1)[:, order]
     else:
-        draws = np.array(list(_support_iter(n, u, trials, rng)),
-                         dtype=np.intp).reshape(-1, u)
-        for start in range(0, len(draws), chunk):
-            idx = draws[start:start + chunk]
-            update(idx, *solve(idx))
+        idx = np.array([sorted(rng.choice(n, size=u, replace=False))
+                        for _ in range(trials)], dtype=np.intp).reshape(-1, u)
+        lo, hi = solve(idx)
+    # the first row, in lexicographic or draw order, attaining each extreme
+    c_low, c_high, arg_low, arg_high = math.inf, -math.inf, None, None
+    if len(idx):
+        i_low, i_high = int(np.argmin(lo)), int(np.argmax(hi))
+        c_low, c_high = float(lo[i_low]), float(hi[i_high])
+        arg_low, arg_high = tuple(idx[i_low].tolist()), tuple(idx[i_high].tolist())
 
     method_tag = "exhaustive" if method == "exhaustive" else f"randomized({trials})"
     used_seed = sampled.pointset.seed()
@@ -454,7 +467,7 @@ def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap, d_constant
         m=sampled.m, size=n, u=u, p=2.0, mode=mode,
         holds=_holds(mode, c_low, c_high, 2.0, d_constant),
         c_low=c_low, c_high=c_high, worst_support=worst,
-        method=method_tag, seed=used_seed, eigensolves=solves)
+        method=method_tag, seed=used_seed, eigensolves=len(idx))
 
 
 def _pick_worst(mode, c_low, arg_low, c_high, arg_high):

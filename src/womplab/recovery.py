@@ -10,16 +10,15 @@ budget, so no sample-based method can distinguish it from its negative.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
-                             SampledSystem, build_sampled, check_usd,
-                             uniform_grid_points)
-from .greedy import DiscreteHilbert, WompTrace, best_vterm, womp
+                             SampledSystem, _combinations, build_sampled,
+                             check_usd, uniform_grid_points)
+from .greedy import DiscreteHilbert, WompTrace, _block_solve, best_vterm, womp
 from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
 
 # A discrete sigma_v below this multiple of the target norm counts as exact
@@ -63,12 +62,15 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int,
     """Best v-term approximation in the mixture norm L2(mu_xi), exhaustive.
 
     The mixture Gram is (I + discrete Gram)/2, so each support admits an
-    exact normal-equations solve.  Returns (error, support, approximant).
-    Ties keep the lexicographically first support.
+    exact normal-equations solve; the supports are solved in stacked
+    blocks (_block_solve).  Returns (error, support, approximant).  Ties
+    keep the lexicographically first support.
     """
     n = sampled.size
     if v < 0:
         raise ValueError("v must be >= 0")
+    if v > n:
+        raise ValueError(f"v exceeds dictionary size {n}")
     count = math.comb(n, v)
     if count > subset_cap:
         raise ValueError(f"C({n},{v}) = {count} supports exceed cap {subset_cap}")
@@ -79,21 +81,14 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int,
     if v == 0:
         return math.sqrt(norm2_sq), (), TrigPolynomial(f0.dim, {})
     gram = 0.5 * (np.eye(n) + sampled.gram())
-    rhs_disc = sampled.matrix.conj().T @ y / sampled.m
-    rhs = 0.5 * (a_box + rhs_disc)
+    rhs = 0.5 * (a_box + sampled.matrix.conj().T @ y / sampled.m)
 
-    best = None
-    for support in itertools.combinations(range(n), v):
-        idx = list(support)
-        g = gram[np.ix_(idx, idx)]
-        b = rhs[idx]
-        c = np.linalg.solve(g, b)
-        err_sq = max(norm2_sq - float(np.real(np.vdot(c, b))), 0.0)
-        if best is None or err_sq < best[0]:
-            best = (err_sq, support, c)
-    err_sq, support, c = best
-    approx = reconstruct(sampled.system, support, c)
-    return math.sqrt(err_sq), tuple(support), approx
+    supports = _combinations(n, v)
+    err_sq = np.maximum(_block_solve(gram, rhs, norm2_sq, supports), 0.0)
+    i = int(np.argmin(err_sq))  # ties keep the first support
+    support = tuple(supports[i].tolist())
+    c = np.linalg.solve(gram[np.ix_(support, support)], rhs[list(support)])
+    return math.sqrt(err_sq[i]), support, reconstruct(sampled.system, support, c)
 
 
 @dataclass(frozen=True)

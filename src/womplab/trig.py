@@ -57,7 +57,10 @@ class TrigPolynomial:
             raise ValueError("dimension must be >= 1")
         clean = {}
         for k, c in self.coeffs.items():
-            key = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
+            if isinstance(k, tuple):  # the common case, without np.isscalar
+                key = tuple(map(int, k))
+            else:
+                key = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
             if len(key) != self.dim:
                 raise ValueError(f"index {key} does not match dimension {self.dim}")
             c = complex(c)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from womplab.discretization import (PointSet, _class_representatives,
+from womplab.discretization import (PointSet, _class_members,
+                                    _class_representatives, _combinations,
                                     _holds, _pick_worst, build_sampled,
                                     check_usd, draw_points)
 from womplab.trig import TrigSystem
@@ -135,6 +136,35 @@ def test_class_representatives_match_brute_force(box, u_max):
         reps = _class_representatives(np.array(supports), system.box)
         assert [tuple(r) for r in reps.tolist()] == [
             _brute_representative(system, s) for s in supports]
+
+
+@pytest.mark.parametrize("box, u_max", [
+    ((4,), 4), ((0,), 1), ((2, 1), 3), ((1, 2), 3), ((0, 2), 3), ((1, 0, 1), 3),
+    ((1, 1, 1), 2)])
+def test_class_members_cover_every_support_once(box, u_max):
+    system = TrigSystem(len(box), box)
+    n = system.size
+    for u in range(1, min(u_max, n) + 1):
+        supports = list(itertools.combinations(range(n), u))
+        rep_of = {s: _brute_representative(system, s) for s in supports}
+        reps = sorted(set(rep_of.values()))
+        # the scan looks for representatives among the supports whose
+        # first column lies in the first slab along axis 0
+        first_slab = {tuple(r) for r in _combinations(
+            n, u, first_below=n // (2 * box[0] + 1)).tolist()}
+        assert set(reps) <= first_slab
+        generated = list(reps)
+        for rep in reps:
+            members = [tuple(s) for s in
+                       _class_members(np.array([rep]), system.box).tolist()]
+            assert all(rep_of[s] == rep for s in members)
+            generated += members
+        assert len(generated) == math.comb(n, u)
+        assert sorted(generated) == supports
+        # all classes at once: the same supports
+        batch = [tuple(s) for s in
+                 _class_members(np.array(reps), system.box).tolist()]
+        assert sorted(batch) == sorted(set(supports) - set(reps))
 
 
 def test_eigensolves_count_the_blocks_solved():

@@ -40,6 +40,46 @@ def test_canonicalization_drops_zero_coefficients():
     assert (1,) not in f.coeffs
 
 
+class _Pairs:
+    """A coefficient map whose keys need not be hashable."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return self.pairs
+
+
+def _key_before_fast_path(k):
+    return (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
+
+
+@pytest.mark.parametrize("dim, key", [
+    (1, 3), (1, np.int64(-2)), (1, np.int32(4)), (1, 2.0), (1, np.float64(-1.7)),
+    (1, (5,)), (2, (1, -2)), (2, (np.int64(1), 2.9)), (2, [3, 4]),
+    (2, np.array([1, -1])), (1, np.array([7])), (1, True),
+    (1, "x"), (1, 1 + 2j), (1, None), (1, np.array(3)), (2, (1, None)),
+    (2, ("a", 1)), (2, (1, 2, 3)), (1, (1, 2)), (2, 4), (1, ()),
+])
+def test_keys_canonicalize_as_before_the_tuple_fast_path(dim, key):
+    # the oracle is the conversion every key went through before tuples
+    # took a fast path: each key gives the same tuple or the same error
+    try:
+        want = _key_before_fast_path(key)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        with pytest.raises(type(exc)) as got:
+            TrigPolynomial(dim, _Pairs([(key, 1.0)]))
+        assert str(got.value) == str(exc)
+        return
+    if len(want) != dim:
+        with pytest.raises(ValueError, match="does not match dimension"):
+            TrigPolynomial(dim, _Pairs([(key, 1.0)]))
+        return
+    got = TrigPolynomial(dim, _Pairs([(key, 1.0)])).coeffs
+    assert got == {want: 1.0}
+    assert all(type(ki) is int for ki in next(iter(got)))
+
+
 def test_add_sub_cancel_to_zero():
     rng = np.random.default_rng(0)
     f = _random_poly(rng, 1, 5)
