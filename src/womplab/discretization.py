@@ -364,7 +364,7 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
         supports and refuses to start past subset_cap, which counts
         supports, not the classes below.
     trials, seed
-        Randomized budget: number of supports drawn and the draw seed.
+        Randomized budget: number of supports drawn (>= 1) and the draw seed.
 
     Returns
     -------
@@ -399,6 +399,8 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
         raise ValueError(f"unknown mode {mode!r}")
     if method not in ("exhaustive", "randomized"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "randomized" and trials < 1:
+        raise ValueError(f"a randomized check needs trials >= 1, got {trials}")
     if d_constant is None:
         d_constant = 2.0 ** (1.0 / p)
     if p == 2.0:

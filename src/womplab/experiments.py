@@ -283,6 +283,9 @@ def run_check_disc(cfg: dict) -> DiscretizationReport:
     pts = _pointset_from(sec, system, seed)
     if pts.dim != system.dim:
         raise ConfigError("point set dimension does not match the system")
+    if sec["method"] == "randomized" and sec["trials"] < 1:
+        raise ConfigError(f"[check-disc] trials: a randomized check needs "
+                          f">= 1, got {sec['trials']}")
     rep = check_usd(build_sampled(system, pts), sec["u"], sec["p"], sec["mode"],
                     sec["method"], trials=sec["trials"], seed=seed,
                     subset_cap=sec["subset_cap"])

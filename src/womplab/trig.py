@@ -9,6 +9,7 @@ an orthonormal system and l2 norms come straight from Parseval.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -73,7 +74,8 @@ class TrigPolynomial:
         """Max sup-norm of the stored frequencies (0 for the zero polynomial)."""
         if not self.coeffs:
             return 0
-        return max(max(abs(ki) for ki in k) for k in self.coeffs)
+        keys = np.array(list(self.coeffs))  # int64, or object past its range
+        return max(int(keys.max()), -int(keys.min()))
 
     def eval(self, points) -> np.ndarray:
         """Evaluate at an (m, d) array of points, returning complex values."""
@@ -81,8 +83,9 @@ class TrigPolynomial:
         out = np.zeros(pts.shape[0], dtype=complex)
         if not self.coeffs:
             return out
-        K = np.array(sorted(self.coeffs), dtype=float)
-        c = np.array([self.coeffs[tuple(int(v) for v in k)] for k in K])
+        keys = sorted(self.coeffs)
+        K = np.array(keys, dtype=float)
+        c = np.array([self.coeffs[k] for k in keys])
         chunk = max(1, _EVAL_CHUNK_ENTRIES // max(1, len(c)))
         for lo in range(0, pts.shape[0], chunk):
             block = pts[lo:lo + chunk]
@@ -152,8 +155,8 @@ def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     for k in np.argwhere(b):
         out[tuple(slice(s, s + w) for s, w in zip(k, a.shape))] += b[tuple(k)] * a
     keep = np.argwhere(np.abs(out) >= COEFF_DROP_TOL)
-    return TrigPolynomial(f.dim, {tuple((k + alo + blo).tolist()): out[tuple(k)]
-                                  for k in keep})
+    return TrigPolynomial(f.dim, dict(zip(map(tuple, (keep + alo + blo).tolist()),
+                                          out[tuple(keep.T)].tolist())))
 
 
 def fejer_kernel(j, d: int | None = None) -> TrigPolynomial:
@@ -322,19 +325,34 @@ def _tensor_grid(n: int, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+@functools.lru_cache(maxsize=1)
+def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
+    """Read-only tables exp(2 pi i t k / n) = roots[(t * k) % n], one per axis,
+    for k from lo[axis] to lo[axis] + shape[axis] - 1; axes with the same
+    range share one table.  Only the last bounding box's tables are kept."""
+    _root_tables.cache_clear()  # free the last box's tables before building these
+    t = np.arange(n)
+    roots = np.exp(2j * np.pi * t / n)
+    built = {}
+    for span in zip(lo, shape):
+        if span not in built:
+            phase = np.outer(t, np.arange(span[0], span[0] + span[1]))
+            phase %= n
+            built[span] = roots[phase]
+            built[span].flags.writeable = False
+    return tuple(built[span] for span in zip(lo, shape))
+
+
 def _grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
     """poly on _tensor_grid(n, poly.dim), in the same row order: the dense
-    coefficient array summed one axis at a time against the table
-    exp(2 pi i t k / n) = roots[(t * k) % n] (sum factorisation, not an FFT)."""
+    coefficient array summed one axis at a time against _root_tables
+    (sum factorisation, not an FFT)."""
     if not poly.coeffs:
         return np.zeros(n ** poly.dim, dtype=complex)
     vals, lo = _dense(poly)
-    t = np.arange(n)
-    roots = np.exp(2j * np.pi * t / n)
-    for axis in reversed(range(poly.dim)):  # each product puts its grid axis first
-        phase = np.outer(t, np.arange(lo[axis], lo[axis] + vals.shape[-1]))
-        phase %= n
-        vals = np.tensordot(roots[phase], vals, axes=([1], [-1]))
+    tables = _root_tables(n, tuple(lo.tolist()), vals.shape)
+    for table in reversed(tables):  # each product puts its grid axis first
+        vals = np.tensordot(table, vals, axes=([1], [-1]))
     return vals.reshape(-1)
 
 
@@ -349,10 +367,10 @@ def lp_norms(poly: TrigPolynomial, ps, oversample: int = 8) -> tuple:
     """Lp norms under the normalized Lebesgue measure, one per p in ps, each
     bitwise lp_norm(poly, p, "mu", oversample=oversample); exponents that
     share a grid size share one grid evaluation."""
-    grid_abs, norms = {}, []
+    grid_abs, norms, degree = {}, [], poly.degree
     for p in ps:
         _check_norm_args(p, oversample)
-        n = quadrature_grid_size(poly.degree, p, oversample)
+        n = quadrature_grid_size(degree, p, oversample)
         if n not in grid_abs:
             grid_abs[n] = np.abs(_grid_values(poly, n))
         norms.append(float(grid_abs[n].max() if p == math.inf

@@ -235,6 +235,18 @@ def test_randomized_p4_is_labeled_empirical():
     assert rep.c_low <= 1.0 + 1e-9 or rep.c_high >= 1.0 - 1e-9
 
 
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_randomized_check_refuses_an_empty_budget(p, trials):
+    # no draw is no evidence: a check from zero supports must not pass
+    sampled = build_sampled(TrigSystem(1, (3,)), draw_points(10, 1, seed=0))
+    with pytest.raises(ValueError, match=f"trials >= 1, got {trials}"):
+        check_usd(sampled, 2, p=p, method="randomized", trials=trials)
+    assert check_usd(sampled, 2, p=p, method="randomized", trials=1).eigensolves == 1
+    # the exhaustive method has no randomized budget to check
+    assert check_usd(sampled, 2, trials=0).method == "exhaustive"
+
+
 def test_worst_support_is_lexicographically_first_on_grid():
     # all supports tie at constants exactly 1 on the grid, so the reported
     # extremal support must be the first one in enumeration order

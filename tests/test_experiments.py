@@ -290,6 +290,18 @@ def test_cli_truncated_points_file_is_exit_2(tmp_path, capsys):
     assert f"{points}:4: file ends after 2 of 3 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["2", "4"])
+def test_cli_randomized_check_disc_without_trials_is_exit_2(tmp_path, capsys, p):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[check-disc]\nmethod = randomized\ntrials = 0\np = {p}\n")
+    code = main(["check-disc", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: [check-disc] trials" in err and "got 0" in err
+    assert not (tmp_path / "o" / "discretization.csv").exists()
+
+
 def test_cli_dump_config_prints_merged_view(tmp_path, capsys):
     code = main(["rate-sweep", "--seed", "9", "--dump-config"])
     assert code == 0

@@ -1,0 +1,218 @@
+"""Shared root-of-unity tables and the array forms of the per-key loops.
+
+`_grid_values` builds its tables through `_root_tables`, which keeps the
+last bounding box's tables for the next call.  Each result is compared at
+the byte level (signed zeros included) with the former code, kept here as
+oracles: a table built per call, `degree` as a generator over the keys,
+`eval` rebuilding integer keys from the float frequency array, and
+`multiply` filling its dict with a comprehension.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from womplab.experiments import default_config, rate_sweep_compute
+from womplab.trig import (COEFF_DROP_TOL, TrigPolynomial, _dense, _grid_values,
+                          _root_tables, lp_norms, multiply,
+                          quadrature_grid_size)
+
+
+def grid_values_per_call(poly, n):
+    """The former `_grid_values`: one table per axis, built on every call."""
+    if not poly.coeffs:
+        return np.zeros(n ** poly.dim, dtype=complex)
+    vals, lo = _dense(poly)
+    t = np.arange(n)
+    roots = np.exp(2j * np.pi * t / n)
+    for axis in reversed(range(poly.dim)):
+        phase = np.outer(t, np.arange(lo[axis], lo[axis] + vals.shape[-1]))
+        phase %= n
+        vals = np.tensordot(roots[phase], vals, axes=([1], [-1]))
+    return vals.reshape(-1)
+
+
+def degree_loop(poly):
+    if not poly.coeffs:
+        return 0
+    return max(max(abs(ki) for ki in k) for k in poly.coeffs)
+
+
+def lp_norms_per_call(poly, ps, oversample=8):
+    norms = []
+    for p in ps:
+        n = quadrature_grid_size(degree_loop(poly), p, oversample)
+        grid_abs = np.abs(grid_values_per_call(poly, n))
+        norms.append(float(grid_abs.max() if p == math.inf
+                           else np.mean(grid_abs ** p) ** (1.0 / p)))
+    return norms
+
+
+def eval_loop(poly, pts):
+    out = np.zeros(pts.shape[0], dtype=complex)
+    if not poly.coeffs:
+        return out
+    K = np.array(sorted(poly.coeffs), dtype=float)
+    c = np.array([poly.coeffs[tuple(int(v) for v in k)] for k in K])
+    out[:] = np.exp(1j * (pts @ K.T)) @ c
+    return out
+
+
+def multiply_comprehension(f, g):
+    if not f.coeffs or not g.coeffs:
+        return TrigPolynomial(f.dim)
+    a, alo = _dense(f)
+    b, blo = _dense(g)
+    out = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=complex)
+    for k in np.argwhere(b):
+        out[tuple(slice(s, s + w) for s, w in zip(k, a.shape))] += b[tuple(k)] * a
+    keep = np.argwhere(np.abs(out) >= COEFF_DROP_TOL)
+    return TrigPolynomial(f.dim, {tuple((k + alo + blo).tolist()): out[tuple(k)]
+                                  for k in keep})
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def assert_same_poly(got, expect):
+    assert list(got.coeffs) == list(expect.coeffs)
+    assert np.array_equal(bits(list(got.coeffs.values())),
+                          bits(list(expect.coeffs.values())))
+
+
+def in_window(rng, lo, width, terms):
+    """A polynomial whose bounding box is exactly lo .. lo + width - 1:
+    both corners are set, plus up to `terms` random entries inside."""
+    lo, width = np.asarray(lo), np.asarray(width)
+    keys = {tuple(lo.tolist()), tuple((lo + width - 1).tolist())}
+    keys |= {tuple((lo + rng.integers(0, width)).tolist()) for _ in range(terms)}
+    coeff = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return TrigPolynomial(len(lo), dict(zip(sorted(keys), coeff)))
+
+
+@st.composite
+def shape_sequences(draw):
+    """Polynomials on two windows of one dimension, in a drawn order, with
+    two grid sizes that repeat: consecutive evaluations hit the cache on the
+    same window and size and miss it on a change of window or size.  The
+    second window often has the first one's width at another offset."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    windows = []
+    for _ in range(2):
+        lo = [draw(st.integers(-9, 9)) for _ in range(d)]
+        width = [draw(st.integers(1, 5)) for _ in range(d)]
+        windows.append((lo, width))
+    if draw(st.booleans()):
+        shift = [draw(st.integers(-4, 4)) for _ in range(d)]
+        windows[1] = ([a + s for a, s in zip(windows[0][0], shift)], windows[0][1])
+    order = draw(st.lists(st.integers(0, 1), min_size=2, max_size=6))
+    two_sizes = [draw(st.integers(1, 12)) for _ in range(2)]
+    sizes = [two_sizes[draw(st.integers(0, 1))] for _ in order]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [(in_window(rng, *windows[w], terms=draw(st.integers(0, 8))), n)
+            for w, n in zip(order, sizes)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(shape_sequences())
+def test_shared_tables_match_per_call_tables(seq):
+    for poly, n in seq:
+        assert np.array_equal(bits(_grid_values(poly, n)),
+                              bits(grid_values_per_call(poly, n)))
+    assert _root_tables.cache_info().currsize <= 1
+    for poly, _ in seq:
+        assert poly.degree == degree_loop(poly)
+        got = lp_norms(poly, (2, 4, math.inf), oversample=2)
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(lp_norms_per_call(poly, (2, 4, math.inf), 2))
+                              .view(np.uint64))
+    assert _root_tables.cache_info().currsize <= 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape_sequences(), st.integers(0, 2 ** 32 - 1))
+def test_eval_degree_multiply_match_key_loops(seq, seed):
+    rng = np.random.default_rng(seed)
+    for (f, _), (g, _) in zip(seq, seq[1:] + seq[:1]):
+        assert f.degree == degree_loop(f)
+        pts = rng.uniform(-7.0, 7.0, size=(9, f.dim))
+        pts[0] = 0.0
+        assert np.array_equal(bits(f.eval(pts)), bits(eval_loop(f, pts)))
+        assert_same_poly(multiply(f, g), multiply_comprehension(f, g))
+
+
+def test_same_width_at_another_offset_is_a_new_table():
+    # equal n and shape, different lowest corner: the tables must differ
+    rng = np.random.default_rng(4)
+    for lo in ([-3, 2], [1, 2], [-3, 2], [1, -5]):
+        poly = in_window(rng, lo, [3, 3], terms=4)
+        assert np.array_equal(bits(_grid_values(poly, 7)),
+                              bits(grid_values_per_call(poly, 7)))
+
+
+def test_degree_and_products_on_negative_frequencies():
+    f = TrigPolynomial(2, {(-7, 1): 1.0, (2, -3): -0.0 + 2j})
+    assert f.degree == degree_loop(f) == 7
+    assert TrigPolynomial(1).degree == 0
+    # no fixed-width wrap at the ends of int64 and past them
+    for k in (-2 ** 63, 2 ** 63 - 1, 2 ** 63, -2 ** 70):
+        assert TrigPolynomial(1, {(k,): 1.0, (3,): 1.0}).degree == abs(k)
+    assert_same_poly(multiply(f, f), multiply_comprehension(f, f))
+    zero = TrigPolynomial(2)
+    assert_same_poly(multiply(f, zero), multiply_comprehension(f, zero))
+
+
+def test_cached_tables_are_read_only_and_one_box_is_kept():
+    poly = TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j})
+    _grid_values(poly, 11)
+    tables = _root_tables(11, (-2, 1), (6, 4))
+    assert _root_tables.cache_info().currsize == 1
+    assert [t.shape for t in tables] == [(11, 6), (11, 4)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            table *= 2.0
+    # axes with the same frequency range share one table
+    square = _root_tables(5, (-1, -1), (3, 3))
+    assert square[0] is square[1]
+    _grid_values(TrigPolynomial(1, {(4,): 1.0}), 9)
+    assert _root_tables.cache_info().currsize == 1
+
+
+def test_a_miss_frees_the_last_tables_before_building():
+    # at most one box's tables are alive, also while the next are built
+    n, width = 1001, 250
+    tracemalloc.start()
+    try:
+        _root_tables(n, (0,), (width,))
+        tracemalloc.reset_peak()
+        _root_tables(n, (1,), (width,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = n * width * 16
+    assert peak < 1.75 * table  # the new table and its int64 phases
+
+
+def test_rate_sweep_two_threads_give_the_serial_cells():
+    sec = default_config()["rate-sweep"]
+    sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0})
+    serial, _, _ = rate_sweep_compute(sec, base_seed=5, threads=1)
+    threaded, _, _ = rate_sweep_compute(sec, base_seed=5, threads=2)
+    assert len(serial) == len(threaded) == 8
+    for a, b in zip(serial, threaded):
+        assert a.keys() == b.keys()
+        assert [a[k] for k in ("v", "seed", "m", "J", "size", "steps")] == \
+            [b[k] for k in ("v", "seed", "m", "J", "size", "steps")]
+        assert list(a["errors"]) == list(b["errors"])
+        assert np.array_equal(np.array(list(a["errors"].values())).view(np.uint64),
+                              np.array(list(b["errors"].values())).view(np.uint64))
+        assert a["report"].csv_row() == b["report"].csv_row()
+        assert_same_poly(a["report"].approximant, b["report"].approximant)
