@@ -1,9 +1,9 @@
 """Sparse trigonometric polynomials, sampling discretization certificates,
 and weak orthogonal greedy recovery experiments."""
 
-from .trig import (TrigPolynomial, TrigSystem, block_index, dyadic_block,
-                   fejer_kernel, lp_norm, lp_norms, multiply,
-                   quadrature_grid_size, read_polynomial, write_polynomial)
+from .trig import (TrigPolynomial, TrigSystem, dyadic_block, fejer_kernel,
+                   lp_norm, lp_norms, multiply, quadrature_grid_size,
+                   read_polynomial, write_polynomial)
 from .classes import (ClassSpec, PROFILES, default_truncation_level,
                       sample_class_function)
 from .discretization import (DiscretizationReport, PointSet, SampledSystem,
@@ -18,6 +18,6 @@ from .recovery import (FoolingInstance, GapRecord, RecoveryReport,
 from .experiments import (ConfigError, RateFit, default_config, fit_rate,
                           parse_config, rate_sweep_compute, schedule_m,
                           target_exponent)
-from .acceptance import CriterionResult, Thresholds, run_all, run_criterion
+from .acceptance import CriterionResult, run_all, run_criterion
 
 __version__ = "0.1.0"

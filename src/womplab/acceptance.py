@@ -24,15 +24,14 @@ from .recovery import adversary_gap, best_vterm_l2_muxi, reconstruct
 from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """Tunable acceptance bounds; defaults are the pinned reference values."""
-
-    lebesgue_ratio: float = 3.0
-    pipeline_factor: float = 6.0
-    slope_margin: float = 0.35
-    scaling_pass_min: int = 45
-    scaling_fail_max: int = 10
+# The pinned acceptance bounds: criterion 4's worst residual/sigma_v,
+# criterion 5's factor on H(u, p) sigma_ref, criterion 8's allowance over
+# the predicted slope, and criterion 6's certify counts out of 50.
+LEBESGUE_RATIO = 3.0
+PIPELINE_FACTOR = 6.0
+SLOPE_MARGIN = 0.35
+SCALING_PASS_MIN = 45
+SCALING_FAIL_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ class CriterionResult:
 
 # ------------------------------------------------------------------ 1
 
-def criterion_fejer(th: Thresholds):
+def criterion_fejer():
     """Kernel identities: unit mean, peak value, nonnegativity on a grid."""
     worst_peak = 0.0
     worst_min = 0.0
@@ -70,7 +69,7 @@ def criterion_fejer(th: Thresholds):
 
 # ------------------------------------------------------------------ 2
 
-def criterion_exact_grid(th: Thresholds):
+def criterion_exact_grid():
     """On the 2N+1 grid both discretization constants are exactly 1."""
     worst = 0.0
     for deg in range(2, 9):
@@ -88,7 +87,7 @@ def criterion_exact_grid(th: Thresholds):
 
 # ------------------------------------------------------------------ 3
 
-def criterion_greedy_recovery(th: Thresholds):
+def criterion_greedy_recovery():
     """Orthonormal case: exact support recovery in exactly v steps."""
     deg = 4
     system = TrigSystem(1, (deg,))
@@ -176,7 +175,7 @@ def _recovery_ensemble():
     return cells
 
 
-def criterion_lebesgue(th: Thresholds):
+def criterion_lebesgue():
     """Discrete residual after 2v steps against the exhaustive sigma_v."""
     cells = _recovery_ensemble()
     failed_certs = sum(not c["holds"] for c in cells)
@@ -192,13 +191,13 @@ def criterion_lebesgue(th: Thresholds):
                                f"sigma=0 but residual {c['resid_disc']:.2e}")
             continue
         worst = max(worst, c["resid_disc"] / c["sigma_disc"])
-    ok = worst <= th.lebesgue_ratio
+    ok = worst <= LEBESGUE_RATIO
     return ok, (f"worst residual/sigma_v = {worst:.4f} over "
                 f"{len(cells) - failed_certs} certified runs "
-                f"(<= {th.lebesgue_ratio}), {failed_certs} certs failed")
+                f"(<= {LEBESGUE_RATIO}), {failed_certs} certs failed")
 
 
-def criterion_pipeline(th: Thresholds):
+def criterion_pipeline():
     """Continuous Lp error against H(u,p) times the conservative sigma."""
     cells = _recovery_ensemble()
     worst = 0.0
@@ -207,16 +206,16 @@ def criterion_pipeline(th: Thresholds):
             continue
         for p in (2.0, 4.0):
             h_theory = c["u"] ** (0.5 - 1.0 / p)
-            bound = th.pipeline_factor * h_theory * c["sigma_ref"][p]
+            bound = PIPELINE_FACTOR * h_theory * c["sigma_ref"][p]
             if c["sigma_ref"][p] <= 1e-12 * max(1.0, c["scale"]):
                 if c["error"][p] > 1e-9:
                     return False, (f"deg={c['deg']} u={c['u']} seed={c['seed']} "
                                    f"p={p:g}: sigma_ref=0, error {c['error'][p]:.2e}")
                 continue
             worst = max(worst, c["error"][p] / (h_theory * c["sigma_ref"][p]))
-    ok = worst <= th.pipeline_factor
+    ok = worst <= PIPELINE_FACTOR
     return ok, (f"worst error/(H*sigma_ref) = {worst:.4f} over p in {{2,4}} "
-                f"(<= {th.pipeline_factor})")
+                f"(<= {PIPELINE_FACTOR})")
 
 
 # ------------------------------------------------------------------ 6
@@ -265,14 +264,14 @@ def largest_uncertifiable_m(deg: int, u: int) -> int:
     return max(rank_bound, fejer_bound)
 
 
-def criterion_scaling(th: Thresholds):
+def criterion_scaling():
     """Certificate frequency where the budget suffices and where it cannot.
 
     The full budget follows the C * u * log(2u)^4 schedule with C = 30, a
-    sufficient sample count; at least scaling_pass_min draws must certify
+    sufficient sample count; at least SCALING_PASS_MIN draws must certify
     there.  The small budget is largest_uncertifiable_m(deg, u), where no
     point set can certify, so every draw must fail; at most
-    scaling_fail_max may certify.  The count at 1/16 of the full budget
+    SCALING_FAIL_MAX may certify.  The count at 1/16 of the full budget
     (four halvings, rounding up) lies inside the certify/fail transition
     and is reported, not asserted.
     """
@@ -285,17 +284,17 @@ def criterion_scaling(th: Thresholds):
     holds_full = _scaling_counts(m_full, deg, u, n_seeds)
     holds_small = _scaling_counts(m_small, deg, u, n_seeds)
     holds_sixteenth = _scaling_counts(m_sixteenth, deg, u, n_seeds)
-    ok = holds_full >= th.scaling_pass_min and holds_small <= th.scaling_fail_max
+    ok = holds_full >= SCALING_PASS_MIN and holds_small <= SCALING_FAIL_MAX
     return ok, (f"m={m_full}: holds {holds_full}/{n_seeds} "
-                f"(need >= {th.scaling_pass_min}); m={m_small} (no certificate "
+                f"(need >= {SCALING_PASS_MIN}); m={m_small} (no certificate "
                 f"by the rank and Fejer bounds): holds {holds_small}/{n_seeds} "
-                f"(need <= {th.scaling_fail_max}); m={m_sixteenth} (1/16 of the "
+                f"(need <= {SCALING_FAIL_MAX}); m={m_sixteenth} (1/16 of the "
                 f"budget, reported): holds {holds_sixteenth}/{n_seeds}")
 
 
 # ------------------------------------------------------------------ 7
 
-def criterion_fooling(th: Thresholds):
+def criterion_fooling():
     """Adversary construction: vanishing samples, zero recovery, norm ladder."""
     from .experiments import zero_data_recovery
 
@@ -333,7 +332,7 @@ def criterion_fooling(th: Thresholds):
 
 # ------------------------------------------------------------------ 8
 
-def criterion_rate(th: Thresholds):
+def criterion_rate():
     """Fitted decay slopes versus the predicted exponents, within margin.
 
     Only the upper direction is asserted (measured decay at least as fast
@@ -344,7 +343,7 @@ def criterion_rate(th: Thresholds):
     parts = []
     ok = True
     for p, fit in sorted(fits.items()):
-        limit = fit.target_exponent + th.slope_margin
+        limit = fit.target_exponent + SLOPE_MARGIN
         parts.append(f"p={p:g}: slope {fit.slope:.4f} vs target "
                      f"{fit.target_exponent:g} (need <= {limit:g})")
         if fit.slope > limit:
@@ -354,7 +353,7 @@ def criterion_rate(th: Thresholds):
 
 # ------------------------------------------------------------------ 9
 
-def criterion_nikolskii(th: Thresholds):
+def criterion_nikolskii():
     """Quadrature norm ratio of sparse polynomials against u^(1/4)."""
     deg = 8
     system = TrigSystem(1, (deg,))
@@ -391,19 +390,17 @@ def criterion_names():
     return [(num, name) for num, name, _ in CRITERIA]
 
 
-def run_criterion(number: int, thresholds: Thresholds | None = None) -> CriterionResult:
-    th = thresholds or Thresholds()
+def run_criterion(number: int) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == number:
             start = time.perf_counter()
-            passed, detail = fn(th)
+            passed, detail = fn()
             return CriterionResult(num, name, passed, detail,
                                    time.perf_counter() - start)
     raise ValueError(f"no criterion numbered {number}")
 
 
-def run_all(numbers=None, thresholds: Thresholds | None = None,
-            progress=None) -> list:
+def run_all(numbers=None, progress=None) -> list:
     chosen = set(numbers) if numbers else {num for num, _, _ in CRITERIA}
     unknown = chosen - {num for num, _, _ in CRITERIA}
     if unknown:
@@ -412,7 +409,7 @@ def run_all(numbers=None, thresholds: Thresholds | None = None,
     for num, name, _ in CRITERIA:
         if num not in chosen:
             continue
-        result = run_criterion(num, thresholds)
+        result = run_criterion(num)
         results.append(result)
         if progress:
             progress(result)

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .acceptance import Thresholds, criterion_names, run_all
+from .acceptance import criterion_names, run_all
 from .experiments import (ConfigError, dump_config, parse_config,
                           run_check_disc, run_find_points, run_fooling,
                           run_rate_sweep, run_recover)
@@ -56,14 +56,8 @@ def _cmd_verify(cfg, args) -> int:
         for num, name in criterion_names():
             print(f"{num}  {name}")
         return 0
-    sec = cfg["verify"]
-    th = Thresholds(lebesgue_ratio=sec["lebesgue_ratio"],
-                    pipeline_factor=sec["pipeline_factor"],
-                    slope_margin=sec["slope_margin"],
-                    scaling_pass_min=sec["scaling_pass_min"],
-                    scaling_fail_max=sec["scaling_fail_max"])
     numbers = None
-    chosen = args.criteria or sec["criteria"]
+    chosen = args.criteria
     if chosen and chosen != "all":
         try:
             numbers = [int(tok) for tok in chosen.replace(",", " ").split()]
@@ -75,7 +69,7 @@ def _cmd_verify(cfg, args) -> int:
         print(f"[{res.number}] {res.name}: {mark} ({res.seconds:.1f}s)  {res.detail}")
 
     try:
-        results = run_all(numbers, th, progress=show)
+        results = run_all(numbers, progress=show)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     out = cfg["common"]["out"]

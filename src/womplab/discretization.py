@@ -12,7 +12,6 @@ never a certificate.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,16 +31,16 @@ SUPPORT_CHUNK = 1024
 
 @dataclass(frozen=True)
 class PointSet:
-    """Sample points on the torus with a provenance tag.
+    """Sample points on the torus, with the seed draw_points drew them from
+    (None for a grid or explicit points).
 
-    provenance is one of "grid", "random(<seed>)", or "explicit".  Empty
-    point sets (m = 0) are legal; they only arise in adversarial
+    Empty point sets (m = 0) are legal; they only arise in adversarial
     constructions, every sampling routine produces m >= 1.
     """
 
     dim: int
     points: np.ndarray
-    provenance: str = "explicit"
+    seed: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, self.dim)
@@ -52,27 +51,22 @@ class PointSet:
     def m(self) -> int:
         return self.points.shape[0]
 
-    def seed(self):
-        """Seed parsed from a random(...) provenance tag, else None."""
-        match = re.fullmatch(r"random\((\d+)\)", self.provenance)
-        return int(match.group(1)) if match else None
-
 
 def draw_points(m: int, d: int, seed: int) -> PointSet:
     """Draw m independent uniform points on [0, 2 pi)^d."""
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    return PointSet(d, rng.uniform(0.0, 2.0 * np.pi, size=(m, d)), f"random({seed})")
+    return PointSet(d, rng.uniform(0.0, 2.0 * np.pi, size=(m, d)), seed)
 
 
-def uniform_grid_points(n: int, d: int, max_points: int = DEFAULT_SUBSET_CAP) -> PointSet:
+def uniform_grid_points(n: int, d: int) -> PointSet:
     """Tensor grid {2 pi t / n}^d with n points per dimension."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n ** d > max_points:
-        raise ValueError(f"grid of {n ** d} points exceeds cap {max_points}")
-    return PointSet(d, _tensor_grid(n, d), "grid")
+    if n ** d > DEFAULT_SUBSET_CAP:
+        raise ValueError(f"grid of {n ** d} points exceeds cap {DEFAULT_SUBSET_CAP}")
+    return PointSet(d, _tensor_grid(n, d))
 
 
 def write_pointset(ps: PointSet, path) -> None:
@@ -115,7 +109,7 @@ def read_pointset(path) -> PointSet:
         if len(row) != d or not all(map(math.isfinite, row)):
             raise bad(lineno, f"expected {d} finite numbers, got {line!r}")
         rows.append(row)
-    return PointSet(d, np.array(rows, dtype=float).reshape(m, d), "explicit")
+    return PointSet(d, np.array(rows, dtype=float).reshape(m, d))
 
 
 @dataclass(frozen=True)
@@ -331,20 +325,19 @@ def _eig_rounding_bound(sampled, u):
     return 4 * beta
 
 
-def _holds(mode: str, c_low: float, c_high: float, p: float, d_constant) -> bool:
+def _holds(mode: str, c_low: float, c_high: float, p: float) -> bool:
     if mode == "two-sided":
         return LOWER_CONST <= c_low and c_high <= UPPER_CONST
-    # one-sided-lower: ||f||_p <= D * (discrete mean)^(1/p), i.e. the ratio
-    # of p-th powers must stay above D^(-p)
-    return c_low >= d_constant ** (-p)
+    # one-sided-lower: ||f||_p <= D * (discrete mean)^(1/p) with D = 2^(1/p),
+    # i.e. the ratio of p-th powers must stay above D^(-p); computed as
+    # written, which is not LOWER_CONST to the last bit
+    return c_low >= (2.0 ** (1.0 / p)) ** (-p)
 
 
 def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
               mode: str = "two-sided", method: str = "exhaustive",
               trials: int = 500, seed: int = 0,
-              subset_cap: int = DEFAULT_SUBSET_CAP,
-              d_constant: float | None = None,
-              oversample: int = 8) -> DiscretizationReport:
+              subset_cap: int = DEFAULT_SUBSET_CAP) -> DiscretizationReport:
     """Check u-sparse universal discretization of the sampled dictionary.
 
     Parameters
@@ -357,8 +350,8 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
         p requires a randomized method and yields empirical bounds only.
     mode : str
         "two-sided" compares against [1/2, 3/2]; "one-sided-lower" only
-        requires the lower direction with the supplied constant D
-        (default 2^(1/p), matching the two-sided lower constant).
+        requires the lower direction, with the constant D = 2^(1/p) that
+        matches the two-sided lower constant.
     method : str
         "exhaustive" or "randomized"; exhaustive certifies over all C(N, u)
         supports and refuses to start past subset_cap, which counts
@@ -401,20 +394,14 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
         raise ValueError(f"unknown method {method!r}")
     if method == "randomized" and trials < 1:
         raise ValueError(f"a randomized check needs trials >= 1, got {trials}")
-    if d_constant is None:
-        d_constant = 2.0 ** (1.0 / p)
     if p == 2.0:
-        report = _check_usd_l2(sampled, u, mode, method, trials, seed,
-                               subset_cap, d_constant)
-    else:
-        if method == "exhaustive":
-            raise ValueError("p != 2 checks are randomized searches only")
-        report = _check_usd_lp(sampled, u, p, mode, trials, seed, d_constant,
-                               oversample)
-    return report
+        return _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap)
+    if method == "exhaustive":
+        raise ValueError("p != 2 checks are randomized searches only")
+    return _check_usd_lp(sampled, u, p, mode, trials, seed)
 
 
-def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap, d_constant):
+def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap):
     n = sampled.size
     count = math.comb(n, u)
     if method == "exhaustive" and count > subset_cap:
@@ -461,13 +448,13 @@ def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap, d_constant
         arg_low, arg_high = tuple(idx[i_low].tolist()), tuple(idx[i_high].tolist())
 
     method_tag = "exhaustive" if method == "exhaustive" else f"randomized({trials})"
-    used_seed = sampled.pointset.seed()
+    used_seed = sampled.pointset.seed
     if method != "exhaustive" and used_seed is None:
         used_seed = seed
     worst = _pick_worst(mode, c_low, arg_low, c_high, arg_high)
     return DiscretizationReport(
         m=sampled.m, size=n, u=u, p=2.0, mode=mode,
-        holds=_holds(mode, c_low, c_high, 2.0, d_constant),
+        holds=_holds(mode, c_low, c_high, 2.0),
         c_low=c_low, c_high=c_high, worst_support=worst,
         method=method_tag, seed=used_seed, eigensolves=len(idx))
 
@@ -481,7 +468,7 @@ def _pick_worst(mode, c_low, arg_low, c_high, arg_high):
     return arg_high
 
 
-def _check_usd_lp(sampled, u, p, mode, trials, seed, d_constant, oversample):
+def _check_usd_lp(sampled, u, p, mode, trials, seed):
     """Randomized witness search for p != 2: random sparse combinations with
     coordinatewise polishing of the extreme ratio candidates."""
     n = sampled.size
@@ -494,7 +481,7 @@ def _check_usd_lp(sampled, u, p, mode, trials, seed, d_constant, oversample):
         disc = float(np.mean(np.abs(vals) ** p))
         poly = TrigPolynomial(sampled.system.dim,
                               {indices[c]: w for c, w in zip(support, coeff)})
-        cont = lp_norm(poly, p, "mu", oversample=oversample) ** p
+        cont = lp_norm(poly, p, "mu") ** p
         return disc / cont
 
     candidates = []
@@ -525,11 +512,11 @@ def _check_usd_lp(sampled, u, p, mode, trials, seed, d_constant, oversample):
     c_low, arg_low = polish(best_low, +1)
     c_high, arg_high = polish(best_high, -1)
     worst = _pick_worst(mode, c_low, arg_low, c_high, arg_high)
-    used_seed = sampled.pointset.seed()
+    used_seed = sampled.pointset.seed
     if used_seed is None:
         used_seed = seed
     return DiscretizationReport(
         m=m, size=n, u=u, p=float(p), mode=mode,
-        holds=_holds(mode, c_low, c_high, p, d_constant),
+        holds=_holds(mode, c_low, c_high, p),
         c_low=float(c_low), c_high=float(c_high), worst_support=worst,
         method=f"randomized({trials})", seed=used_seed, eigensolves=trials)

@@ -15,7 +15,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,14 +110,6 @@ DEFAULTS = {
         "oversample": 8,
         "dump_instances": True,
     },
-    "verify": {
-        "criteria": "all",
-        "lebesgue_ratio": 3.0,
-        "pipeline_factor": 6.0,
-        "slope_margin": 0.35,
-        "scaling_pass_min": 45,
-        "scaling_fail_max": 10,
-    },
 }
 
 
@@ -155,7 +147,10 @@ def _coerce(section, key, raw, default):
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
-    """Merge DEFAULTS <- INI file <- CLI overrides into one config dict."""
+    """Merge DEFAULTS <- INI file <- CLI overrides into one config dict.
+
+    A negative seed, and any section's seeds or d below 1, raise ConfigError.
+    """
     cfg = default_config()
     if path:
         if not os.path.exists(path):
@@ -176,6 +171,14 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     for key, val in (overrides or {}).items():
         if val is not None:
             cfg["common"][key] = val
+    seed = cfg["common"]["seed"]
+    if seed < 0:
+        raise ConfigError(f"[common] seed: expected >= 0, got {seed}")
+    for section, values in cfg.items():
+        for key in ("seeds", "d"):
+            if values.get(key, 1) < 1:
+                raise ConfigError(
+                    f"[{section}] {key}: expected >= 1, got {values[key]}")
     return cfg
 
 
@@ -456,13 +459,8 @@ def run_rate_sweep(cfg: dict):
 
     out = _outdir(cfg)
     echo = _echo({**sec, "seed": base_seed})
-    rows = []
-    for c in cells:
-        for p in p_list:
-            rep = c["report"]
-            rows.append(f"{c['seed']},{sec['d']},{c['size']},{c['m']},{c['v']},"
-                        f"{rep.u},{p:g},{sec['t']:g},{sec['c_emp']:g},,,,"
-                        f"{c['errors'][p]:.12g},,,{c['steps']}")
+    rows = [replace(c["report"], p=p, error_lp_mu=c["errors"][p]).csv_row()
+            for c in cells for p in p_list]
     _write_csv(os.path.join(out, "rate_cells.csv"), RecoveryReport.CSV_HEADER,
                rows, echo)
 

@@ -284,11 +284,9 @@ class BestTermResult:
     sigma: float
     support: tuple
     coefficients: np.ndarray
-    tag: str  # "exact": the lstsq optimum over every support
 
 
-def best_vterm(h: DiscreteHilbert, target, v: int,
-               subset_cap: int = DEFAULT_SUBSET_CAP) -> BestTermResult:
+def best_vterm(h: DiscreteHilbert, target, v: int) -> BestTermResult:
     """sigma_v of the target over the sampled dictionary, by enumeration.
 
     Bit for bit what project() (exact least squares) on every support of
@@ -297,18 +295,20 @@ def best_vterm(h: DiscreteHilbert, target, v: int,
     project() solves, in lexicographic order, only the supports whose
     screened error may reach the smallest (see _screen_bound) or that the
     screen's bound does not cover.  v = 0 returns the norm of the target.
+    Refuses more than DEFAULT_SUBSET_CAP supports.
     """
     target = np.asarray(target, dtype=complex)
     n = h.size
     if v < 0:
         raise ValueError("v must be >= 0")
     if v == 0:
-        return BestTermResult(h.norm(target), (), np.zeros(0, complex), "exact")
+        return BestTermResult(h.norm(target), (), np.zeros(0, complex))
     if v > n:
         raise ValueError(f"v exceeds dictionary size {n}")
     count = math.comb(n, v)
-    if count > subset_cap:
-        raise ValueError(f"C({n},{v}) = {count} supports exceed cap {subset_cap}")
+    if count > DEFAULT_SUBSET_CAP:
+        raise ValueError(f"C({n},{v}) = {count} supports exceed cap "
+                         f"{DEFAULT_SUBSET_CAP}")
 
     supports = _combinations(n, v)
     lower, upper = np.full(count, -np.inf), np.inf
@@ -329,4 +329,4 @@ def best_vterm(h: DiscreteHilbert, target, v: int,
         err = h.norm(proj.residual)
         if best is None or err < best[0]:
             best = (err, support, proj.coefficients)
-    return BestTermResult(float(best[0]), tuple(best[1]), best[2], "exact")
+    return BestTermResult(float(best[0]), tuple(best[1]), best[2])

@@ -57,14 +57,14 @@ def sample_target(f0: TrigPolynomial, sampled: SampledSystem) -> np.ndarray:
     return y
 
 
-def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int,
-                       subset_cap: int = DEFAULT_SUBSET_CAP):
+def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
     """Best v-term approximation in the mixture norm L2(mu_xi), exhaustive.
 
     The mixture Gram is (I + discrete Gram)/2, so each support admits an
     exact normal-equations solve; the supports are solved in stacked
     blocks (_block_solve).  Returns (error, support, approximant).  Ties
-    keep the lexicographically first support.
+    keep the lexicographically first support.  Refuses more than
+    DEFAULT_SUBSET_CAP supports.
     """
     n = sampled.size
     if v < 0:
@@ -72,8 +72,9 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int,
     if v > n:
         raise ValueError(f"v exceeds dictionary size {n}")
     count = math.comb(n, v)
-    if count > subset_cap:
-        raise ValueError(f"C({n},{v}) = {count} supports exceed cap {subset_cap}")
+    if count > DEFAULT_SUBSET_CAP:
+        raise ValueError(f"C({n},{v}) = {count} supports exceed cap "
+                         f"{DEFAULT_SUBSET_CAP}")
     indices = sampled.system.indices()
     y = sample_target(f0, sampled)
     a_box = np.array([f0.coeffs.get(k, 0.0) for k in indices])
@@ -114,7 +115,6 @@ class RecoveryReport:
     exact_recovery: bool
     trace: WompTrace | None
     approximant: TrigPolynomial | None = field(repr=False, default=None)
-    oversample: int = 8
 
     CSV_HEADER = ("seed,d,N,m,v,u,p,t,c_emp,cert_holds,c_low,c_high,"
                   "error_Lp_mu,sigma_ref,ratio,steps_used")
@@ -144,15 +144,13 @@ def _ratio(err, sigma, scale):
 
 def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
             v: int, p: float = 2.0, t: float = 1.0, c_emp: float = 2.0,
-            certificate: DiscretizationReport | None = None,
             certify: bool = True, compute_sigma: bool = True,
             selection: str = "argmax", oversample: int = 8,
-            subset_cap: int = DEFAULT_SUBSET_CAP,
             seed: int | None = None) -> RecoveryReport:
     """Sample f0 at xi, greedily recover with c_emp * v steps, measure in Lp.
 
     The u-sparse two-sided L2 certificate with u = ceil((1 + c_emp) v) is
-    computed when not supplied (and skipped with a warning when the
+    computed when certify is set (and skipped with a warning when the
     exhaustive budget would blow past the subset cap).  A failed or
     missing certificate never aborts the run; it is recorded and the
     recovery proceeds, since the guarantee, not the algorithm, needs it.
@@ -173,14 +171,13 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         raise ValueError(f"u = {u} exceeds the dictionary size {system.size}")
 
     sampled = build_sampled(system, xi)
-    warning = None
-    if certificate is None and certify:
+    certificate = warning = None
+    if certify:
         try:
-            certificate = check_usd(sampled, u, 2.0, "two-sided", "exhaustive",
-                                    subset_cap=subset_cap)
+            certificate = check_usd(sampled, u, 2.0, "two-sided", "exhaustive")
         except ValueError as exc:
             warning = f"certificate skipped: {exc}"
-    elif certificate is None:
+    else:
         warning = "certificate skipped by caller"
     if certificate is not None and not certificate.holds:
         warning = "certificate failed; recovery proceeded without a guarantee"
@@ -194,9 +191,9 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     error = lp_norm(diff, p, "mu", oversample=oversample)
 
     sigma_disc = sigma_ref = None
-    if compute_sigma and math.comb(system.size, v) <= subset_cap:
-        sigma_disc = best_vterm(h, y, v, subset_cap=subset_cap).sigma
-        _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v, subset_cap)
+    if compute_sigma and math.comb(system.size, v) <= DEFAULT_SUBSET_CAP:
+        sigma_disc = best_vterm(h, y, v).sigma
+        _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
         sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi,
                             oversample=oversample)
     scale = trace.residual_norms[0]
@@ -205,12 +202,11 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
 
     return RecoveryReport(
         d=system.dim, size=system.size, m=xi.m, v=v, u=u, p=float(p), t=t,
-        c_emp=c_emp, seed=seed if seed is not None else xi.seed(),
+        c_emp=c_emp, seed=seed if seed is not None else xi.seed,
         certificate=certificate, cert_warning=warning,
         error_lp_mu=error, sigma_discrete=sigma_disc, sigma_ref=sigma_ref,
         ratio_discrete=ratio_disc, ratio_pipeline=ratio_pipe,
-        exact_recovery=exact1 or exact2, trace=trace, approximant=approx,
-        oversample=oversample)
+        exact_recovery=exact1 or exact2, trace=trace, approximant=approx)
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ class FoolingInstance:
 NULL_SPACE_TOL = 1e-10
 
 
-def make_fooling(xi: PointSet, box, d: int | None = None, oversample: int = 8,
+def make_fooling(xi: PointSet, box: tuple, oversample: int = 8,
                  p: float = 4.0, q: float = 2.0) -> FoolingInstance:
     """Build the fooling polynomial for a point set and frequency box.
 
@@ -257,7 +253,7 @@ def make_fooling(xi: PointSet, box, d: int | None = None, oversample: int = 8,
     product vanishes at every sample, has degree at most twice the box,
     and its value at the center is exactly the product of the box orders.
     """
-    box = (int(box),) * (d or 1) if np.isscalar(box) else tuple(int(b) for b in box)
+    box = tuple(int(b) for b in box)
     dim = len(box)
     if xi.dim != dim:
         raise ValueError("point set and box dimensions differ")
@@ -310,9 +306,8 @@ class GapRecord:
     recovery_fooled: bool | None
 
 
-def adversary_gap(xi: PointSet, box, p: float = 4.0, q: float = 2.0,
-                  recovery=None, oversample: int = 8,
-                  d: int | None = None) -> GapRecord:
+def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
+                  recovery=None, oversample: int = 8) -> GapRecord:
     """Lower-bound the error of any sample-based recovery map at xi.
 
     Both f and -f produce the all-zero sample vector, so any map must err
@@ -321,11 +316,10 @@ def adversary_gap(xi: PointSet, box, p: float = 4.0, q: float = 2.0,
     polynomial) is supplied, it is fed the zero samples and its worst
     error over the pair is recorded; it can never beat the bound.
     """
-    box_t = (int(box),) * (d or 1) if np.isscalar(box) else tuple(int(b) for b in box)
-    theta = TrigSystem(len(box_t), box_t).size
+    theta = TrigSystem(len(box), box).size
     if xi.m > theta / 2:
         raise ValueError(f"adversary argument needs m <= theta/2 = {theta / 2}")
-    inst = make_fooling(xi, box_t, oversample=oversample, p=p, q=q)
+    inst = make_fooling(xi, box, oversample=oversample, p=p, q=q)
     errors = None
     fooled = None
     if recovery is not None:

@@ -194,14 +194,6 @@ def fejer_kernel(j, d: int | None = None) -> TrigPolynomial:
     return TrigPolynomial(len(orders), coeffs)
 
 
-def block_index(k) -> int:
-    """Index j of the dyadic sup-norm block containing frequency k."""
-    n = max(abs(int(ki)) for ki in np.atleast_1d(k))
-    if n == 0:
-        return 0
-    return int(math.floor(math.log2(n))) + 1
-
-
 def dyadic_block(j: int, d: int) -> frozenset:
     """Frequencies k with floor(2^(j-1)) <= |k|_inf < 2^j.
 
@@ -232,6 +224,8 @@ class TrigSystem:
     box: tuple
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dimension must be >= 1")
         box = (int(self.box),) if np.isscalar(self.box) else tuple(int(v) for v in self.box)
         if len(box) != self.dim:
             raise ValueError("box length must equal dim")
@@ -273,10 +267,6 @@ class TrigSystem:
                 raise ValueError(f"index {key} outside box {self.box}")
             col = col * (2 * v + 1) + (ki + v)
         return col
-
-    def member(self, k) -> TrigPolynomial:
-        key = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
-        return TrigPolynomial(self.dim, {key: 1.0})
 
     def evaluate_at(self, points) -> np.ndarray:
         """Evaluation matrix with entry [i, j] = exp(i <k_j, x_i>).
@@ -380,7 +370,7 @@ def lp_norms(poly: TrigPolynomial, ps, oversample: int = 8) -> tuple:
 
 def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
             oversample: int = 8) -> float:
-    """Lp norm of a trigonometric polynomial under one of three measures.
+    """Lp norm of a trigonometric polynomial under one of two measures.
 
     Parameters
     ----------
@@ -392,10 +382,10 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
     measure : str
         "mu"    normalized Lebesgue measure, quadrature on the tensor grid
                 {2 pi t / n}^d, summed one axis at a time (_grid_values);
-        "mu_m"  empirical measure of a point set (pointset required);
-        "mu_xi" the half/half mixture of the two (pointset required).
+        "mu_xi" the half/half mixture of mu and the empirical measure of a
+                point set (pointset required).
     pointset : PointSet, optional
-        Sample points for the discrete measures.
+        Sample points for the mixture.
     oversample : int
         Grid refinement factor for the continuous part, >= 2.
 
@@ -405,7 +395,7 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
         Nonnegative norm value.
     """
     _check_norm_args(p, oversample)
-    if measure not in ("mu", "mu_m", "mu_xi"):
+    if measure not in ("mu", "mu_xi"):
         raise ValueError(f"unknown measure: {measure}")
     if measure == "mu":
         return lp_norms(poly, (p,), oversample)[0]
@@ -414,12 +404,8 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
     if pointset.dim != poly.dim:
         raise ValueError("point set dimension mismatch")
     if pointset.m == 0:
-        what = "empirical" if measure == "mu_m" else "mixture"
-        raise ValueError(f"{what} measure of an empty point set")
+        raise ValueError("mixture measure of an empty point set")
     sample_abs = np.abs(poly.eval(pointset.points))
-    if measure == "mu_m":
-        return float(sample_abs.max() if p == math.inf
-                     else np.mean(sample_abs ** p) ** (1.0 / p))
 
     # mu_xi: mean of the p-th powers of the two sides
     n = quadrature_grid_size(poly.degree, p, oversample)

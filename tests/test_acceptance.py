@@ -1,6 +1,6 @@
 """Acceptance gate: the nine pinned behavioral criteria, one test each.
 
-Thresholds are the library defaults (worst Lebesgue ratio 3.0, pipeline
+The bounds are the module constants (worst Lebesgue ratio 3.0, pipeline
 factor 6.0, slope margin 0.35, scaling counts 45/10 out of 50).  Each test
 asserts the criterion's pass flag and surfaces the measured numbers in the
 assertion message, so a red test shows exactly which bound failed and by
@@ -9,16 +9,12 @@ how much.
 
 import pytest
 
-from womplab.acceptance import Thresholds, largest_uncertifiable_m, \
-    run_criterion
+from womplab.acceptance import largest_uncertifiable_m, run_criterion
 from womplab.discretization import build_sampled, check_usd, draw_points
 from womplab.trig import TrigSystem
 
-TH = Thresholds()
-
-
 def _check(number):
-    result = run_criterion(number, TH)
+    result = run_criterion(number)
     assert result.passed, f"[{result.number}] {result.name}: {result.detail}"
     return result
 

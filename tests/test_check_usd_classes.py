@@ -56,7 +56,7 @@ def assert_matches_full_scan(sampled, u, modes):
         assert rep.c_high == c_high
         assert rep.worst_support == _pick_worst(mode, c_low, arg_low,
                                                 c_high, arg_high)
-        assert rep.holds == _holds(mode, c_low, c_high, 2.0, 2.0 ** 0.5)
+        assert rep.holds == _holds(mode, c_low, c_high, 2.0)
 
 
 @st.composite

@@ -1,11 +1,33 @@
 """Smoothness-class specifications, profiles, and membership checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from womplab.classes import (ClassSpec, PROFILES, default_truncation_level,
                              sample_class_function)
-from womplab.trig import TrigPolynomial, block_index, dyadic_block
+from womplab.trig import TrigPolynomial, dyadic_block
+
+
+def block_index(k) -> int:
+    """Index j of the dyadic sup-norm block containing frequency k."""
+    n = max(abs(int(ki)) for ki in np.atleast_1d(k))
+    if n == 0:
+        return 0
+    return int(math.floor(math.log2(n))) + 1
+
+
+def test_block_index_frozen_values():
+    assert block_index((0,)) == 0
+    assert block_index((1,)) == 1
+    assert block_index((-1,)) == 1
+    assert block_index((2,)) == 2
+    assert block_index((3,)) == 2
+    assert block_index((4,)) == 3
+    assert block_index((7,)) == 3
+    assert block_index((8,)) == 4
+    assert block_index((0, -5)) == 3
 
 
 def membership_margin(poly: TrigPolynomial, spec: ClassSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from womplab.discretization import (DiscretizationReport, PointSet,
+from womplab.discretization import (DiscretizationReport, PointSet, _holds,
                                     build_sampled, check_usd, draw_points,
                                     read_pointset, uniform_grid_points,
                                     write_pointset)
@@ -27,7 +27,7 @@ def test_draw_points_deterministic_and_in_range():
     np.testing.assert_array_equal(a.points, b.points)
     assert a.points.shape == (50, 2)
     assert a.points.min() >= 0 and a.points.max() < 2 * np.pi
-    assert a.seed() == 9
+    assert a.seed == 9
 
 
 def test_empty_pointset_is_legal_but_not_samplable():
@@ -179,27 +179,30 @@ def test_duplicated_points_leave_constants_unchanged():
 
 
 def test_one_sided_lower_mode_ignores_upper_excess():
-    # a cluster of 14 extra points at 0 gives every pair the Gram
-    # [[1, g], [g, 1]] with g = 14/24, so the pair constants are 1 -+ g:
-    # the two-sided window [1/2, 3/2] fails on both ends while a lower
-    # certificate with D = 2 (threshold 1/4) still holds
+    # a cluster of 5 extra points at 0 gives every 3-support the Gram with
+    # all off-diagonal entries g = 5/15, whose eigenvalues are 1 + 2g and
+    # 1 - g (twice): the two-sided window [1/2, 3/2] fails above while the
+    # lower certificate with D = 2^(1/2) (threshold 1/2) still holds
     system = TrigSystem(1, (2,))
     grid = uniform_grid_points(5, 1).points
-    cluster = np.zeros((14, 1))
+    cluster = np.zeros((5, 1))
     sampled = build_sampled(system, PointSet(1, np.vstack([grid, grid, cluster])))
-    two = check_usd(sampled, 2, mode="two-sided")
-    low = check_usd(sampled, 2, mode="one-sided-lower", d_constant=2.0)
-    assert not two.holds and two.c_high > 1.5
+    two = check_usd(sampled, 3, mode="two-sided")
+    low = check_usd(sampled, 3, mode="one-sided-lower")
+    assert not two.holds
+    assert two.c_high == pytest.approx(5 / 3, rel=1e-12)
     assert low.holds
-    assert low.c_low == pytest.approx(1 - 14 / 24, rel=1e-12)
+    assert low.c_low == pytest.approx(2 / 3, rel=1e-12)
 
 
-def test_one_sided_lower_respects_custom_constant():
-    sampled = _grid_sampled(2)
-    # exact grid has c_low = 1; D = 1 demands exactly that, D < 1 more
-    assert check_usd(sampled, 1, mode="one-sided-lower", d_constant=1.0).holds
-    assert not check_usd(sampled, 1, mode="one-sided-lower",
-                         d_constant=0.9).holds
+def test_one_sided_lower_threshold_is_d_to_the_minus_p():
+    # (2^(1/p))^(-p) is one ulp below 1/2 at p = 2 and one above at p = 4,
+    # and the holds flags follow that value, not LOWER_CONST
+    below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+    assert _holds("one-sided-lower", below, 9.0, 2.0)
+    assert not _holds("one-sided-lower", np.nextafter(below, 0.0), 9.0, 2.0)
+    assert not _holds("one-sided-lower", 0.5, 9.0, 4.0)
+    assert _holds("one-sided-lower", above, 9.0, 4.0)
 
 
 def test_check_usd_validation():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from womplab import acceptance
 from womplab.cli import main
 from womplab.experiments import (ConfigError, _sweep_cell, default_config,
                                  dump_config, fit_rate, parse_config,
@@ -237,6 +238,29 @@ def test_run_rate_sweep_writes_tables(tmp_path):
     assert len(lines) == 2 + len(cells) * 2  # echo + header + one row per p
 
 
+def test_run_rate_sweep_writes_certificate_columns(tmp_path):
+    # with certify = true each cell's certificate fills cert_holds, c_low
+    # and c_high; v = 3 and 4 exceed the subset cap, so theirs stay empty
+    cfg = _cfg(tmp_path, **{"rate-sweep": {"v_list": "1,2,3,4", "seeds": 1,
+                                           "a": 8.0, "certify": True}})
+    cells, _ = run_rate_sweep(cfg)
+    lines = (tmp_path / "out" / "rate_cells.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = iter(dict(zip(header, line.split(","))) for line in lines[2:])
+    certified = 0
+    for c in cells:
+        cert = c["report"].certificate
+        certified += cert is not None
+        for p in (2.0, 4.0):
+            row = next(rows)
+            assert row["p"] == f"{p:g}"
+            assert row["error_Lp_mu"] == f"{c['errors'][p]:.12g}"
+            assert row["cert_holds"] == ("" if cert is None else str(cert.holds))
+            assert row["c_low"] == ("" if cert is None else f"{cert.c_low:.12g}")
+            assert row["c_high"] == ("" if cert is None else f"{cert.c_high:.12g}")
+    assert certified == 2
+
+
 def test_run_fooling_quarter_rule(tmp_path):
     cfg = _cfg(tmp_path, fooling={"box_list": "4,8", "seeds": 2})
     records = run_fooling(cfg)
@@ -302,11 +326,51 @@ def test_cli_randomized_check_disc_without_trials_is_exit_2(tmp_path, capsys, p)
     assert not (tmp_path / "o" / "discretization.csv").exists()
 
 
+@pytest.mark.parametrize("args, ini, key", [
+    (["--seed", "-1"], "", "[common] seed"),
+    ([], "[fooling]\nseeds = 0\n", "[fooling] seeds"),
+    ([], "[recover]\nd = 0\n", "[recover] d"),
+])
+def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, key):
+    # each once surfaced a raw numpy or Python message
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(ini)
+    code = main(["recover", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")] + args)
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: expected >= ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_dump_config_prints_merged_view(tmp_path, capsys):
     code = main(["rate-sweep", "--seed", "9", "--dump-config"])
     assert code == 0
     out = capsys.readouterr().out
     assert "[rate-sweep]" in out and "seed = 9" in out
+
+
+def test_cli_dump_config_prints_exactly_these_keys(capsys):
+    assert main(["verify", "--dump-config"]) == 0
+    keys, section = set(), None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("["):
+            section = line
+        elif line:
+            keys.add(f"{section} {line.split(' = ')[0]}")
+    expected = {
+        "common": "seed out threads",
+        "find-points": "d degree u m0 m_cap mode grid subset_cap",
+        "check-disc": "d degree u p mode method trials m points_file grid "
+                      "subset_cap",
+        "recover": "d degree v p t c_emp m target sparsity r beta J density "
+                   "selection certify points_file oversample",
+        "rate-sweep": "d r beta profile density p_list v_list seeds a schedule "
+                      "t c_emp certify J oversample",
+        "fooling": "d box_list m_rule m_list seeds p q run_recovery "
+                   "oversample dump_instances",
+    }
+    assert keys == {f"[{sec}] {key}" for sec, names in expected.items()
+                    for key in names.split()}
 
 
 def test_cli_verify_list(capsys):
@@ -331,12 +395,10 @@ def test_cli_verify_unknown_criterion_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_verify_corrupted_threshold_fails(tmp_path, capsys):
-    # forcing an absurd threshold must flip the gate to a named failure
-    cfgfile = tmp_path / "bad.ini"
-    cfgfile.write_text("[verify]\nlebesgue_ratio = 0.01\ncriteria = 4\n")
-    code = main(["verify", "--config", str(cfgfile),
-                 "--out", str(tmp_path / "v")])
+def test_cli_verify_corrupted_threshold_fails(tmp_path, capsys, monkeypatch):
+    # forcing an absurd bound must flip the gate to a named failure
+    monkeypatch.setattr(acceptance, "LEBESGUE_RATIO", 0.01)
+    code = main(["verify", "--criteria", "4", "--out", str(tmp_path / "v")])
     assert code == 1
     out = capsys.readouterr().out
     assert "[4] discrete-lebesgue-ratio: FAIL" in out

@@ -202,7 +202,6 @@ def test_best_vterm_matches_brute_force_oracle():
     result = best_vterm(h, y, 2)
     assert result.support == best_support
     assert result.sigma == pytest.approx(best_err, rel=1e-12)
-    assert result.tag == "exact"
 
 
 def test_best_vterm_zero_terms_returns_target_norm():
@@ -228,8 +227,10 @@ def test_best_vterm_validation():
         best_vterm(h, y, -1)
     with pytest.raises(ValueError):
         best_vterm(h, y, 6)
-    with pytest.raises(ValueError):
-        best_vterm(h, y, 2, subset_cap=3)
+    # C(2001, 2) = 2,001,000 supports exceed the cap of 2,000,000
+    wide = DiscreteHilbert(np.ones((1, 2001), dtype=complex))
+    with pytest.raises(ValueError, match="2001000 supports exceed cap 2000000"):
+        best_vterm(wide, np.zeros(1, dtype=complex), 2)
 
 
 def test_best_vterm_ties_keep_first_support():

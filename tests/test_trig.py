@@ -8,7 +8,7 @@ import pytest
 from womplab import trig
 from womplab.discretization import uniform_grid_points
 from womplab.trig import (_EVAL_CHUNK_ENTRIES, TrigPolynomial, TrigSystem,
-                          _tensor_grid, block_index, dyadic_block,
+                          _tensor_grid, dyadic_block,
                           fejer_kernel, lp_norm, multiply,
                           quadrature_grid_size, read_polynomial,
                           write_polynomial)
@@ -185,18 +185,6 @@ def test_fejer_nonnegative_on_fine_grid():
 
 # ----------------------------------------------------------------- blocks
 
-def test_block_index_frozen_values():
-    assert block_index((0,)) == 0
-    assert block_index((1,)) == 1
-    assert block_index((-1,)) == 1
-    assert block_index((2,)) == 2
-    assert block_index((3,)) == 2
-    assert block_index((4,)) == 3
-    assert block_index((7,)) == 3
-    assert block_index((8,)) == 4
-    assert block_index((0, -5)) == 3
-
-
 def test_dyadic_block_cardinalities():
     assert dyadic_block(0, 1) == frozenset({(0,)})
     assert dyadic_block(1, 1) == frozenset({(-1,), (1,)})
@@ -228,6 +216,13 @@ def test_system_lexicographic_order():
     assert sys2.size == 9
 
 
+def test_system_rejects_dimension_below_one():
+    # as TrigPolynomial does; an empty box used to pass as a 0-d system
+    for poly_or_system in (TrigPolynomial, TrigSystem):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            poly_or_system(0, ())
+
+
 def test_system_index_roundtrip():
     system = TrigSystem(2, (2, 3))
     assert system.size == 5 * 7
@@ -241,7 +236,7 @@ def test_system_evaluation_matches_member():
     x = rng.uniform(0, 2 * np.pi, size=(11, 1))
     mat = system.evaluate_at(x)
     for col, k in enumerate(system.indices()):
-        np.testing.assert_allclose(mat[:, col], system.member(k).eval(x),
+        np.testing.assert_allclose(mat[:, col], TrigPolynomial(1, {k: 1.0}).eval(x),
                                    rtol=1e-12, atol=1e-12)
 
 
@@ -338,7 +333,7 @@ def test_lp_norm_validation():
     with pytest.raises(ValueError):
         lp_norm(f, 2, "nu")
     with pytest.raises(ValueError):
-        lp_norm(f, 2, "mu_m")  # needs a point set
+        lp_norm(f, 2, "mu_xi")  # needs a point set
     with pytest.raises(ValueError):
         lp_norm(f, 2, "mu", oversample=1)
 
@@ -347,13 +342,12 @@ def test_discrete_and_mixture_measures():
     from womplab.discretization import PointSet
     f = TrigPolynomial(1, {(1,): 1.0})
     pts = PointSet(1, np.array([[0.0], [np.pi / 2]]))
-    # |f| = 1 everywhere, so all three measures agree
-    for measure in ("mu", "mu_m", "mu_xi"):
+    # |f| = 1 everywhere, so both measures agree
+    for measure in ("mu", "mu_xi"):
         assert lp_norm(f, 4, measure, pointset=pts) == pytest.approx(1.0, rel=1e-12)
     g = TrigPolynomial(1, {(0,): 1.0, (1,): 1.0})
     vals = np.abs(g.eval(pts.points))
     expect_m = float(np.mean(vals ** 2) ** 0.5)
-    assert lp_norm(g, 2, "mu_m", pointset=pts) == pytest.approx(expect_m, rel=1e-12)
     mix = math.sqrt(0.5 * (g.l2_norm() ** 2 + expect_m ** 2))
     assert lp_norm(g, 2, "mu_xi", pointset=pts) == pytest.approx(mix, rel=1e-12)
 
