@@ -124,7 +124,11 @@ def _cmd_recover(cfg) -> int:
 
 
 def _cmd_rate_sweep(cfg) -> int:
-    _, fits = run_rate_sweep(cfg)
+    cells, fits = run_rate_sweep(cfg)
+    refused = {c["v"]: c["report"].cert_warning for c in cells
+               if cfg["rate-sweep"]["certify"] and c["report"].certificate is None}
+    for v, reason in refused.items():
+        print(f"warning: v={v}: {reason}")
     for p, fit in sorted(fits.items()):
         print(f"p={p:g}: slope={fit.slope:.4f} target={fit.target_exponent:g} "
               f"over v={list(fit.v_values)}")

@@ -79,7 +79,6 @@ DEFAULTS = {
         "selection": "argmax",
         "certify": True,
         "points_file": "",
-        "oversample": 8,
     },
     "rate-sweep": {
         "d": 1,
@@ -96,7 +95,6 @@ DEFAULTS = {
         "c_emp": 2.0,
         "certify": False,
         "J": -1,
-        "oversample": 8,
     },
     "fooling": {
         "d": 1,
@@ -107,7 +105,6 @@ DEFAULTS = {
         "p": 4.0,
         "q": 2.0,
         "run_recovery": True,
-        "oversample": 8,
         "dump_instances": True,
     },
 }
@@ -310,6 +307,9 @@ def _make_target(sec, system, seed):
                               dict(zip(system.indices(), coeff)))
     if kind == "sparse":
         v = sec["sparsity"]
+        if not 0 <= v <= system.size:
+            raise ConfigError(f"[recover] sparsity: expected 0 to "
+                              f"N = {system.size}, got {v}")
         cols = rng.choice(system.size, size=v, replace=False)
         coeff = rng.standard_normal(v) + 1j * rng.standard_normal(v)
         return reconstruct(system, cols, coeff)
@@ -332,8 +332,7 @@ def run_recover(cfg: dict):
     f0 = _make_target(sec, system, seed)
     report = recover(f0, system, pts, v=sec["v"], p=sec["p"], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
-                     selection=sec["selection"], oversample=sec["oversample"],
-                     seed=seed)
+                     selection=sec["selection"], seed=seed)
     out = _outdir(cfg)
     echo = _echo({**sec, "seed": seed})
     _write_csv(os.path.join(out, "recovery.csv"),
@@ -400,12 +399,10 @@ def _sweep_cell(args):
     p_list = _float_list(sec["p_list"], "rate-sweep", "p_list")
     report = recover(f0, system, pts, v=v, p=p_list[0], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
-                     compute_sigma=False, oversample=sec["oversample"],
-                     seed=seed_idx)
+                     compute_sigma=False, seed=seed_idx)
     errors = {p_list[0]: report.error_lp_mu}
     for p in p_list[1:]:
-        errors[p] = lp_norm(f0 - report.approximant, p, "mu",
-                            oversample=sec["oversample"])
+        errors[p] = lp_norm(f0 - report.approximant, p, "mu")
     return {"v": v, "seed": seed_idx, "m": m, "J": J, "size": system.size,
             "steps": report.trace.steps, "errors": errors, "report": report}
 
@@ -525,7 +522,7 @@ def run_fooling(cfg: dict):
                    else PointSet(d, np.zeros((0, d))))
             rec_map = zero_data_recovery(system, pts) if sec["run_recovery"] else None
             gap = adversary_gap(pts, (box,) * d, p=sec["p"], q=sec["q"],
-                                recovery=rec_map, oversample=sec["oversample"])
+                                recovery=rec_map)
             records.append(gap)
             inst = gap.instance
             ratio = gap.guaranteed_error / theta ** (1 - 1 / sec["p"])

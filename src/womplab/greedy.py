@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discretization import (DEFAULT_SUBSET_CAP, SampledSystem, _chunks,
                              _combinations)
@@ -205,11 +204,13 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
 
     if rank_flag:
         coefficients = project(h, target, selected).coefficients
-    elif selected:
-        coefficients = scipy.linalg.solve_triangular(r[:rank, :rank],
-                                                     qh[:rank] @ target)
     else:
-        coefficients = np.zeros(0, dtype=complex)
+        # R c = Q^H y by back substitution, row by row from the last: with
+        # r's real diagonal it rounds as LAPACK's triangular solve does
+        coefficients = qh[:rank] @ target
+        for i in range(rank - 1, -1, -1):
+            coefficients[i] -= r[i, i + 1:rank] @ coefficients[i + 1:]
+            coefficients[i] /= r[i, i]
     return WompTrace(t=t, selected=tuple(selected),
                      residual_norms=tuple(res_norms),
                      coefficients=coefficients,

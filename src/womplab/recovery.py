@@ -19,7 +19,8 @@ from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
                              SampledSystem, _combinations, build_sampled,
                              check_usd, uniform_grid_points)
 from .greedy import DiscreteHilbert, WompTrace, _block_solve, best_vterm, womp
-from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
+from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
+                   lp_norms)
 
 # A discrete sigma_v below this multiple of the target norm counts as exact
 # recovery; ratios against it are reported as flags, not numbers.
@@ -145,8 +146,7 @@ def _ratio(err, sigma, scale):
 def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
             v: int, p: float = 2.0, t: float = 1.0, c_emp: float = 2.0,
             certify: bool = True, compute_sigma: bool = True,
-            selection: str = "argmax", oversample: int = 8,
-            seed: int | None = None) -> RecoveryReport:
+            selection: str = "argmax", seed: int | None = None) -> RecoveryReport:
     """Sample f0 at xi, greedily recover with c_emp * v steps, measure in Lp.
 
     The u-sparse two-sided L2 certificate with u = ceil((1 + c_emp) v) is
@@ -188,14 +188,13 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
                  selection=selection)
     approx = reconstruct(system, trace.selected, trace.coefficients)
     diff = f0 - approx
-    error = lp_norm(diff, p, "mu", oversample=oversample)
+    error = lp_norm(diff, p, "mu")
 
     sigma_disc = sigma_ref = None
     if compute_sigma and math.comb(system.size, v) <= DEFAULT_SUBSET_CAP:
         sigma_disc = best_vterm(h, y, v).sigma
         _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
-        sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi,
-                            oversample=oversample)
+        sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi)
     scale = trace.residual_norms[0]
     ratio_disc, exact1 = _ratio(trace.residual_norms[-1], sigma_disc, scale)
     ratio_pipe, exact2 = _ratio(error, sigma_ref, scale)
@@ -242,8 +241,8 @@ class FoolingInstance:
 NULL_SPACE_TOL = 1e-10
 
 
-def make_fooling(xi: PointSet, box: tuple, oversample: int = 8,
-                 p: float = 4.0, q: float = 2.0) -> FoolingInstance:
+def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
+                 q: float = 2.0) -> FoolingInstance:
     """Build the fooling polynomial for a point set and frequency box.
 
     The null space of the m x theta evaluation matrix of the box system is
@@ -273,7 +272,7 @@ def make_fooling(xi: PointSet, box: tuple, oversample: int = 8,
     assert null_dim >= theta - xi.m >= 1
 
     # evaluate the whole null basis on an oversampled grid in one pass
-    grid = uniform_grid_points(oversample * (max(box) + 1) + 1, dim).points
+    grid = uniform_grid_points(OVERSAMPLE * (max(box) + 1) + 1, dim).points
     grid_vals = system.evaluate_at(grid) @ null_basis
     sups = np.abs(grid_vals).max(axis=0)
     l2s = np.sqrt(np.mean(np.abs(grid_vals) ** 2, axis=0))
@@ -288,7 +287,7 @@ def make_fooling(xi: PointSet, box: tuple, oversample: int = 8,
     f = g_xi * kernel
 
     samples_max = float(np.abs(f.eval(xi.points)).max()) if xi.m else 0.0
-    norm_q, norm_p, sup_grid = lp_norms(f, (q, p, math.inf), oversample)
+    norm_q, norm_p, sup_grid = lp_norms(f, (q, p, math.inf))
     return FoolingInstance(
         pointset=xi, box=box, g_xi=g_xi, x_star=np.asarray(x_star, float),
         f=f, q=float(q), p=float(p), norm_q=norm_q, norm_p=norm_p,
@@ -307,7 +306,7 @@ class GapRecord:
 
 
 def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
-                  recovery=None, oversample: int = 8) -> GapRecord:
+                  recovery=None) -> GapRecord:
     """Lower-bound the error of any sample-based recovery map at xi.
 
     Both f and -f produce the all-zero sample vector, so any map must err
@@ -319,13 +318,13 @@ def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
     theta = TrigSystem(len(box), box).size
     if xi.m > theta / 2:
         raise ValueError(f"adversary argument needs m <= theta/2 = {theta / 2}")
-    inst = make_fooling(xi, box, oversample=oversample, p=p, q=q)
+    inst = make_fooling(xi, box, p=p, q=q)
     errors = None
     fooled = None
     if recovery is not None:
         candidate = recovery(np.zeros(xi.m, dtype=complex))
-        errors = (lp_norm(inst.f - candidate, p, "mu", oversample=oversample),
-                  lp_norm(-inst.f - candidate, p, "mu", oversample=oversample))
+        errors = (lp_norm(inst.f - candidate, p, "mu"),
+                  lp_norm(-inst.f - candidate, p, "mu"))
         fooled = max(errors) >= inst.norm_p * (1 - 1e-12)
     return GapRecord(inst, inst.norm_p, errors, fooled)
 

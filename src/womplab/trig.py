@@ -23,6 +23,9 @@ COEFF_DROP_TOL = 1e-14
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
 
+# Grid refinement of lp_norm's quadrature and of make_fooling's sup search.
+OVERSAMPLE = 8
+
 
 def _as_points(points, dim):
     """Coerce input to an (m, dim) float array of sample points."""
@@ -353,7 +356,7 @@ def _check_norm_args(p, oversample):
         raise ValueError("oversample must be >= 2")
 
 
-def lp_norms(poly: TrigPolynomial, ps, oversample: int = 8) -> tuple:
+def lp_norms(poly: TrigPolynomial, ps, oversample: int = OVERSAMPLE) -> tuple:
     """Lp norms under the normalized Lebesgue measure, one per p in ps, each
     bitwise lp_norm(poly, p, "mu", oversample=oversample); exponents that
     share a grid size share one grid evaluation."""
@@ -369,7 +372,7 @@ def lp_norms(poly: TrigPolynomial, ps, oversample: int = 8) -> tuple:
 
 
 def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
-            oversample: int = 8) -> float:
+            oversample: int = OVERSAMPLE) -> float:
     """Lp norm of a trigonometric polynomial under one of two measures.
 
     Parameters

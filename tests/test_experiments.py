@@ -238,12 +238,23 @@ def test_run_rate_sweep_writes_tables(tmp_path):
     assert len(lines) == 2 + len(cells) * 2  # echo + header + one row per p
 
 
-def test_run_rate_sweep_writes_certificate_columns(tmp_path):
+def test_run_rate_sweep_writes_certificate_columns(tmp_path, capsys):
     # with certify = true each cell's certificate fills cert_holds, c_low
     # and c_high; v = 3 and 4 exceed the subset cap, so theirs stay empty
-    cfg = _cfg(tmp_path, **{"rate-sweep": {"v_list": "1,2,3,4", "seeds": 1,
-                                           "a": 8.0, "certify": True}})
+    # and the CLI prints why, once per v
+    sweep = {"v_list": "1,2,3,4", "seeds": 1, "a": 8.0, "certify": True}
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[rate-sweep]\n" + "".join(f"{k} = {v}\n"
+                                                  for k, v in sweep.items()))
+    assert main(["rate-sweep", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "cli")]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning:")]
+    cfg = _cfg(tmp_path, **{"rate-sweep": sweep})
     cells, _ = run_rate_sweep(cfg)
+    assert warnings == [f"warning: v={c['v']}: {c['report'].cert_warning}"
+                        for c in cells if c["v"] in (3, 4)]
+    assert all("supports exceed the subset cap" in w for w in warnings)
     lines = (tmp_path / "out" / "rate_cells.csv").read_text().splitlines()
     header = lines[1].split(",")
     rows = iter(dict(zip(header, line.split(","))) for line in lines[2:])
@@ -342,6 +353,21 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("sparsity", [-1, 10])
+def test_cli_sparse_target_outside_the_dictionary_is_exit_2(tmp_path, capsys,
+                                                            sparsity):
+    # N = 9 at the default degree 4; rng.choice used to raise numpy's
+    # "Cannot take a larger sample than population"
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[recover]\ntarget = sparse\nsparsity = {sparsity}\n")
+    code = main(["recover", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: [recover] sparsity: expected 0 to N = 9, got {sparsity}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_dump_config_prints_merged_view(tmp_path, capsys):
     code = main(["rate-sweep", "--seed", "9", "--dump-config"])
     assert code == 0
@@ -363,11 +389,11 @@ def test_cli_dump_config_prints_exactly_these_keys(capsys):
         "check-disc": "d degree u p mode method trials m points_file grid "
                       "subset_cap",
         "recover": "d degree v p t c_emp m target sparsity r beta J density "
-                   "selection certify points_file oversample",
+                   "selection certify points_file",
         "rate-sweep": "d r beta profile density p_list v_list seeds a schedule "
-                      "t c_emp certify J oversample",
+                      "t c_emp certify J",
         "fooling": "d box_list m_rule m_list seeds p q run_recovery "
-                   "oversample dump_instances",
+                   "dump_instances",
     }
     assert keys == {f"[{sec}] {key}" for sec, names in expected.items()
                     for key in names.split()}

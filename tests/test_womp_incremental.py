@@ -70,6 +70,57 @@ def assert_matches_oracle(h, y, **kwargs):
     return got
 
 
+def triangular_factor(matrix, selected, target):
+    """womp's R and Q^H y for the selected columns: the same Gram-Schmidt
+    with one reorthogonalisation, operation for operation, so the entries
+    are bit for bit womp's."""
+    m, k = matrix.shape[0], len(selected)
+    qh = np.empty((k, m), dtype=complex)
+    r = np.zeros((k, k), dtype=complex)
+    for rank, pick in enumerate(selected):
+        col = matrix[:, pick]
+        basis = qh[:rank]
+        s1 = basis @ col
+        w = col - (s1.conj() @ basis).conj()
+        s2 = basis @ w
+        w -= (s2.conj() @ basis).conj()
+        w_norm = float(np.linalg.norm(w))
+        qh[rank] = (w / w_norm).conj()
+        r[:rank, rank] = s1 + s2
+        r[rank, rank] = w_norm
+    return r, qh @ np.asarray(target, dtype=complex)
+
+
+def assert_solves_as_lapack(h, y, trace):
+    """womp's coefficients are bit for bit LAPACK's triangular solve of
+    R c = Q^H y (scipy.linalg.solve_triangular, a test-only dependency)."""
+    import scipy.linalg
+
+    r, b = triangular_factor(h.matrix, trace.selected, y)
+    want = scipy.linalg.solve_triangular(r, b)
+    assert np.array_equal(trace.coefficients.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.integers(0, 40), st.integers(0, 8),
+       st.floats(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_back_substitution_is_bitwise_lapack(rank, extra_rows, extra_cols,
+                                             spread, seed):
+    # random complex dictionaries whose columns span 10^(+-spread) in
+    # scale (womp refuses columns below 1e-15), so R's diagonal is as badly
+    # scaled; womp takes rank steps
+    rng = np.random.default_rng(seed)
+    m, n = rank + extra_rows, rank + extra_cols
+    matrix = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    matrix *= 10.0 ** rng.uniform(-spread, spread, n)
+    h = DiscreteHilbert(matrix)
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    trace = womp(h, y, steps=rank)
+    assert not trace.rank_deficient
+    assert trace.steps == rank
+    assert_solves_as_lapack(h, y, trace)
+
+
 @st.composite
 def greedy_cases(draw):
     d = draw(st.sampled_from([1, 2]))
@@ -121,9 +172,12 @@ def test_womp_matches_reference_at_largest_sweep_cell():
     f0 = sample_class_function(ClassSpec(sec["r"], sec["beta"], J),
                                sec["profile"], seed, dim=1)
     steps = int(math.ceil(sec["c_emp"] * v))
-    got = assert_matches_oracle(DiscreteHilbert.from_sampled(sampled),
-                                sample_target(f0, sampled), steps=steps)
+    h, y = DiscreteHilbert.from_sampled(sampled), sample_target(f0, sampled)
+    got = assert_matches_oracle(h, y, steps=steps)
     assert got.steps == steps and not got.rank_deficient
+    # womp used to call scipy.linalg.solve_triangular here; the inline back
+    # substitution must keep every coefficient bit
+    assert_solves_as_lapack(h, y, got)
 
 
 def test_rank_deficient_run_returns_project_coefficients():
