@@ -6,12 +6,12 @@ from .trig import (TrigPolynomial, TrigSystem, dyadic_block, fejer_kernel,
                    read_polynomial, write_polynomial)
 from .classes import (ClassSpec, PROFILES, default_truncation_level,
                       sample_class_function)
-from .discretization import (DiscretizationReport, PointSet, SampledSystem,
-                             build_sampled, check_usd, draw_points,
-                             read_pointset, uniform_grid_points,
+from .discretization import (DiscreteHilbert, DiscretizationReport, PointSet,
+                             SampledSystem, build_sampled, check_usd,
+                             draw_points, read_pointset, uniform_grid_points,
                              write_pointset)
-from .greedy import (BestTermResult, DiscreteHilbert, WompTrace, best_vterm,
-                     project, womp, write_trace_csv)
+from .greedy import (BestTermResult, WompTrace, best_vterm, project, womp,
+                     write_trace_csv)
 from .recovery import (FoolingInstance, GapRecord, RecoveryReport,
                        adversary_gap, best_vterm_l2_muxi, make_fooling,
                        reconstruct, recover, write_fooling)

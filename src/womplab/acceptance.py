@@ -19,7 +19,7 @@ import numpy as np
 from .discretization import build_sampled, check_usd, draw_points, \
     uniform_grid_points
 from .experiments import DEFAULTS, rate_sweep_compute
-from .greedy import DiscreteHilbert, best_vterm, project, womp
+from .greedy import best_vterm, project, womp
 from .recovery import adversary_gap, best_vterm_l2_muxi, reconstruct
 from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
 
@@ -93,7 +93,6 @@ def criterion_greedy_recovery():
     system = TrigSystem(1, (deg,))
     pts = uniform_grid_points(2 * deg + 1, 1)
     sampled = build_sampled(system, pts)
-    h = DiscreteHilbert.from_sampled(sampled)
     worst_resid = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -104,7 +103,7 @@ def criterion_greedy_recovery():
         f0 = reconstruct(system, support, mags * phases)
         y = f0.eval(pts.points)
         norm0 = float(np.sqrt(np.mean(np.abs(y) ** 2)))
-        trace = womp(h, y)
+        trace = womp(sampled, y)
         if trace.steps != v:
             return False, f"seed {seed}: took {trace.steps} steps, expected {v}"
         if set(trace.selected) != set(int(c) for c in support):
@@ -116,8 +115,8 @@ def criterion_greedy_recovery():
         if np.any(drops > 1e-12 * norm0):
             return False, f"seed {seed}: residual norm increased"
         for k in range(1, trace.steps + 1):
-            res = project(h, y, trace.selected[:k]).residual
-            ips = sampled.matrix[:, trace.selected[:k]].conj().T @ res / h.m
+            res = project(sampled, y, trace.selected[:k]).residual
+            ips = sampled.matrix[:, trace.selected[:k]].conj().T @ res / sampled.m
             if np.abs(ips).max() > 1e-10 * max(1.0, norm0):
                 return False, f"seed {seed}: residual not orthogonal at step {k}"
     return True, f"100 seeds, v<=4; max final residual {worst_resid:.2e} (<=1e-10)"
@@ -153,11 +152,10 @@ def _recovery_ensemble():
             coeff = rng.standard_normal(system.size) \
                 + 1j * rng.standard_normal(system.size)
             f0 = TrigPolynomial(1, dict(zip(system.indices(), coeff)))
-            h = DiscreteHilbert.from_sampled(sampled)
             y = f0.eval(pts.points)
-            trace = womp(h, y, steps=2 * v)
+            trace = womp(sampled, y, steps=2 * v)
             approx = reconstruct(system, trace.selected, trace.coefficients)
-            sigma_disc = best_vterm(h, y, v).sigma
+            sigma_disc = best_vterm(sampled, y, v).sigma
             _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
             diff = f0 - approx
             ref_diff = f0 - ref_poly

@@ -11,6 +11,7 @@ never a certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,11 @@ LOWER_CONST = 0.5
 UPPER_CONST = 1.5
 
 DEFAULT_SUBSET_CAP = 2_000_000
+
+
+class SubsetCapError(ValueError):
+    """An exhaustive check_usd refused: more supports than DEFAULT_SUBSET_CAP."""
+
 
 # Supports per stacked solve in the exhaustive scans; bounds their memory.
 SUPPORT_CHUNK = 1024
@@ -113,37 +119,54 @@ def read_pointset(path) -> PointSet:
 
 
 @dataclass(frozen=True)
-class SampledSystem:
+class DiscreteHilbert:
+    """C^m with the (1/m)-weighted inner product and a column dictionary.
+
+    gram, the discrete Gram (1/m) * matrix^H matrix, is computed on first
+    use and kept read-only: the certificate's eigensolves and both best
+    v-term references share it.
+    """
+
+    matrix: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[1]
+
+    def norm(self, f) -> float:
+        return float(np.linalg.norm(f) / math.sqrt(self.m))
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        if self.m == 0:
+            raise ValueError("empty point set has no discrete Gram")
+        gram = (self.matrix.conj().T @ self.matrix) / self.m
+        gram.setflags(write=False)
+        return gram
+
+
+@dataclass(frozen=True)
+class SampledSystem(DiscreteHilbert):
     """A dictionary evaluated at sample points.
 
-    matrix[i, j] = (j-th exponential)(i-th point); the discrete Gram
-    (1/m) * matrix^H matrix drives every p = 2 computation here.  Build it
-    with build_sampled: the exhaustive check_usd relies on the matrix being
+    matrix[i, j] = (j-th exponential)(i-th point).  Build it with
+    build_sampled: the exhaustive check_usd relies on the matrix being
     system.evaluate_at(points).
     """
 
     system: TrigSystem
     pointset: PointSet
-    matrix: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.pointset.m
-
-    @property
-    def size(self) -> int:
-        return self.system.size
-
-    def gram(self) -> np.ndarray:
-        if self.m == 0:
-            raise ValueError("empty point set has no discrete Gram")
-        return (self.matrix.conj().T @ self.matrix) / self.m
 
 
 def build_sampled(system: TrigSystem, pointset: PointSet) -> SampledSystem:
     if system.dim != pointset.dim:
         raise ValueError("system and point set dimensions differ")
-    return SampledSystem(system, pointset, system.evaluate_at(pointset.points))
+    return SampledSystem(matrix=system.evaluate_at(pointset.points),
+                         system=system, pointset=pointset)
 
 
 @dataclass(frozen=True)
@@ -336,8 +359,7 @@ def _holds(mode: str, c_low: float, c_high: float, p: float) -> bool:
 
 def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
               mode: str = "two-sided", method: str = "exhaustive",
-              trials: int = 500, seed: int = 0,
-              subset_cap: int = DEFAULT_SUBSET_CAP) -> DiscretizationReport:
+              trials: int = 500, seed: int = 0) -> DiscretizationReport:
     """Check u-sparse universal discretization of the sampled dictionary.
 
     Parameters
@@ -354,8 +376,8 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
         matches the two-sided lower constant.
     method : str
         "exhaustive" or "randomized"; exhaustive certifies over all C(N, u)
-        supports and refuses to start past subset_cap, which counts
-        supports, not the classes below.
+        supports and raises SubsetCapError past DEFAULT_SUBSET_CAP (read
+        at call time), which counts supports, not the classes below.
     trials, seed
         Randomized budget: number of supports drawn (>= 1) and the draw seed.
 
@@ -395,20 +417,19 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     if method == "randomized" and trials < 1:
         raise ValueError(f"a randomized check needs trials >= 1, got {trials}")
     if p == 2.0:
-        return _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap)
+        return _check_usd_l2(sampled, u, mode, method, trials, seed)
     if method == "exhaustive":
         raise ValueError("p != 2 checks are randomized searches only")
     return _check_usd_lp(sampled, u, p, mode, trials, seed)
 
 
-def _check_usd_l2(sampled, u, mode, method, trials, seed, subset_cap):
+def _check_usd_l2(sampled, u, mode, method, trials, seed):
     n = sampled.size
     count = math.comb(n, u)
-    if method == "exhaustive" and count > subset_cap:
-        raise ValueError(
-            f"C({n},{u}) = {count} supports exceed the subset cap {subset_cap}; "
-            "use a randomized budget")
-    gram = sampled.gram() if sampled.m else np.zeros((n, n), dtype=complex)
+    if method == "exhaustive" and count > DEFAULT_SUBSET_CAP:
+        raise SubsetCapError(f"C({n},{u}) = {count} supports exceed the "
+                             f"subset cap {DEFAULT_SUBSET_CAP}")
+    gram = sampled.gram if sampled.m else np.zeros((n, n), dtype=complex)
     rng = np.random.default_rng(seed)
 
     def solve(idx):

@@ -20,12 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classes import ClassSpec, default_truncation_level, sample_class_function
-from .discretization import (DiscretizationReport, PointSet, build_sampled,
-                             check_usd, draw_points, read_pointset,
-                             uniform_grid_points, write_pointset)
+from .discretization import (DiscretizationReport, PointSet, SubsetCapError,
+                             build_sampled, check_usd, draw_points,
+                             read_pointset, uniform_grid_points, write_pointset)
 from .recovery import (RecoveryReport, adversary_gap, recover, reconstruct,
                        write_fooling)
-from .greedy import DiscreteHilbert, womp, write_trace_csv
+from .greedy import womp, write_trace_csv
 from .trig import TrigPolynomial, TrigSystem, lp_norm
 
 
@@ -47,7 +47,6 @@ DEFAULTS = {
         "m_cap": 4096,
         "mode": "two-sided",
         "grid": False,
-        "subset_cap": 2_000_000,
     },
     "check-disc": {
         "d": 1,
@@ -60,7 +59,6 @@ DEFAULTS = {
         "m": 64,
         "points_file": "",
         "grid": False,
-        "subset_cap": 2_000_000,
     },
     "recover": {
         "d": 1,
@@ -146,7 +144,8 @@ def _coerce(section, key, raw, default):
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     """Merge DEFAULTS <- INI file <- CLI overrides into one config dict.
 
-    A negative seed, and any section's seeds or d below 1, raise ConfigError.
+    A negative seed, and any section's seeds, d, v, m, m0 or trials below 1,
+    raise ConfigError.
     """
     cfg = default_config()
     if path:
@@ -172,7 +171,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     if seed < 0:
         raise ConfigError(f"[common] seed: expected >= 0, got {seed}")
     for section, values in cfg.items():
-        for key in ("seeds", "d"):
+        for key in ("seeds", "d", "v", "m", "m0", "trials"):
             if values.get(key, 1) < 1:
                 raise ConfigError(
                     f"[{section}] {key}: expected >= 1, got {values[key]}")
@@ -231,7 +230,7 @@ def run_find_points(cfg: dict):
     d, degree, u = sec["d"], sec["degree"], sec["u"]
     system = TrigSystem(d, (degree,) * d)
     if u > system.size:
-        raise ConfigError(f"u = {u} exceeds system size {system.size}")
+        raise ConfigError(f"[find-points] u: {u} exceeds the system size {system.size}")
     out = _outdir(cfg)
     reports = []
     found = None
@@ -240,7 +239,7 @@ def run_find_points(cfg: dict):
         n = 2 * degree + 1
         pts = uniform_grid_points(n, d)
         rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
-                        "exhaustive", subset_cap=sec["subset_cap"])
+                        "exhaustive")
         reports.append(rep)
         found = pts if rep.holds else None
     else:
@@ -249,7 +248,7 @@ def run_find_points(cfg: dict):
         while m <= sec["m_cap"]:
             pts = draw_points(m, d, seed + attempt)
             rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
-                            "exhaustive", subset_cap=sec["subset_cap"])
+                            "exhaustive")
             reports.append(rep)
             if rep.holds:
                 found = pts
@@ -283,12 +282,12 @@ def run_check_disc(cfg: dict) -> DiscretizationReport:
     pts = _pointset_from(sec, system, seed)
     if pts.dim != system.dim:
         raise ConfigError("point set dimension does not match the system")
-    if sec["method"] == "randomized" and sec["trials"] < 1:
-        raise ConfigError(f"[check-disc] trials: a randomized check needs "
-                          f">= 1, got {sec['trials']}")
-    rep = check_usd(build_sampled(system, pts), sec["u"], sec["p"], sec["mode"],
-                    sec["method"], trials=sec["trials"], seed=seed,
-                    subset_cap=sec["subset_cap"])
+    try:
+        rep = check_usd(build_sampled(system, pts), sec["u"], sec["p"],
+                        sec["mode"], sec["method"], sec["trials"], seed)
+    except SubsetCapError as exc:
+        raise ConfigError(f"[check-disc] u: {exc}; use [check-disc] method = "
+                          "randomized") from None
     out = _outdir(cfg)
     _write_csv(os.path.join(out, "discretization.csv"),
                DiscretizationReport.CSV_HEADER, [rep.csv_row()],
@@ -329,6 +328,12 @@ def run_recover(cfg: dict):
     seed = cfg["common"]["seed"]
     system = TrigSystem(sec["d"], (sec["degree"],) * sec["d"])
     pts = _pointset_from(sec, system, seed)
+    if pts.m == 0:
+        raise ConfigError(f"[recover] points_file: {sec['points_file']} holds no points")
+    u = math.ceil((1 + sec["c_emp"]) * sec["v"])
+    if u > system.size:
+        raise ConfigError(f"[recover] v: u = ceil((1 + c_emp) v) = {u} "
+                          f"exceeds the dictionary size N = {system.size}")
     f0 = _make_target(sec, system, seed)
     report = recover(f0, system, pts, v=sec["v"], p=sec["p"], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
@@ -487,10 +492,9 @@ def zero_data_recovery(system: TrigSystem, pts):
     if pts.m == 0:
         return lambda samples: TrigPolynomial(system.dim, {})
     sampled = build_sampled(system, pts)
-    h = DiscreteHilbert.from_sampled(sampled)
 
     def recover_map(samples):
-        trace = womp(h, samples, steps=min(h.m, h.size))
+        trace = womp(sampled, samples, steps=min(sampled.m, sampled.size))
         return reconstruct(system, trace.selected, trace.coefficients)
 
     return recover_map
@@ -506,6 +510,10 @@ def run_fooling(cfg: dict):
         m_list = _int_list(sec["m_list"], "fooling", "m_list")
         if len(m_list) != len(boxes):
             raise ConfigError("m_list length must match box_list")
+        for box, m in zip(boxes, m_list):
+            half = (2 * box + 1) ** d / 2
+            if m > half:
+                raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
     elif sec["m_rule"] == "quarter":
         m_list = [TrigSystem(d, (b,) * d).size // 4 for b in boxes]
     else:

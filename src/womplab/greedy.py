@@ -16,34 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (DEFAULT_SUBSET_CAP, SampledSystem, _chunks,
+from .discretization import (DEFAULT_SUBSET_CAP, DiscreteHilbert, _chunks,
                              _combinations)
 
 # Relative stopping tolerance: iteration halts once the best inner product
 # falls below this multiple of the initial norm.
 STOP_REL_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class DiscreteHilbert:
-    """C^m with the (1/m)-weighted inner product and a column dictionary."""
-
-    matrix: np.ndarray
-
-    @classmethod
-    def from_sampled(cls, sampled: SampledSystem) -> "DiscreteHilbert":
-        return cls(sampled.matrix)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[1]
-
-    def norm(self, f) -> float:
-        return float(np.linalg.norm(f) / math.sqrt(self.m))
 
 
 @dataclass(frozen=True)
@@ -287,42 +265,45 @@ class BestTermResult:
     coefficients: np.ndarray
 
 
-def best_vterm(h: DiscreteHilbert, target, v: int) -> BestTermResult:
-    """sigma_v of the target over the sampled dictionary, by enumeration.
-
-    Bit for bit what project() (exact least squares) on every support of
-    size v gives, ties keeping the lexicographically first support.  For
-    v >= 2 the normal equations screen every support in stacked solves, and
-    project() solves, in lexicographic order, only the supports whose
-    screened error may reach the smallest (see _screen_bound) or that the
-    screen's bound does not cover.  v = 0 returns the norm of the target.
-    Refuses more than DEFAULT_SUBSET_CAP supports.
-    """
-    target = np.asarray(target, dtype=complex)
-    n = h.size
-    if v < 0:
-        raise ValueError("v must be >= 0")
-    if v == 0:
-        return BestTermResult(h.norm(target), (), np.zeros(0, complex))
+def _supports(n, v):
+    """The v-subsets of range(n), v >= 1, as lexicographic rows; refuses
+    v > n and more than DEFAULT_SUBSET_CAP of them."""
     if v > n:
         raise ValueError(f"v exceeds dictionary size {n}")
     count = math.comb(n, v)
     if count > DEFAULT_SUBSET_CAP:
         raise ValueError(f"C({n},{v}) = {count} supports exceed cap "
                          f"{DEFAULT_SUBSET_CAP}")
+    return _combinations(n, v)
 
-    supports = _combinations(n, v)
-    lower, upper = np.full(count, -np.inf), np.inf
-    if v > 1:  # for v = 1 the N x N Gram costs more than the N solves
-        adjoint = h.matrix.conj().T
-        gram, rhs = adjoint @ h.matrix / h.m, adjoint @ target / h.m
-        norm_sq = float(np.vdot(target, target).real) / h.m
-        bound = np.concatenate([_screen_bound(gram, idx, norm_sq, h.m)
-                                for idx in _chunks(supports)])
-        ok = np.isfinite(bound)
-        screened = _block_solve(gram, rhs, norm_sq, supports[ok])
-        lower[ok] = screened - bound[ok]
-        upper = np.min(screened + bound[ok], initial=np.inf)
+
+def best_vterm(h: DiscreteHilbert, target, v: int) -> BestTermResult:
+    """sigma_v of the target over the sampled dictionary, by enumeration.
+
+    Bit for bit what project() (exact least squares) on every support of
+    size v gives, ties keeping the lexicographically first support.  The
+    normal equations on h.gram screen every support in stacked solves, and
+    project() solves, in lexicographic order, only the supports whose
+    screened error may reach the smallest (see _screen_bound) or that the
+    screen's bound does not cover.  v = 0 returns the norm of the target.
+    Refuses more than DEFAULT_SUBSET_CAP supports.
+    """
+    target = np.asarray(target, dtype=complex)
+    if v < 0:
+        raise ValueError("v must be >= 0")
+    if v == 0:
+        return BestTermResult(h.norm(target), (), np.zeros(0, complex))
+
+    supports = _supports(h.size, v)
+    rhs = (target.conj() @ h.matrix).conj() / h.m
+    norm_sq = float(np.vdot(target, target).real) / h.m
+    bound = np.concatenate([_screen_bound(h.gram, idx, norm_sq, h.m)
+                            for idx in _chunks(supports)])
+    ok = np.isfinite(bound)
+    screened = _block_solve(h.gram, rhs, norm_sq, supports[ok])
+    lower = np.full(len(supports), -np.inf)
+    lower[ok] = screened - bound[ok]
+    upper = np.min(screened + bound[ok], initial=np.inf)
 
     best = None
     for support in supports[~(lower > upper)].tolist():

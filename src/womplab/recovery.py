@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
-                             SampledSystem, _combinations, build_sampled,
-                             check_usd, uniform_grid_points)
-from .greedy import DiscreteHilbert, WompTrace, _block_solve, best_vterm, womp
+                             SampledSystem, build_sampled, check_usd,
+                             uniform_grid_points)
+from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
 from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
                    lp_norms)
 
@@ -67,25 +67,17 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
     keep the lexicographically first support.  Refuses more than
     DEFAULT_SUBSET_CAP supports.
     """
-    n = sampled.size
     if v < 0:
         raise ValueError("v must be >= 0")
-    if v > n:
-        raise ValueError(f"v exceeds dictionary size {n}")
-    count = math.comb(n, v)
-    if count > DEFAULT_SUBSET_CAP:
-        raise ValueError(f"C({n},{v}) = {count} supports exceed cap "
-                         f"{DEFAULT_SUBSET_CAP}")
-    indices = sampled.system.indices()
     y = sample_target(f0, sampled)
-    a_box = np.array([f0.coeffs.get(k, 0.0) for k in indices])
+    a_box = np.array([f0.coeffs.get(k, 0.0) for k in sampled.system.indices()])
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     if v == 0:
         return math.sqrt(norm2_sq), (), TrigPolynomial(f0.dim, {})
-    gram = 0.5 * (np.eye(n) + sampled.gram())
+    supports = _supports(sampled.size, v)
+    gram = 0.5 * (np.eye(sampled.size) + sampled.gram)
     rhs = 0.5 * (a_box + sampled.matrix.conj().T @ y / sampled.m)
 
-    supports = _combinations(n, v)
     err_sq = np.maximum(_block_solve(gram, rhs, norm2_sq, supports), 0.0)
     i = int(np.argmin(err_sq))  # ties keep the first support
     support = tuple(supports[i].tolist())
@@ -182,9 +174,8 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     if certificate is not None and not certificate.holds:
         warning = "certificate failed; recovery proceeded without a guarantee"
 
-    h = DiscreteHilbert.from_sampled(sampled)
     y = sample_target(f0, sampled)
-    trace = womp(h, y, t=t, steps=min(steps, min(h.m, h.size)),
+    trace = womp(sampled, y, t=t, steps=min(steps, sampled.m, sampled.size),
                  selection=selection)
     approx = reconstruct(system, trace.selected, trace.coefficients)
     diff = f0 - approx
@@ -192,7 +183,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
 
     sigma_disc = sigma_ref = None
     if compute_sigma and math.comb(system.size, v) <= DEFAULT_SUBSET_CAP:
-        sigma_disc = best_vterm(h, y, v).sigma
+        sigma_disc = best_vterm(sampled, y, v).sigma
         _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
         sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi)
     scale = trace.residual_norms[0]

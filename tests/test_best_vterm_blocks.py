@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from womplab import greedy
 from womplab.discretization import PointSet, build_sampled, draw_points
-from womplab.greedy import (BestTermResult, DiscreteHilbert, _screen_bound,
-                            best_vterm, project)
+from womplab.greedy import BestTermResult, _screen_bound, best_vterm, project
 from womplab.recovery import best_vterm_l2_muxi, reconstruct, sample_target
 from womplab.trig import TrigPolynomial, TrigSystem
 
@@ -36,7 +36,7 @@ def best_vterm_l2_muxi_loop(f0, sampled, v):
     y = sample_target(f0, sampled)
     a_box = np.array([f0.coeffs.get(k, 0.0) for k in sampled.system.indices()])
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
-    gram = 0.5 * (np.eye(n) + sampled.gram())
+    gram = 0.5 * (np.eye(n) + sampled.gram)
     rhs = 0.5 * (a_box + sampled.matrix.conj().T @ y / sampled.m)
     best = None
     for support in itertools.combinations(range(n), v):
@@ -97,8 +97,7 @@ def assert_muxi_matches(f0, sampled, v):
 @given(instances())
 def test_best_vterm_equals_the_per_support_loop(instance):
     f0, sampled, v = instance
-    h = DiscreteHilbert.from_sampled(sampled)
-    assert_best_vterm_matches(h, sample_target(f0, sampled), v)
+    assert_best_vterm_matches(sampled, sample_target(f0, sampled), v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -121,19 +120,36 @@ def test_fixed_sizes_equal_the_loops(box, m, v, seed):
     coeff = rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size)
     f0 = TrigPolynomial(system.dim, dict(zip(system.indices(), coeff)))
     sampled = build_sampled(system, draw_points(m, system.dim, seed))
-    assert_best_vterm_matches(DiscreteHilbert.from_sampled(sampled),
-                              sample_target(f0, sampled), v)
+    assert_best_vterm_matches(sampled, sample_target(f0, sampled), v)
     assert_muxi_matches(f0, sampled, v)
+
+
+def test_best_vterm_v1_projects_only_near_minimal_columns(monkeypatch):
+    # the screen on the shared Gram leaves project() fewer than the N = 21
+    # columns of box 10, and the result keeps its bits
+    system = TrigSystem(1, (10,))
+    sampled = build_sampled(system, draw_points(600, 1, 3964924996))
+    rng = np.random.default_rng(1)
+    y = sampled.matrix @ (rng.standard_normal(21) + 1j * rng.standard_normal(21))
+    calls = []
+
+    def counting(h, target, support):
+        calls.append(support)
+        return project(h, target, support)
+
+    monkeypatch.setattr(greedy, "project", counting)
+    assert_best_vterm_matches(sampled, y, 1)  # the loop calls project itself
+    assert 1 <= len(calls) < system.size
 
 
 def test_screen_bound_covers_well_spread_blocks_only():
     system = TrigSystem(1, (10,))
-    gram = build_sampled(system, draw_points(600, 1, 3964924996)).gram()
+    gram = build_sampled(system, draw_points(600, 1, 3964924996)).gram
     idx = np.array(list(itertools.combinations(range(21), 2)))
     bound = _screen_bound(gram, idx, 1.0, 600)
     assert np.all(bound > 0) and np.all(bound < 1e-9)
     # two points cannot separate three columns: every block is singular
-    few = build_sampled(system, draw_points(2, 1, 5)).gram()
+    few = build_sampled(system, draw_points(2, 1, 5)).gram
     idx = np.array(list(itertools.combinations(range(21), 3)))
     assert np.all(np.isinf(_screen_bound(few, idx, 1.0, 2)))
 

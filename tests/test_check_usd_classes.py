@@ -20,7 +20,7 @@ def full_scan(sampled, u):
     """Reference certificate: one eigensolve per support of size u, in
     lexicographic chunks of 4096, keeping the first support that attains
     each extreme.  Returns (c_low, c_high, arg_low, arg_high)."""
-    gram = sampled.gram()
+    gram = sampled.gram
     c_low, c_high = math.inf, -math.inf
     arg_low = arg_high = None
     batch = []

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from womplab.discretization import (DiscretizationReport, PointSet, _holds,
-                                    build_sampled, check_usd, draw_points,
-                                    read_pointset, uniform_grid_points,
-                                    write_pointset)
+from womplab import discretization
+from womplab.discretization import (DiscretizationReport, PointSet,
+                                    SubsetCapError, _holds, build_sampled,
+                                    check_usd, draw_points, read_pointset,
+                                    uniform_grid_points, write_pointset)
 from womplab.trig import TrigPolynomial, TrigSystem, lp_norm
 
 
@@ -36,7 +37,7 @@ def test_empty_pointset_is_legal_but_not_samplable():
     system = TrigSystem(1, (2,))
     sampled = build_sampled(system, ps)
     with pytest.raises(ValueError):
-        sampled.gram()
+        sampled.gram
 
 
 def test_pointset_io_roundtrip(tmp_path):
@@ -72,9 +73,17 @@ def test_random_points_mean_exponential_concentrates():
     assert abs(mean) <= 5.0 / math.sqrt(10000)
 
 
+def test_gram_is_computed_once_and_read_only():
+    sampled = build_sampled(TrigSystem(1, (3,)), draw_points(20, 1, seed=2))
+    assert sampled.gram is sampled.gram
+    assert not sampled.gram.flags.writeable
+    np.testing.assert_array_equal(
+        sampled.gram, sampled.matrix.conj().T @ sampled.matrix / 20)
+
+
 def test_uniform_grid_is_exact_quadrature():
     sampled = _grid_sampled(3)
-    gram = sampled.gram()
+    gram = sampled.gram
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
 
 
@@ -205,7 +214,7 @@ def test_one_sided_lower_threshold_is_d_to_the_minus_p():
     assert _holds("one-sided-lower", above, 9.0, 4.0)
 
 
-def test_check_usd_validation():
+def test_check_usd_validation(monkeypatch):
     sampled = _grid_sampled(2)
     with pytest.raises(ValueError):
         check_usd(sampled, 0)
@@ -215,17 +224,22 @@ def test_check_usd_validation():
         check_usd(sampled, 2, mode="sideways")
     with pytest.raises(ValueError):
         check_usd(sampled, 2, p=4.0)  # p != 2 has no exhaustive certificate
-    with pytest.raises(ValueError):
-        check_usd(sampled, 2, subset_cap=3)
+    # the refusal names the count and the cap, and nothing else
+    monkeypatch.setattr(discretization, "DEFAULT_SUBSET_CAP", 3)
+    with pytest.raises(SubsetCapError, match=r"^C\(5,2\) = 10 supports exceed "
+                       r"the subset cap 3$"):
+        check_usd(sampled, 2)
 
 
-def test_subset_cap_counts_supports_not_classes():
+def test_subset_cap_counts_supports_not_classes(monkeypatch):
     # the exhaustive scan solves about 7,900 of the C(21, 6) = 54,264
     # blocks, but the cap still refuses on the number of supports
     sampled = build_sampled(TrigSystem(1, (10,)), draw_points(30, 1, seed=0))
+    monkeypatch.setattr(discretization, "DEFAULT_SUBSET_CAP", 54_263)
     with pytest.raises(ValueError, match="54264 supports exceed"):
-        check_usd(sampled, 6, subset_cap=54_263)
-    assert check_usd(sampled, 6, subset_cap=54_264).method == "exhaustive"
+        check_usd(sampled, 6)
+    monkeypatch.setattr(discretization, "DEFAULT_SUBSET_CAP", 54_264)
+    assert check_usd(sampled, 6).method == "exhaustive"
 
 
 def test_randomized_p4_is_labeled_empirical():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from womplab import acceptance
+from womplab import acceptance, discretization
 from womplab.cli import main
 from womplab.experiments import (ConfigError, _sweep_cell, default_config,
                                  dump_config, fit_rate, parse_config,
@@ -255,6 +255,8 @@ def test_run_rate_sweep_writes_certificate_columns(tmp_path, capsys):
     assert warnings == [f"warning: v={c['v']}: {c['report'].cert_warning}"
                         for c in cells if c["v"] in (3, 4)]
     assert all("supports exceed the subset cap" in w for w in warnings)
+    # [rate-sweep] has no randomized certificate, so no advice points there
+    assert not any("randomized" in w for w in warnings)
     lines = (tmp_path / "out" / "rate_cells.csv").read_text().splitlines()
     header = lines[1].split(",")
     rows = iter(dict(zip(header, line.split(","))) for line in lines[2:])
@@ -341,9 +343,15 @@ def test_cli_randomized_check_disc_without_trials_is_exit_2(tmp_path, capsys, p)
     (["--seed", "-1"], "", "[common] seed"),
     ([], "[fooling]\nseeds = 0\n", "[fooling] seeds"),
     ([], "[recover]\nd = 0\n", "[recover] d"),
+    ([], "[recover]\nm = 0\n", "[recover] m"),
+    ([], "[check-disc]\nm = 0\n", "[check-disc] m"),
+    ([], "[recover]\nv = 0\n", "[recover] v"),
+    ([], "[find-points]\nm0 = 0\n", "[find-points] m0"),
+    ([], "[check-disc]\ntrials = 0\n", "[check-disc] trials"),
 ])
 def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, key):
-    # each once surfaced a raw numpy or Python message
+    # each once surfaced a raw numpy or Python message, or one that named
+    # no key
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(ini)
     code = main(["recover", "--config", str(cfgfile),
@@ -351,6 +359,49 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: expected >= ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, ini, message", [
+    ("find-points", "[find-points]\nu = 10\n",
+     "[find-points] u: 10 exceeds the system size 9"),
+    ("recover", "[recover]\nv = 5\n", "[recover] v: u = ceil((1 + c_emp) v) = "
+     "15 exceeds the dictionary size N = 9"),
+    ("fooling", "[fooling]\nbox_list = 4\nm_rule = explicit\nm_list = 5\n",
+     "[fooling] m_list: m = 5 exceeds theta/2 = 4.5 on box 4"),
+    ("recover", "[recover]\npoints_file = {points}\n",
+     "[recover] points_file: {points} holds no points"),
+])
+def test_cli_value_refused_by_a_library_check_names_its_key(
+        tmp_path, capsys, command, ini, message):
+    # each once exited 2 with a message that named no key; the empty
+    # points file also printed numpy RuntimeWarnings first
+    points = tmp_path / "points.txt"
+    points.write_text("dim 1 0\n")
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(ini.format(points=points))
+    code = main([command, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"config error: {message.format(points=points)}\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_only_check_disc_advises_a_randomized_method(tmp_path, capsys,
+                                                         monkeypatch):
+    # C(9, 2) = 36 supports at the defaults; only [check-disc] has a key
+    # that selects a randomized check
+    monkeypatch.setattr(discretization, "DEFAULT_SUBSET_CAP", 3)
+    code = main(["check-disc", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: [check-disc] u: C(9,2) = 36 supports exceed the subset "
+        "cap 3; use [check-disc] method = randomized\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["find-points", "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == (
+        "error: C(9,2) = 36 supports exceed the subset cap 3\n")
 
 
 @pytest.mark.parametrize("sparsity", [-1, 10])
@@ -385,9 +436,8 @@ def test_cli_dump_config_prints_exactly_these_keys(capsys):
             keys.add(f"{section} {line.split(' = ')[0]}")
     expected = {
         "common": "seed out threads",
-        "find-points": "d degree u m0 m_cap mode grid subset_cap",
-        "check-disc": "d degree u p mode method trials m points_file grid "
-                      "subset_cap",
+        "find-points": "d degree u m0 m_cap mode grid",
+        "check-disc": "d degree u p mode method trials m points_file grid",
         "recover": "d degree v p t c_emp m target sparsity r beta J density "
                    "selection certify points_file",
         "rate-sweep": "d r beta profile density p_list v_list seeds a schedule "

@@ -16,7 +16,7 @@ from womplab.trig import TrigSystem
 def _grid_hilbert(degree):
     system = TrigSystem(1, (degree,))
     pts = uniform_grid_points(2 * degree + 1, 1)
-    return system, pts, DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    return system, pts, build_sampled(system, pts)
 
 
 # -------------------------------------------------------------------- womp
@@ -47,7 +47,7 @@ def test_womp_stops_on_zero_target():
 def test_womp_residuals_never_increase():
     system = TrigSystem(1, (4,))
     pts = draw_points(60, 1, seed=5)
-    h = DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    h = build_sampled(system, pts)
     rng = np.random.default_rng(5)
     y = rng.standard_normal(60) + 1j * rng.standard_normal(60)
     trace = womp(h, y, steps=9)
@@ -58,7 +58,7 @@ def test_womp_residuals_never_increase():
 def test_womp_orthogonality_after_each_step():
     system = TrigSystem(1, (3,))
     pts = draw_points(30, 1, seed=6)
-    h = DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    h = build_sampled(system, pts)
     rng = np.random.default_rng(6)
     y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     trace = womp(h, y, steps=5)
@@ -85,7 +85,7 @@ def test_adversarial_weak_selection_picks_first_above_threshold():
 def test_adversarial_weak_still_converges_on_coherent_data():
     system = TrigSystem(1, (4,))
     pts = draw_points(40, 1, seed=7)
-    h = DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    h = build_sampled(system, pts)
     rng = np.random.default_rng(7)
     y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     strong = womp(h, y, steps=9)
@@ -100,7 +100,7 @@ def test_weak_selection_at_roundoff_t_never_reselects_a_column():
     # itself roundoff, clears t * max; it must take no part in the pick
     system = TrigSystem(1, (3,))
     pts = draw_points(14, 1, 45)
-    h = DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    h = build_sampled(system, pts)
     rng = np.random.default_rng(45)
     y = rng.standard_normal(14) + 1j * rng.standard_normal(14)
     trace = womp(h, y, t=2.0e-15, steps=5, selection="adversarial-weak")
@@ -161,7 +161,7 @@ def test_project_flags_rank_deficiency():
     # one sample point cannot separate two columns
     system = TrigSystem(1, (2,))
     pts = PointSet(1, np.array([[0.5]]))
-    h = DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    h = build_sampled(system, pts)
     res = project(h, np.array([1.0 + 0j]), [0, 1])
     assert res.rank_deficient
 
@@ -187,7 +187,7 @@ def test_project_matches_normal_equations_oracle():
 def test_best_vterm_matches_brute_force_oracle():
     system = TrigSystem(1, (3,))
     pts = draw_points(15, 1, seed=8)
-    h = DiscreteHilbert.from_sampled(build_sampled(system, pts))
+    h = build_sampled(system, pts)
     rng = np.random.default_rng(8)
     y = rng.standard_normal(15) + 1j * rng.standard_normal(15)
 

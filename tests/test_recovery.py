@@ -1,12 +1,14 @@
 """Recovery pipeline, mixture-norm references, and fooling instances."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from womplab.classes import ClassSpec, sample_class_function
-from womplab.discretization import PointSet, build_sampled, draw_points
+from womplab.discretization import (DiscreteHilbert, PointSet, build_sampled,
+                                    draw_points)
 from womplab.recovery import (FoolingInstance, RecoveryReport, adversary_gap,
                               best_vterm_l2_muxi, make_fooling, reconstruct,
                               recover, sample_target, write_fooling)
@@ -101,6 +103,25 @@ def test_recover_p4_measures_in_lp():
         recover(f0, system, xi, v=0)
 
 
+def test_recover_forms_the_gram_once(monkeypatch):
+    # the certificate and both best v-term references read one Gram
+    formed = []
+    original = DiscreteHilbert.__dict__["gram"].func
+
+    def gram(self):
+        formed.append(self)
+        return original(self)
+
+    counting = functools.cached_property(gram)
+    counting.__set_name__(DiscreteHilbert, "gram")
+    monkeypatch.setattr(DiscreteHilbert, "gram", counting)
+    system = TrigSystem(1, (4,))
+    f0 = _sparse_target(system, [2, 6], [1.5, -0.7 + 0.3j])
+    rep = recover(f0, system, draw_points(200, 1, seed=3), v=2)
+    assert rep.certificate is not None and rep.sigma_discrete is not None
+    assert len(formed) == 1
+
+
 def test_recovery_report_csv_row_shape():
     system = TrigSystem(1, (2,))
     f0 = _sparse_target(system, [2], [1.0])
@@ -163,7 +184,7 @@ def test_best_vterm_l2_muxi_matches_direct_minimization():
     assert got == pytest.approx(err, rel=1e-10)
     # independent oracle: per-column normal equations in the mixture norm
     y = f0.eval(xi.points)
-    gram = 0.5 * (np.eye(5) + sampled.gram())
+    gram = 0.5 * (np.eye(5) + sampled.gram)
     rhs = 0.5 * (coeff + sampled.matrix.conj().T @ y / xi.m)
     norm_sq = lp_norm(f0, 2, "mu_xi", pointset=xi) ** 2
     brute = [math.sqrt(max(norm_sq - abs(rhs[c]) ** 2 / gram[c, c].real, 0.0))

@@ -148,8 +148,7 @@ def greedy_cases(draw):
     t = draw(st.floats(1e-6, 1.0))
     selection = draw(st.sampled_from(["argmax", "adversarial-weak"]))
     steps = draw(st.integers(0, min(m - 1, system.size)))
-    return DiscreteHilbert.from_sampled(sampled), y, dict(
-        t=t, steps=steps, selection=selection)
+    return sampled, y, dict(t=t, steps=steps, selection=selection)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -172,12 +171,12 @@ def test_womp_matches_reference_at_largest_sweep_cell():
     f0 = sample_class_function(ClassSpec(sec["r"], sec["beta"], J),
                                sec["profile"], seed, dim=1)
     steps = int(math.ceil(sec["c_emp"] * v))
-    h, y = DiscreteHilbert.from_sampled(sampled), sample_target(f0, sampled)
-    got = assert_matches_oracle(h, y, steps=steps)
+    y = sample_target(f0, sampled)
+    got = assert_matches_oracle(sampled, y, steps=steps)
     assert got.steps == steps and not got.rank_deficient
     # womp used to call scipy.linalg.solve_triangular here; the inline back
     # substitution must keep every coefficient bit
-    assert_solves_as_lapack(h, y, got)
+    assert_solves_as_lapack(sampled, y, got)
 
 
 def test_rank_deficient_run_returns_project_coefficients():
