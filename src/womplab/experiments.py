@@ -20,12 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classes import ClassSpec, default_truncation_level, sample_class_function
-from .discretization import (DiscretizationReport, PointSet, SubsetCapError,
-                             build_sampled, check_usd, draw_points,
-                             read_pointset, uniform_grid_points, write_pointset)
+from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
+                             SubsetCapError, build_sampled, check_usd,
+                             draw_points, read_pointset, uniform_grid_points,
+                             write_pointset)
 from .recovery import (RecoveryReport, adversary_gap, recover, reconstruct,
                        write_fooling)
-from .greedy import womp, write_trace_csv
+from .greedy import SELECTIONS, womp, write_trace_csv
 from .trig import TrigPolynomial, TrigSystem, lp_norm
 
 
@@ -144,8 +145,8 @@ def _coerce(section, key, raw, default):
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     """Merge DEFAULTS <- INI file <- CLI overrides into one config dict.
 
-    A negative seed, and any section's seeds, d, v, m, m0 or trials below 1,
-    raise ConfigError.
+    A negative seed, and any section's seeds, d, v, u, m, m0 or trials
+    below 1, raise ConfigError.
     """
     cfg = default_config()
     if path:
@@ -171,7 +172,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     if seed < 0:
         raise ConfigError(f"[common] seed: expected >= 0, got {seed}")
     for section, values in cfg.items():
-        for key in ("seeds", "d", "v", "m", "m0", "trials"):
+        for key in ("seeds", "d", "v", "u", "m", "m0", "trials"):
             if values.get(key, 1) < 1:
                 raise ConfigError(
                     f"[{section}] {key}: expected >= 1, got {values[key]}")
@@ -196,6 +197,12 @@ def _float_list(text, section, key):
     if not vals:
         raise ConfigError(f"[{section}] {key}: empty list")
     return vals
+
+
+def _one_of(sec, section, key, allowed):
+    if sec[key] not in allowed:
+        raise ConfigError(f"[{section}] {key}: expected one of "
+                          f"{', '.join(allowed)}, got {sec[key]!r}")
 
 
 def _echo(section_cfg) -> str:
@@ -231,31 +238,35 @@ def run_find_points(cfg: dict):
     system = TrigSystem(d, (degree,) * d)
     if u > system.size:
         raise ConfigError(f"[find-points] u: {u} exceeds the system size {system.size}")
-    out = _outdir(cfg)
+    _one_of(sec, "find-points", "mode", MODES)
     reports = []
     found = None
 
-    if sec["grid"]:
-        n = 2 * degree + 1
-        pts = uniform_grid_points(n, d)
-        rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
-                        "exhaustive")
-        reports.append(rep)
-        found = pts if rep.holds else None
-    else:
-        m = sec["m0"]
-        attempt = 0
-        while m <= sec["m_cap"]:
-            pts = draw_points(m, d, seed + attempt)
+    try:
+        if sec["grid"]:
+            n = 2 * degree + 1
+            pts = uniform_grid_points(n, d)
             rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
                             "exhaustive")
             reports.append(rep)
-            if rep.holds:
-                found = pts
-                break
-            m *= 2
-            attempt += 1
+            found = pts if rep.holds else None
+        else:
+            m = sec["m0"]
+            attempt = 0
+            while m <= sec["m_cap"]:
+                pts = draw_points(m, d, seed + attempt)
+                rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
+                                "exhaustive")
+                reports.append(rep)
+                if rep.holds:
+                    found = pts
+                    break
+                m *= 2
+                attempt += 1
+    except SubsetCapError as exc:
+        raise ConfigError(f"[find-points] u: {exc}") from None
 
+    out = _outdir(cfg)
     echo = _echo({**sec, "seed": seed})
     _write_csv(os.path.join(out, "find_points_trail.csv"),
                DiscretizationReport.CSV_HEADER,
@@ -267,9 +278,14 @@ def run_find_points(cfg: dict):
 
 # ----------------------------------------------------------------- check-disc
 
-def _pointset_from(sec, system, seed):
+def _pointset_from(sec, section, system, seed):
     if sec.get("points_file"):
-        return read_pointset(sec["points_file"])
+        pts = read_pointset(sec["points_file"])
+        if pts.dim != system.dim:
+            raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
+                              f"holds points of dimension {pts.dim}, the "
+                              f"system has d = {system.dim}")
+        return pts
     if sec.get("grid"):
         return uniform_grid_points(2 * max(system.box) + 1, system.dim)
     return draw_points(sec["m"], system.dim, seed)
@@ -279,9 +295,16 @@ def run_check_disc(cfg: dict) -> DiscretizationReport:
     sec = cfg["check-disc"]
     seed = cfg["common"]["seed"]
     system = TrigSystem(sec["d"], (sec["degree"],) * sec["d"])
-    pts = _pointset_from(sec, system, seed)
-    if pts.dim != system.dim:
-        raise ConfigError("point set dimension does not match the system")
+    pts = _pointset_from(sec, "check-disc", system, seed)
+    if not 1 <= sec["u"] <= system.size:
+        raise ConfigError(f"[check-disc] u: expected 1 to N = {system.size}, "
+                          f"got {sec['u']}")
+    _one_of(sec, "check-disc", "mode", MODES)
+    _one_of(sec, "check-disc", "method", METHODS)
+    if sec["p"] != 2 and sec["method"] == "exhaustive":
+        raise ConfigError(f"[check-disc] p: p = {sec['p']:g} checks are "
+                          "randomized searches only; use [check-disc] method = "
+                          "randomized")
     try:
         rep = check_usd(build_sampled(system, pts), sec["u"], sec["p"],
                         sec["mode"], sec["method"], sec["trials"], seed)
@@ -327,13 +350,19 @@ def run_recover(cfg: dict):
     sec = cfg["recover"]
     seed = cfg["common"]["seed"]
     system = TrigSystem(sec["d"], (sec["degree"],) * sec["d"])
-    pts = _pointset_from(sec, system, seed)
+    pts = _pointset_from(sec, "recover", system, seed)
     if pts.m == 0:
         raise ConfigError(f"[recover] points_file: {sec['points_file']} holds no points")
     u = math.ceil((1 + sec["c_emp"]) * sec["v"])
     if u > system.size:
         raise ConfigError(f"[recover] v: u = ceil((1 + c_emp) v) = {u} "
                           f"exceeds the dictionary size N = {system.size}")
+    if sec["p"] < 2:
+        raise ConfigError(f"[recover] p: recovery guarantees need p >= 2, "
+                          f"got {sec['p']:g}")
+    if not 0 < sec["t"] <= 1:
+        raise ConfigError(f"[recover] t: expected 0 < t <= 1, got {sec['t']:g}")
+    _one_of(sec, "recover", "selection", SELECTIONS)
     f0 = _make_target(sec, system, seed)
     report = recover(f0, system, pts, v=sec["v"], p=sec["p"], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],

@@ -84,6 +84,9 @@ def write_trace_csv(trace: WompTrace, path) -> None:
             fh.write(row + "\n")
 
 
+SELECTIONS = ("argmax", "adversarial-weak")
+
+
 def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
          selection: str = "argmax") -> WompTrace:
     """Weak orthogonal matching pursuit on the sampled dictionary.
@@ -116,7 +119,7 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     """
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
-    if selection not in ("argmax", "adversarial-weak"):
+    if selection not in SELECTIONS:
         raise ValueError(f"unknown selection rule {selection!r}")
     if steps is None:
         steps = min(h.m, h.size)

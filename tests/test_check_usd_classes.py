@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from womplab.discretization import (PointSet, _class_members,
-                                    _class_representatives, _combinations,
-                                    _holds, _pick_worst, build_sampled,
-                                    check_usd, draw_points)
+from womplab.discretization import (PointSet, _box_representatives,
+                                    _class_members, _class_representatives,
+                                    _combinations, _holds, _pick_worst,
+                                    build_sampled, check_usd, draw_points)
 from womplab.trig import TrigSystem
 
 
@@ -165,6 +165,38 @@ def test_class_members_cover_every_support_once(box, u_max):
         batch = [tuple(s) for s in
                  _class_members(np.array(reps), system.box).tolist()]
         assert sorted(batch) == sorted(set(supports) - set(reps))
+
+
+@pytest.mark.parametrize("box, u", [
+    ((4,), 3), ((0,), 1), ((2, 1), 3), ((1, 2), 2), ((0, 2), 3), ((1, 0, 1), 3),
+    ((1, 1, 1), 2)])
+def test_cached_representatives_are_one_per_brute_force_class(box, u):
+    system = TrigSystem(len(box), box)
+    _box_representatives.cache_clear()
+    reps = _box_representatives(system.box, u)
+    assert [tuple(r) for r in reps.tolist()] == sorted(
+        {_brute_representative(system, s)
+         for s in itertools.combinations(range(system.size), u)})
+    assert not reps.flags.writeable
+    assert _box_representatives(system.box, u) is reps
+    assert _box_representatives.cache_info().currsize == 1
+
+
+def test_check_usd_across_boxes_equals_a_cold_cache():
+    # box A twice (a cache hit), then box B, then A again (rebuilt): every
+    # report is bit for bit the one computed with the cache cleared first
+    calls = [((4,), 3, 1), ((4,), 3, 2), ((1, 1), 3, 3), ((4,), 2, 4), ((4,), 3, 1)]
+    sampled = [(build_sampled(TrigSystem(len(box), box),
+                              draw_points(30, len(box), seed)), u)
+               for box, u, seed in calls]
+    warm = [check_usd(s, u) for s, u in sampled]
+    assert _box_representatives.cache_info().currsize == 1
+    for (s, u), rep in zip(sampled, warm):
+        _box_representatives.cache_clear()
+        cold = check_usd(s, u)
+        assert (rep.c_low.hex(), rep.c_high.hex()) == (cold.c_low.hex(),
+                                                       cold.c_high.hex())
+        assert rep == cold
 
 
 def test_eigensolves_count_the_blocks_solved():

@@ -348,6 +348,7 @@ def test_cli_randomized_check_disc_without_trials_is_exit_2(tmp_path, capsys, p)
     ([], "[recover]\nv = 0\n", "[recover] v"),
     ([], "[find-points]\nm0 = 0\n", "[find-points] m0"),
     ([], "[check-disc]\ntrials = 0\n", "[check-disc] trials"),
+    ([], "[find-points]\nu = 0\n", "[find-points] u"),
 ])
 def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, key):
     # each once surfaced a raw numpy or Python message, or one that named
@@ -371,20 +372,36 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
      "[fooling] m_list: m = 5 exceeds theta/2 = 4.5 on box 4"),
     ("recover", "[recover]\npoints_file = {points}\n",
      "[recover] points_file: {points} holds no points"),
+    ("recover", "[recover]\np = 1\n",
+     "[recover] p: recovery guarantees need p >= 2, got 1"),
+    ("recover", "[recover]\nt = 2\n", "[recover] t: expected 0 < t <= 1, got 2"),
+    ("recover", "[recover]\nselection = foo\n", "[recover] selection: expected "
+     "one of argmax, adversarial-weak, got 'foo'"),
+    ("check-disc", "[check-disc]\nu = 10\n",
+     "[check-disc] u: expected 1 to N = 9, got 10"),
+    ("check-disc", "[check-disc]\nmode = x\n", "[check-disc] mode: expected one "
+     "of two-sided, one-sided-lower, got 'x'"),
+    ("check-disc", "[check-disc]\np = 4\n", "[check-disc] p: p = 4 checks are "
+     "randomized searches only; use [check-disc] method = randomized"),
+    ("recover", "[recover]\npoints_file = {plane}\n", "[recover] points_file: "
+     "{plane} holds points of dimension 2, the system has d = 1"),
+    ("check-disc", "[check-disc]\npoints_file = {plane}\n", "[check-disc] "
+     "points_file: {plane} holds points of dimension 2, the system has d = 1"),
 ])
 def test_cli_value_refused_by_a_library_check_names_its_key(
         tmp_path, capsys, command, ini, message):
     # each once exited 2 with a message that named no key; the empty
     # points file also printed numpy RuntimeWarnings first
-    points = tmp_path / "points.txt"
-    points.write_text("dim 1 0\n")
+    files = {"points": tmp_path / "points.txt", "plane": tmp_path / "plane.txt"}
+    files["points"].write_text("dim 1 0\n")
+    files["plane"].write_text("dim 2 1\n0.5 1.5\n")
     cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text(ini.format(points=points))
+    cfgfile.write_text(ini.format(**files))
     code = main([command, "--config", str(cfgfile),
                  "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"config error: {message.format(points=points)}\n")
+        f"config error: {message.format(**files)}\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -401,7 +418,9 @@ def test_cli_only_check_disc_advises_a_randomized_method(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
     assert main(["find-points", "--out", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err == (
-        "error: C(9,2) = 36 supports exceed the subset cap 3\n")
+        "config error: [find-points] u: C(9,2) = 36 supports exceed the subset "
+        "cap 3\n")
+    assert not (tmp_path / "f").exists()
 
 
 @pytest.mark.parametrize("sparsity", [-1, 10])

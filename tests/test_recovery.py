@@ -2,16 +2,20 @@
 
 import functools
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import (DiscreteHilbert, PointSet, build_sampled,
-                                    draw_points)
-from womplab.recovery import (FoolingInstance, RecoveryReport, adversary_gap,
-                              best_vterm_l2_muxi, make_fooling, reconstruct,
-                              recover, sample_target, write_fooling)
+                                    check_usd, draw_points)
+from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
+                              adversary_gap, best_vterm_l2_muxi, make_fooling,
+                              reconstruct, recover, sample_target,
+                              write_fooling)
 from womplab.trig import (TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
                           multiply, read_polynomial)
 
@@ -237,6 +241,82 @@ def test_fooling_empty_pointset_gives_kernel_norm():
     oracle4 = math.sqrt(multiply(kernel, kernel).l2_norm())
     assert inst.norm_p == pytest.approx(oracle4, rel=1e-11)
     assert inst.norm_q == pytest.approx(kernel.l2_norm(), rel=1e-11)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64).tolist()
+
+
+def test_make_fooling_across_boxes_equals_a_cold_cache():
+    # box A twice (a cache hit), then box B, then A again (rebuilt): every
+    # instance is bit for bit the one built with the cache cleared first
+    calls = [((8,), 4, 1), ((8,), 4, 2), ((2, 2), 6, 3), ((8,), 0, 0), ((8,), 4, 1)]
+    pts = [draw_points(m, len(box), seed) if m else PointSet(len(box), np.zeros((0, 1)))
+           for box, m, seed in calls]
+    warm = [make_fooling(xi, box) for (box, _, _), xi in zip(calls, pts)]
+    assert _fooling_grid.cache_info().currsize == 1
+    for (box, _, _), xi, inst in zip(calls, pts, warm):
+        _fooling_grid.cache_clear()
+        cold = make_fooling(xi, box)
+        for name in ("g_xi", "f"):
+            got, expect = getattr(inst, name), getattr(cold, name)
+            assert list(got.coeffs) == list(expect.coeffs)
+            assert _bits(list(got.coeffs.values())) == _bits(list(expect.coeffs.values()))
+        assert inst.x_star.tobytes() == cold.x_star.tobytes()
+        for name in ("norm_q", "norm_p", "value_at_xstar", "sup_grid", "samples_max"):
+            assert getattr(inst, name).hex() == getattr(cold, name).hex()
+        assert inst.null_dim == cold.null_dim
+
+
+def test_make_fooling_box_work_is_read_only_and_kept_for_one_box():
+    inst = make_fooling(draw_points(3, 2, 5), (2, 1))
+    grid, matrix, indices, kernel = _fooling_grid((2, 1))
+    assert not grid.flags.writeable and not matrix.flags.writeable
+    assert not inst.x_star.flags.writeable
+    assert matrix.shape == (len(grid), 15) and len(indices) == 15
+    assert _fooling_grid((2, 1))[1] is matrix
+    assert _fooling_grid.cache_info().currsize == 1
+
+
+def test_a_fooling_grid_miss_frees_the_last_box_before_building():
+    # at most one box's matrix is alive, also while the next is built
+    tracemalloc.start()
+    try:
+        _fooling_grid((99,))
+        tracemalloc.reset_peak()
+        matrix = _fooling_grid((100,))[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the new matrix and evaluate_at's phases (about 2.1 times the matrix);
+    # the last box's matrix, kept through the build, would add one more
+    assert peak < 2.5 * matrix.nbytes
+
+
+def test_box_caches_shared_by_threads_give_the_serial_results():
+    # more threads than cores, switching often, on alternating boxes: both
+    # caches are rebuilt under each other's feet and every result is the
+    # serial one
+    jobs = [((4,), 1), ((1, 1), 2), ((8,), 3), ((2, 2), 4)] * 4
+
+    def run(job):
+        box, seed = job
+        d = len(box)
+        cert = check_usd(build_sampled(TrigSystem(d, box),
+                                       draw_points(12, d, seed)), 2)
+        inst = make_fooling(draw_points(3, d, seed), box)
+        return cert, inst.norm_p.hex(), inst.x_star.tobytes()
+
+    serial = [run(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(run, job) for job in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
 
 
 def test_make_fooling_requires_room_in_the_box():

@@ -202,17 +202,23 @@ def test_a_miss_frees_the_last_tables_before_building():
 
 
 def test_rate_sweep_two_threads_give_the_serial_cells():
-    sec = default_config()["rate-sweep"]
-    sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0})
-    serial, _, _ = rate_sweep_compute(sec, base_seed=5, threads=1)
-    threaded, _, _ = rate_sweep_compute(sec, base_seed=5, threads=2)
-    assert len(serial) == len(threaded) == 8
-    for a, b in zip(serial, threaded):
-        assert a.keys() == b.keys()
-        assert [a[k] for k in ("v", "seed", "m", "J", "size", "steps")] == \
-            [b[k] for k in ("v", "seed", "m", "J", "size", "steps")]
-        assert list(a["errors"]) == list(b["errors"])
-        assert np.array_equal(np.array(list(a["errors"].values())).view(np.uint64),
-                              np.array(list(b["errors"].values())).view(np.uint64))
-        assert a["report"].csv_row() == b["report"].csv_row()
-        assert_same_poly(a["report"].approximant, b["report"].approximant)
+    # certify = true also shares check_usd's cached class representatives
+    # between the threads
+    for certify in (False, True):
+        sec = default_config()["rate-sweep"]
+        sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0, "certify": certify})
+        serial, _, _ = rate_sweep_compute(sec, base_seed=5, threads=1)
+        threaded, _, _ = rate_sweep_compute(sec, base_seed=5, threads=2)
+        assert len(serial) == len(threaded) == 8
+        # v = 1 and 2 certify on boxes 3 and 7; C(31, u) is over the cap after
+        assert sum(c["report"].certificate is not None
+                   for c in threaded) == 4 * certify
+        for a, b in zip(serial, threaded):
+            assert a.keys() == b.keys()
+            assert [a[k] for k in ("v", "seed", "m", "J", "size", "steps")] == \
+                [b[k] for k in ("v", "seed", "m", "J", "size", "steps")]
+            assert list(a["errors"]) == list(b["errors"])
+            assert np.array_equal(np.array(list(a["errors"].values())).view(np.uint64),
+                                  np.array(list(b["errors"].values())).view(np.uint64))
+            assert a["report"].csv_row() == b["report"].csv_row()
+            assert_same_poly(a["report"].approximant, b["report"].approximant)
