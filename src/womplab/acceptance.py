@@ -9,6 +9,7 @@ records with a pass flag and a measured-numbers detail string.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from copy import deepcopy
@@ -127,17 +128,14 @@ def criterion_greedy_recovery():
 # (degree, u) cells of the shared recovery ensemble; sizes 9 and 17.
 _ENSEMBLE_CELLS = ((4, 3), (4, 4), (8, 3), (8, 4))
 _ENSEMBLE_SEEDS = 50
-_ENSEMBLE_CACHE: list | None = None
 
 
+@functools.cache
 def _recovery_ensemble():
     """Dense targets, certified point sets, WOMP with 2v steps, both norms.
 
     Cached because criteria 4 and 5 read the same 200 runs.
     """
-    global _ENSEMBLE_CACHE
-    if _ENSEMBLE_CACHE is not None:
-        return _ENSEMBLE_CACHE
     cells = []
     for deg, u in _ENSEMBLE_CELLS:
         system = TrigSystem(1, (deg,))
@@ -169,7 +167,6 @@ def _recovery_ensemble():
                 "sigma_ref": {p: lp_norm(ref_diff, p, "mu_xi", pointset=pts)
                               for p in (2.0, 4.0)},
             })
-    _ENSEMBLE_CACHE = cells
     return cells
 
 

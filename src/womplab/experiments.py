@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classes import ClassSpec, default_truncation_level, sample_class_function
+from .classes import (PROFILES, ClassSpec, default_truncation_level,
+                      sample_class_function)
 from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
                              SubsetCapError, build_sampled, check_usd,
                              draw_points, read_pointset, uniform_grid_points,
@@ -69,7 +70,7 @@ DEFAULTS = {
         "t": 1.0,
         "c_emp": 2.0,
         "m": 64,
-        "target": "dense",  # dense | sparse | saturated-spread | single-spike | random-support
+        "target": "dense",
         "sparsity": 2,
         "r": 2.0,
         "beta": 1.0,
@@ -89,7 +90,7 @@ DEFAULTS = {
         "v_list": "1,2,3,4,6,8",
         "seeds": 20,
         "a": 30.0,
-        "schedule": "log4",  # log4 | log3
+        "schedule": "log4",
         "t": 1.0,
         "c_emp": 2.0,
         "certify": False,
@@ -98,7 +99,7 @@ DEFAULTS = {
     "fooling": {
         "d": 1,
         "box_list": "8,16,32",
-        "m_rule": "quarter",  # quarter | explicit
+        "m_rule": "quarter",
         "m_list": "",
         "seeds": 10,
         "p": 4.0,
@@ -106,6 +107,33 @@ DEFAULTS = {
         "run_recovery": True,
         "dump_instances": True,
     },
+}
+
+
+def _at_least(lo):
+    return (lambda x: x >= lo), f"expected >= {lo}"
+
+
+# The values each key accepts: a tuple of choices, or a test with the
+# phrase its refusal prints.  A (section, key) entry overrides the key's
+# own, and a *_list key is checked entry by entry.  The drivers check only
+# what needs a derived value: N, theta, J against degree, the caps.
+VALID = {
+    **dict.fromkeys(("threads", "d", "u", "v", "m", "m0", "m_cap", "trials",
+                     "seeds", "v_list", "box_list", "p", "q"), _at_least(1)),
+    **dict.fromkeys(("seed", "degree", "m_list", "c_emp"), _at_least(0)),
+    **dict.fromkeys((("recover", "p"), "p_list"),
+                    ((lambda x: x >= 2), "recovery guarantees need p >= 2")),
+    ("check-disc", "p"): ((lambda x: 1 <= x < math.inf), "expected 1 <= p < inf"),
+    "J": _at_least(-1),
+    "t": ((lambda x: 0 < x <= 1), "expected 0 < t <= 1"),
+    "r": ((lambda x: x > 0), "expected > 0"),
+    "a": ((lambda x: x > 0), "expected > 0"),
+    "beta": ((lambda x: 0 < x <= 2), "expected 0 < beta <= 2"),
+    "density": ((lambda x: 0 < x <= 1), "expected 0 < density <= 1"),
+    "mode": MODES, "method": METHODS, "selection": SELECTIONS,
+    "target": ("dense", "sparse") + PROFILES, "profile": PROFILES,
+    "schedule": ("log4", "log3"), "m_rule": ("quarter", "explicit"),
 }
 
 
@@ -145,8 +173,7 @@ def _coerce(section, key, raw, default):
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     """Merge DEFAULTS <- INI file <- CLI overrides into one config dict.
 
-    A negative seed, and any section's seeds, d, v, u, m, m0 or trials
-    below 1, raise ConfigError.
+    A value that VALID rejects raises ConfigError naming its key.
     """
     cfg = default_config()
     if path:
@@ -168,41 +195,34 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     for key, val in (overrides or {}).items():
         if val is not None:
             cfg["common"][key] = val
-    seed = cfg["common"]["seed"]
-    if seed < 0:
-        raise ConfigError(f"[common] seed: expected >= 0, got {seed}")
     for section, values in cfg.items():
-        for key in ("seeds", "d", "v", "u", "m", "m0", "trials"):
-            if values.get(key, 1) < 1:
-                raise ConfigError(
-                    f"[{section}] {key}: expected >= 1, got {values[key]}")
+        _check(section, values)
     return cfg
 
 
-def _int_list(text, section, key):
+def _numbers(sec, section, key):
+    """Entries of a list key; only m_list, unused by m_rule = quarter, may be empty."""
+    kind, noun = (float, "numbers") if key == "p_list" else (int, "integers")
     try:
-        vals = [int(tok) for tok in str(text).replace(",", " ").split()]
+        vals = [kind(tok) for tok in str(sec[key]).replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected integers, got {text!r}") from None
-    if not vals:
+        raise ConfigError(f"[{section}] {key}: expected {noun}, "
+                          f"got {sec[key]!r}") from None
+    if not vals and key != "m_list":
         raise ConfigError(f"[{section}] {key}: empty list")
     return vals
 
 
-def _float_list(text, section, key):
-    try:
-        vals = [float(tok) for tok in str(text).replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected numbers, got {text!r}") from None
-    if not vals:
-        raise ConfigError(f"[{section}] {key}: empty list")
-    return vals
-
-
-def _one_of(sec, section, key, allowed):
-    if sec[key] not in allowed:
-        raise ConfigError(f"[{section}] {key}: expected one of "
-                          f"{', '.join(allowed)}, got {sec[key]!r}")
+def _check(section, sec):
+    """Refuse the first value of a config section that VALID rejects."""
+    for key, val in sec.items():
+        rule = VALID.get((section, key), VALID.get(key))
+        for x in _numbers(sec, section, key) if key.endswith("_list") else (val,):
+            if rule and isinstance(rule[0], str) and x not in rule:
+                raise ConfigError(f"[{section}] {key}: expected one of "
+                                  f"{', '.join(rule)}, got {x!r}")
+            if rule and callable(rule[0]) and not rule[0](x):
+                raise ConfigError(f"[{section}] {key}: {rule[1]}, got {x:.12g}")
 
 
 def _echo(section_cfg) -> str:
@@ -223,6 +243,22 @@ def _outdir(cfg) -> str:
     return out
 
 
+def _pointset_from(sec, section, system, seed):
+    if sec.get("points_file"):
+        pts = read_pointset(sec["points_file"])
+        if pts.dim != system.dim:
+            raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
+                              f"holds points of dimension {pts.dim}, the "
+                              f"system has d = {system.dim}")
+        return pts
+    if sec.get("grid"):
+        try:
+            return uniform_grid_points(2 * max(system.box) + 1, system.dim)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] grid: {exc}") from None
+    return draw_points(sec["m"], system.dim, seed)
+
+
 # ---------------------------------------------------------------- find-points
 
 def run_find_points(cfg: dict):
@@ -238,31 +274,17 @@ def run_find_points(cfg: dict):
     system = TrigSystem(d, (degree,) * d)
     if u > system.size:
         raise ConfigError(f"[find-points] u: {u} exceeds the system size {system.size}")
-    _one_of(sec, "find-points", "mode", MODES)
-    reports = []
-    found = None
-
+    attempts = ([_pointset_from(sec, "find-points", system, seed)] if sec["grid"]
+                else (draw_points(sec["m0"] << k, d, seed + k)
+                      for k in range((sec["m_cap"] // sec["m0"]).bit_length())))
+    reports, found = [], None
     try:
-        if sec["grid"]:
-            n = 2 * degree + 1
-            pts = uniform_grid_points(n, d)
-            rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
-                            "exhaustive")
-            reports.append(rep)
-            found = pts if rep.holds else None
-        else:
-            m = sec["m0"]
-            attempt = 0
-            while m <= sec["m_cap"]:
-                pts = draw_points(m, d, seed + attempt)
-                rep = check_usd(build_sampled(system, pts), u, 2.0, sec["mode"],
-                                "exhaustive")
-                reports.append(rep)
-                if rep.holds:
-                    found = pts
-                    break
-                m *= 2
-                attempt += 1
+        for pts in attempts:
+            reports.append(check_usd(build_sampled(system, pts), u, 2.0,
+                                     sec["mode"], "exhaustive"))
+            if reports[-1].holds:
+                found = pts
+                break
     except SubsetCapError as exc:
         raise ConfigError(f"[find-points] u: {exc}") from None
 
@@ -278,29 +300,14 @@ def run_find_points(cfg: dict):
 
 # ----------------------------------------------------------------- check-disc
 
-def _pointset_from(sec, section, system, seed):
-    if sec.get("points_file"):
-        pts = read_pointset(sec["points_file"])
-        if pts.dim != system.dim:
-            raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
-                              f"holds points of dimension {pts.dim}, the "
-                              f"system has d = {system.dim}")
-        return pts
-    if sec.get("grid"):
-        return uniform_grid_points(2 * max(system.box) + 1, system.dim)
-    return draw_points(sec["m"], system.dim, seed)
-
-
 def run_check_disc(cfg: dict) -> DiscretizationReport:
     sec = cfg["check-disc"]
     seed = cfg["common"]["seed"]
     system = TrigSystem(sec["d"], (sec["degree"],) * sec["d"])
     pts = _pointset_from(sec, "check-disc", system, seed)
-    if not 1 <= sec["u"] <= system.size:
+    if sec["u"] > system.size:
         raise ConfigError(f"[check-disc] u: expected 1 to N = {system.size}, "
                           f"got {sec['u']}")
-    _one_of(sec, "check-disc", "mode", MODES)
-    _one_of(sec, "check-disc", "method", METHODS)
     if sec["p"] != 2 and sec["method"] == "exhaustive":
         raise ConfigError(f"[check-disc] p: p = {sec['p']:g} checks are "
                           "randomized searches only; use [check-disc] method = "
@@ -335,15 +342,12 @@ def _make_target(sec, system, seed):
         cols = rng.choice(system.size, size=v, replace=False)
         coeff = rng.standard_normal(v) + 1j * rng.standard_normal(v)
         return reconstruct(system, cols, coeff)
-    if kind in ("saturated-spread", "single-spike", "random-support"):
-        J = sec["J"] if sec["J"] >= 0 else default_truncation_level(max(sec.get("v", 1), 1))
-        spec = ClassSpec(sec["r"], sec["beta"], J)
-        if 2 ** (J + 1) - 1 > max(system.box):
-            raise ConfigError(
-                f"truncation level J={J} needs box degree >= {2 ** (J + 1) - 1}")
-        return sample_class_function(spec, kind, seed, dim=system.dim,
-                                     density=sec["density"])
-    raise ConfigError(f"unknown target kind {kind!r}")
+    J = sec["J"] if sec["J"] >= 0 else default_truncation_level(sec["v"])
+    if 2 ** (J + 1) - 1 > max(system.box):
+        raise ConfigError(f"[recover] J: truncation level J={J} needs box "
+                          f"degree >= {2 ** (J + 1) - 1}")
+    return sample_class_function(ClassSpec(sec["r"], sec["beta"], J), kind,
+                                 seed, dim=system.dim, density=sec["density"])
 
 
 def run_recover(cfg: dict):
@@ -357,12 +361,6 @@ def run_recover(cfg: dict):
     if u > system.size:
         raise ConfigError(f"[recover] v: u = ceil((1 + c_emp) v) = {u} "
                           f"exceeds the dictionary size N = {system.size}")
-    if sec["p"] < 2:
-        raise ConfigError(f"[recover] p: recovery guarantees need p >= 2, "
-                          f"got {sec['p']:g}")
-    if not 0 < sec["t"] <= 1:
-        raise ConfigError(f"[recover] t: expected 0 < t <= 1, got {sec['t']:g}")
-    _one_of(sec, "recover", "selection", SELECTIONS)
     f0 = _make_target(sec, system, seed)
     report = recover(f0, system, pts, v=sec["v"], p=sec["p"], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
@@ -430,7 +428,7 @@ def _sweep_cell(args):
     pts = draw_points(m, d, cell_seed)
     f0 = sample_class_function(spec, sec["profile"], cell_seed, dim=d,
                                density=sec["density"])
-    p_list = _float_list(sec["p_list"], "rate-sweep", "p_list")
+    p_list = _numbers(sec, "rate-sweep", "p_list")
     report = recover(f0, system, pts, v=v, p=p_list[0], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
                      compute_sigma=False, seed=seed_idx)
@@ -445,15 +443,13 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
     """Run all sweep cells and fit slopes; returns (cells, fits, dropped_v).
 
     Pure compute path (no files), shared by the CLI driver and the
-    acceptance gate.  Cells whose sample budget falls below the greedy
-    step count are dropped and their v reported back.
+    acceptance gate, so it checks its section against VALID itself.  Cells
+    whose sample budget falls below the greedy step count are dropped and
+    their v reported back.
     """
-    v_list = _int_list(sec["v_list"], "rate-sweep", "v_list")
-    p_list = _float_list(sec["p_list"], "rate-sweep", "p_list")
-    if sec["schedule"] not in ("log4", "log3"):
-        raise ConfigError(f"unknown schedule {sec['schedule']!r}")
-    if any(v < 1 for v in v_list):
-        raise ConfigError("v_list entries must be >= 1")
+    _check("rate-sweep", sec)
+    v_list = _numbers(sec, "rate-sweep", "v_list")
+    p_list = _numbers(sec, "rate-sweep", "p_list")
     n_seeds = sec["seeds"]
     jobs = [(sec, base_seed, v, s) for v in v_list for s in range(n_seeds)]
 
@@ -486,7 +482,7 @@ def run_rate_sweep(cfg: dict):
     base_seed = cfg["common"]["seed"]
     cells, fits, dropped = rate_sweep_compute(sec, base_seed,
                                               cfg["common"]["threads"])
-    p_list = _float_list(sec["p_list"], "rate-sweep", "p_list")
+    p_list = _numbers(sec, "rate-sweep", "p_list")
 
     out = _outdir(cfg)
     echo = _echo({**sec, "seed": base_seed})
@@ -534,19 +530,18 @@ def run_fooling(cfg: dict):
     sec = cfg["fooling"]
     seed = cfg["common"]["seed"]
     d = sec["d"]
-    boxes = _int_list(sec["box_list"], "fooling", "box_list")
-    if sec["m_rule"] == "explicit":
-        m_list = _int_list(sec["m_list"], "fooling", "m_list")
+    boxes = _numbers(sec, "fooling", "box_list")
+    if sec["m_rule"] == "quarter":
+        m_list = [TrigSystem(d, (b,) * d).size // 4 for b in boxes]
+    else:
+        m_list = _numbers(sec, "fooling", "m_list")
         if len(m_list) != len(boxes):
-            raise ConfigError("m_list length must match box_list")
+            raise ConfigError(f"[fooling] m_list: expected {len(boxes)} "
+                              f"entries, one per box, got {len(m_list)}")
         for box, m in zip(boxes, m_list):
             half = (2 * box + 1) ** d / 2
             if m > half:
                 raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
-    elif sec["m_rule"] == "quarter":
-        m_list = [TrigSystem(d, (b,) * d).size // 4 for b in boxes]
-    else:
-        raise ConfigError(f"unknown m_rule {sec['m_rule']!r}")
 
     out = _outdir(cfg)
     records = []

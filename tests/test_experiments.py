@@ -8,8 +8,9 @@ import pytest
 
 from womplab import acceptance, discretization
 from womplab.cli import main
-from womplab.experiments import (ConfigError, _sweep_cell, default_config,
-                                 dump_config, fit_rate, parse_config,
+from womplab.experiments import (DEFAULTS, VALID, ConfigError, _sweep_cell,
+                                 default_config, dump_config, fit_rate,
+                                 parse_config,
                                  rate_sweep_compute, run_check_disc,
                                  run_find_points, run_fooling, run_rate_sweep,
                                  run_recover, schedule_m, target_exponent,
@@ -403,6 +404,62 @@ def test_cli_value_refused_by_a_library_check_names_its_key(
     assert capsys.readouterr().err == (
         f"config error: {message.format(**files)}\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, ini", [
+    ("find-points", "degree = -1"), ("find-points", "m_cap = 0"),
+    ("find-points", "mode = x"), ("check-disc", "degree = -1"),
+    ("check-disc", "p = 0.5"), ("check-disc", "method = x"),
+    ("check-disc", "p = inf\nmethod = randomized"),
+    ("recover", "degree = -1"), ("recover", "c_emp = -1"),
+    ("recover", "c_emp = -0.5"), ("recover", "target = foo"),
+    ("recover", "r = 0"), ("recover", "beta = 3"), ("recover", "J = -2"),
+    ("recover", "density = 0"), ("rate-sweep", "r = 0"),
+    ("rate-sweep", "beta = 3"), ("rate-sweep", "profile = x"),
+    ("rate-sweep", "density = 0"), ("rate-sweep", "p_list = 1"),
+    ("rate-sweep", "v_list = 0"), ("rate-sweep", "a = 0"),
+    ("rate-sweep", "schedule = x"), ("rate-sweep", "t = 2"),
+    ("rate-sweep", "c_emp = -1"), ("rate-sweep", "J = -2"),
+    ("fooling", "box_list = 0"), ("fooling", "m_rule = x"),
+    ("fooling", "m_list = -1"), ("fooling", "p = 0.5"), ("fooling", "q = 0.5"),
+    ("common", "threads = 0"),
+    ("check-disc", "grid = true\nd = 3\ndegree = 100"),
+    ("find-points", "grid = true\nd = 3\ndegree = 100"),
+])
+def test_cli_value_outside_its_range_names_its_key(tmp_path, capsys, section,
+                                                   ini):
+    # each once printed a library message, a message that named no
+    # section, an empty trail or no refusal at all
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[{section}]\n{ini}\n")
+    command = "recover" if section == "common" else section
+    code = main([command, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    key = ini.split(" = ")[0]
+    assert capsys.readouterr().err.startswith(
+        f"config error: [{section}] {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_every_config_key_has_a_valid_rule():
+    # booleans take any parsed value; out and points_file are paths, and
+    # sparsity's range 0 to N depends on d and degree, so run_recover
+    # checks it
+    free = ("out", "points_file", "sparsity")
+    unruled = [f"[{section}] {key}" for section, values in DEFAULTS.items()
+               for key, val in values.items()
+               if not isinstance(val, bool) and key not in free
+               and key not in VALID and (section, key) not in VALID]
+    assert unruled == []
+
+
+def test_rate_sweep_compute_checks_its_section():
+    # library callers pass sections that never went through parse_config
+    sec = default_config()["rate-sweep"]
+    sec["c_emp"] = -1.0
+    with pytest.raises(ConfigError, match=r"^\[rate-sweep\] c_emp: "):
+        rate_sweep_compute(sec, base_seed=0)
 
 
 def test_cli_only_check_disc_advises_a_randomized_method(tmp_path, capsys,
