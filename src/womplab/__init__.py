@@ -10,8 +10,7 @@ from .discretization import (DiscreteHilbert, DiscretizationReport, PointSet,
                              SampledSystem, build_sampled, check_usd,
                              draw_points, read_pointset, uniform_grid_points,
                              write_pointset)
-from .greedy import (BestTermResult, WompTrace, best_vterm, project, womp,
-                     write_trace_csv)
+from .greedy import BestTermResult, WompTrace, best_vterm, project, womp
 from .recovery import (FoolingInstance, GapRecord, RecoveryReport,
                        adversary_gap, best_vterm_l2_muxi, make_fooling,
                        reconstruct, recover, write_fooling)

@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI file overriding the defaults")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory override")
-        p.add_argument("--threads", type=int, help="worker thread override")
         p.add_argument("--dump-config", action="store_true",
                        help="print the merged config and exit")
         if name == "verify":
@@ -140,9 +139,8 @@ def _cmd_fooling(cfg) -> int:
     records = run_fooling(cfg)
     worst = max(r.instance.vanishing_defect for r in records)
     print(f"{len(records)} instances; worst vanishing defect {worst:.3e}")
-    fooled = [r.recovery_fooled for r in records if r.recovery_fooled is not None]
-    if fooled:
-        print(f"recovery hit the lower bound in {sum(fooled)}/{len(fooled)} runs")
+    fooled = sum(r.recovery_fooled for r in records)
+    print(f"recovery hit the lower bound in {fooled}/{len(records)} runs")
     print(f"tables in {cfg['common']['out']}")
     return 0
 
@@ -150,8 +148,7 @@ def _cmd_fooling(cfg) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config, {"seed": args.seed, "out": args.out,
-                                         "threads": args.threads})
+        cfg = parse_config(args.config, {"seed": args.seed, "out": args.out})
         if args.dump_config:
             print(dump_config(cfg))
             return 0

@@ -166,10 +166,13 @@ class SampledSystem(DiscreteHilbert):
 
 
 def build_sampled(system: TrigSystem, pointset: PointSet) -> SampledSystem:
+    """The system evaluated at the points, as a read-only matrix, so the
+    cached gram always matches it."""
     if system.dim != pointset.dim:
         raise ValueError("system and point set dimensions differ")
-    return SampledSystem(matrix=system.evaluate_at(pointset.points),
-                         system=system, pointset=pointset)
+    matrix = system.evaluate_at(pointset.points)
+    matrix.flags.writeable = False
+    return SampledSystem(matrix=matrix, system=system, pointset=pointset)
 
 
 @dataclass(frozen=True)

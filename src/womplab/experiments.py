@@ -27,7 +27,7 @@ from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
                              write_pointset)
 from .recovery import (RecoveryReport, adversary_gap, recover, reconstruct,
                        write_fooling)
-from .greedy import SELECTIONS, womp, write_trace_csv
+from .greedy import SELECTIONS, womp
 from .trig import TrigPolynomial, TrigSystem, lp_norm
 
 
@@ -39,7 +39,6 @@ DEFAULTS = {
     "common": {
         "seed": 0,
         "out": "womplab-out",
-        "threads": 1,
     },
     "find-points": {
         "d": 1,
@@ -90,7 +89,6 @@ DEFAULTS = {
         "v_list": "1,2,3,4,6,8",
         "seeds": 20,
         "a": 30.0,
-        "schedule": "log4",
         "t": 1.0,
         "c_emp": 2.0,
         "certify": False,
@@ -104,8 +102,6 @@ DEFAULTS = {
         "seeds": 10,
         "p": 4.0,
         "q": 2.0,
-        "run_recovery": True,
-        "dump_instances": True,
     },
 }
 
@@ -119,7 +115,7 @@ def _at_least(lo):
 # own, and a *_list key is checked entry by entry.  The drivers check only
 # what needs a derived value: N, theta, J against degree, the caps.
 VALID = {
-    **dict.fromkeys(("threads", "d", "u", "v", "m", "m0", "m_cap", "trials",
+    **dict.fromkeys(("d", "u", "v", "m", "m0", "m_cap", "trials",
                      "seeds", "v_list", "box_list", "p", "q"), _at_least(1)),
     **dict.fromkeys(("seed", "degree", "m_list", "c_emp"), _at_least(0)),
     **dict.fromkeys((("recover", "p"), "p_list"),
@@ -133,7 +129,7 @@ VALID = {
     "density": ((lambda x: 0 < x <= 1), "expected 0 < density <= 1"),
     "mode": MODES, "method": METHODS, "selection": SELECTIONS,
     "target": ("dense", "sparse") + PROFILES, "profile": PROFILES,
-    "schedule": ("log4", "log3"), "m_rule": ("quarter", "explicit"),
+    "m_rule": ("quarter", "explicit"),
 }
 
 
@@ -173,7 +169,8 @@ def _coerce(section, key, raw, default):
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     """Merge DEFAULTS <- INI file <- CLI overrides into one config dict.
 
-    A value that VALID rejects raises ConfigError naming its key.
+    A key its section does not declare, or a value that VALID rejects,
+    raises ConfigError naming the key.
     """
     cfg = default_config()
     if path:
@@ -189,9 +186,8 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
             if section not in cfg:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in parser[section].items():
-                if key not in cfg[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                cfg[section][key] = _coerce(section, key, raw, cfg[section][key])
+                # an undeclared key stays a string, for _check to refuse
+                cfg[section][key] = _coerce(section, key, raw, cfg[section].get(key))
     for key, val in (overrides or {}).items():
         if val is not None:
             cfg["common"][key] = val
@@ -214,8 +210,11 @@ def _numbers(sec, section, key):
 
 
 def _check(section, sec):
-    """Refuse the first value of a config section that VALID rejects."""
+    """Refuse the first key of a config section that DEFAULTS does not
+    declare, or the first value that VALID rejects."""
     for key, val in sec.items():
+        if key not in DEFAULTS[section]:
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
         rule = VALID.get((section, key), VALID.get(key))
         for x in _numbers(sec, section, key) if key.endswith("_list") else (val,):
             if rule and isinstance(rule[0], str) and x not in rule:
@@ -369,8 +368,8 @@ def run_recover(cfg: dict):
     echo = _echo({**sec, "seed": seed})
     _write_csv(os.path.join(out, "recovery.csv"),
                type(report).CSV_HEADER, [report.csv_row()], echo)
-    if report.trace is not None:
-        write_trace_csv(report.trace, os.path.join(out, "womp_trace.csv"))
+    _write_csv(os.path.join(out, "womp_trace.csv"), report.trace.CSV_HEADER,
+               report.trace.csv_rows(), echo)
     return report
 
 
@@ -394,10 +393,9 @@ def target_exponent(p: float, beta: float, r: float, d: int) -> float:
     return 1.0 - 1.0 / p - 1.0 / beta - r / d
 
 
-def schedule_m(v: int, a: float, kind: str = "log4") -> int:
-    """Sample budget a * v * log(2v)^4 (or ^3 for the alternate schedule)."""
-    power = 4 if kind == "log4" else 3
-    return int(math.ceil(a * v * math.log(2 * v) ** power))
+def schedule_m(v: int, a: float) -> int:
+    """Sample budget a * v * log(2v)^4."""
+    return int(math.ceil(a * v * math.log(2 * v) ** 4))
 
 
 def fit_rate(v_values, medians, p, target, n_seeds) -> RateFit:
@@ -420,10 +418,7 @@ def _sweep_cell(args):
     spec = ClassSpec(sec["r"], sec["beta"], J)
     degree = 2 ** J - 1
     system = TrigSystem(d, (degree,) * d)
-    m = schedule_m(v, sec["a"], sec["schedule"])
-    steps = int(math.ceil(sec["c_emp"] * v))
-    if m < steps:
-        return None
+    m = schedule_m(v, sec["a"])
     cell_seed = base_seed + 100_003 * v + seed_idx
     pts = draw_points(m, d, cell_seed)
     f0 = sample_class_function(spec, sec["profile"], cell_seed, dim=d,
@@ -443,34 +438,39 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
     """Run all sweep cells and fit slopes; returns (cells, fits, dropped_v).
 
     Pure compute path (no files), shared by the CLI driver and the
-    acceptance gate, so it checks its section against VALID itself.  Cells
-    whose sample budget falls below the greedy step count are dropped and
-    their v reported back.
+    acceptance gate, so it checks its section itself, before any cell
+    runs.  A v whose sample budget falls below its greedy step count is
+    dropped and reported back; a section that leaves the fit fewer than
+    4 distinct v is refused.
     """
     _check("rate-sweep", sec)
     v_list = _numbers(sec, "rate-sweep", "v_list")
     p_list = _numbers(sec, "rate-sweep", "p_list")
+    if len(set(v_list)) < len(v_list) or len(v_list) < 4:
+        raise ConfigError(f"[rate-sweep] v_list: expected at least 4 entries, "
+                          f"none repeated, got {sec['v_list']!r}")
+    dropped = sorted(v for v in v_list
+                     if schedule_m(v, sec["a"]) < math.ceil(sec["c_emp"] * v))
+    kept = [v for v in v_list if v not in dropped]
+    if len(kept) < 4:
+        raise ConfigError(f"[rate-sweep] a: a = {sec['a']:g} gives fewer "
+                          f"samples than greedy steps at v = "
+                          f"{', '.join(map(str, dropped))}, leaving "
+                          f"{len(kept)} v; the fit needs 4")
     n_seeds = sec["seeds"]
-    jobs = [(sec, base_seed, v, s) for v in v_list for s in range(n_seeds)]
+    jobs = [(sec, base_seed, v, s) for v in kept for s in range(n_seeds)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cells = list(pool.map(_sweep_cell, jobs))
     else:
         cells = [_sweep_cell(job) for job in jobs]
-    dropped = sorted({job[2] for job, cell in zip(jobs, cells) if cell is None})
-    cells = [c for c in cells if c is not None]
 
     fits = {}
     for p in p_list:
-        medians = []
-        vs = []
-        for v in v_list:
-            errs = [c["errors"][p] for c in cells if c["v"] == v]
-            if errs:
-                vs.append(v)
-                medians.append(float(np.median(errs)))
-        fits[p] = fit_rate(vs, medians, p,
+        medians = [float(np.median([c["errors"][p] for c in cells if c["v"] == v]))
+                   for v in kept]
+        fits[p] = fit_rate(kept, medians, p,
                            target_exponent(p, sec["beta"], sec["r"], sec["d"]),
                            n_seeds)
     return cells, fits, dropped
@@ -480,8 +480,7 @@ def run_rate_sweep(cfg: dict):
     """Full decay-rate experiment; returns (cells, fits dict keyed by p)."""
     sec = cfg["rate-sweep"]
     base_seed = cfg["common"]["seed"]
-    cells, fits, dropped = rate_sweep_compute(sec, base_seed,
-                                              cfg["common"]["threads"])
+    cells, fits, dropped = rate_sweep_compute(sec, base_seed)
     p_list = _numbers(sec, "rate-sweep", "p_list")
 
     out = _outdir(cfg)
@@ -552,17 +551,16 @@ def run_fooling(cfg: dict):
         for s in range(sec["seeds"]):
             pts = (draw_points(m, d, seed + 7919 * box + s) if m > 0
                    else PointSet(d, np.zeros((0, d))))
-            rec_map = zero_data_recovery(system, pts) if sec["run_recovery"] else None
             gap = adversary_gap(pts, (box,) * d, p=sec["p"], q=sec["q"],
-                                recovery=rec_map)
+                                recovery=zero_data_recovery(system, pts))
             records.append(gap)
             inst = gap.instance
             ratio = gap.guaranteed_error / theta ** (1 - 1 / sec["p"])
             rows.append(f"{box},{theta},{m},{s},{inst.norm_q:.12g},"
                         f"{inst.norm_p:.12g},{gap.guaranteed_error:.12g},"
                         f"{ratio:.12g},{inst.vanishing_defect:.3g},"
-                        f"{'' if gap.recovery_fooled is None else gap.recovery_fooled}")
-            if sec["dump_instances"] and s == 0:
+                        f"{gap.recovery_fooled}")
+            if s == 0:
                 write_fooling(inst, os.path.join(out, f"fooling_box{box}.txt"))
     _write_csv(os.path.join(out, "fooling.csv"),
                "box,theta,m,seed,norm_q,norm_p,guaranteed_error,"

@@ -77,13 +77,6 @@ class WompTrace:
                    f"{self.max_ips[k]:.12g},{self.residual_norms[k + 1]:.12g}")
 
 
-def write_trace_csv(trace: WompTrace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(WompTrace.CSV_HEADER + "\n")
-        for row in trace.csv_rows():
-            fh.write(row + "\n")
-
-
 SELECTIONS = ("argmax", "adversarial-weak")
 
 

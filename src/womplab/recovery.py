@@ -23,8 +23,9 @@ from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
 from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
                    lp_norms)
 
-# A discrete sigma_v below this multiple of the target norm counts as exact
-# recovery; ratios against it are reported as flags, not numbers.
+# A sigma_v reference below this multiple of the target's sample norm is at
+# rounding level: no ratio is reported against it, and at sigma_ref it
+# flags exact recovery.
 EXACT_RECOVERY_REL_TOL = 1e-12
 
 
@@ -188,8 +189,10 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
         sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi)
     scale = trace.residual_norms[0]
-    ratio_disc, exact1 = _ratio(trace.residual_norms[-1], sigma_disc, scale)
-    ratio_pipe, exact2 = _ratio(error, sigma_ref, scale)
+    # sigma_discrete is at rounding level whenever the samples cannot tell
+    # supports apart (m <= v), so only sigma_ref can flag exact recovery
+    ratio_disc, _ = _ratio(trace.residual_norms[-1], sigma_disc, scale)
+    ratio_pipe, exact = _ratio(error, sigma_ref, scale)
 
     return RecoveryReport(
         d=system.dim, size=system.size, m=xi.m, v=v, u=u, p=float(p), t=t,
@@ -197,7 +200,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         certificate=certificate, cert_warning=warning,
         error_lp_mu=error, sigma_discrete=sigma_disc, sigma_ref=sigma_ref,
         ratio_discrete=ratio_disc, ratio_pipeline=ratio_pipe,
-        exact_recovery=exact1 or exact2, trace=trace, approximant=approx)
+        exact_recovery=exact, trace=trace, approximant=approx)
 
 
 @dataclass(frozen=True)
@@ -313,31 +316,28 @@ class GapRecord:
 
     instance: FoolingInstance
     guaranteed_error: float
-    recovery_errors: tuple | None
-    recovery_fooled: bool | None
+    recovery_errors: tuple
+    recovery_fooled: bool
 
 
 def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
-                  recovery=None) -> GapRecord:
+                  *, recovery) -> GapRecord:
     """Lower-bound the error of any sample-based recovery map at xi.
 
     Both f and -f produce the all-zero sample vector, so any map must err
     by at least ||f||_p on one of them.  Requires m <= theta/2, the regime
-    the guarantee targets.  When a recovery callable (samples -> candidate
-    polynomial) is supplied, it is fed the zero samples and its worst
-    error over the pair is recorded; it can never beat the bound.
+    the guarantee targets.  The recovery callable (samples -> candidate
+    polynomial) is fed the zero samples and its worst error over the pair
+    is recorded; it can never beat the bound.
     """
     theta = TrigSystem(len(box), box).size
     if xi.m > theta / 2:
         raise ValueError(f"adversary argument needs m <= theta/2 = {theta / 2}")
     inst = make_fooling(xi, box, p=p, q=q)
-    errors = None
-    fooled = None
-    if recovery is not None:
-        candidate = recovery(np.zeros(xi.m, dtype=complex))
-        errors = (lp_norm(inst.f - candidate, p, "mu"),
-                  lp_norm(-inst.f - candidate, p, "mu"))
-        fooled = max(errors) >= inst.norm_p * (1 - 1e-12)
+    candidate = recovery(np.zeros(xi.m, dtype=complex))
+    errors = (lp_norm(inst.f - candidate, p, "mu"),
+              lp_norm(-inst.f - candidate, p, "mu"))
+    fooled = max(errors) >= inst.norm_p * (1 - 1e-12)
     return GapRecord(inst, inst.norm_p, errors, fooled)
 
 

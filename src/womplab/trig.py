@@ -162,7 +162,7 @@ def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
                                           out[tuple(keep.T)].tolist())))
 
 
-def fejer_kernel(j, d: int | None = None) -> TrigPolynomial:
+def fejer_kernel(j) -> TrigPolynomial:
     """Tensor-product Fejer kernel with per-coordinate orders j.
 
     The univariate factor of order j has coefficients (1 - |k|/j) for
@@ -173,17 +173,10 @@ def fejer_kernel(j, d: int | None = None) -> TrigPolynomial:
     Parameters
     ----------
     j : int or sequence of int
-        Positive order, one per coordinate.  A scalar with ``d`` given is
-        broadcast to all coordinates.
-    d : int, optional
-        Dimension when ``j`` is a scalar (default 1).
+        Positive order, one per coordinate; a scalar is the univariate
+        kernel.
     """
-    if np.isscalar(j):
-        orders = (int(j),) * (1 if d is None else int(d))
-    else:
-        orders = tuple(int(v) for v in j)
-        if d is not None and d != len(orders):
-            raise ValueError("d does not match len(j)")
+    orders = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
     if any(v < 1 for v in orders):
         raise ValueError("Fejer orders must be positive integers")
     axes = [[(k, 1.0 - abs(k) / v) for k in range(-(v - 1), v)] for v in orders]
@@ -349,21 +342,19 @@ def _grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
     return vals.reshape(-1)
 
 
-def _check_norm_args(p, oversample):
+def _check_norm_args(p):
     if p != math.inf and not float(p) >= 1:
         raise ValueError("p must be >= 1 or inf")
-    if oversample < 2:
-        raise ValueError("oversample must be >= 2")
 
 
-def lp_norms(poly: TrigPolynomial, ps, oversample: int = OVERSAMPLE) -> tuple:
+def lp_norms(poly: TrigPolynomial, ps) -> tuple:
     """Lp norms under the normalized Lebesgue measure, one per p in ps, each
-    bitwise lp_norm(poly, p, "mu", oversample=oversample); exponents that
-    share a grid size share one grid evaluation."""
+    bitwise lp_norm(poly, p, "mu"); exponents that share a grid size share
+    one grid evaluation."""
     grid_abs, norms, degree = {}, [], poly.degree
     for p in ps:
-        _check_norm_args(p, oversample)
-        n = quadrature_grid_size(degree, p, oversample)
+        _check_norm_args(p)
+        n = quadrature_grid_size(degree, p, OVERSAMPLE)
         if n not in grid_abs:
             grid_abs[n] = np.abs(_grid_values(poly, n))
         norms.append(float(grid_abs[n].max() if p == math.inf
@@ -371,8 +362,7 @@ def lp_norms(poly: TrigPolynomial, ps, oversample: int = OVERSAMPLE) -> tuple:
     return tuple(norms)
 
 
-def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
-            oversample: int = OVERSAMPLE) -> float:
+def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None) -> float:
     """Lp norm of a trigonometric polynomial under one of two measures.
 
     Parameters
@@ -384,24 +374,23 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
         which is a lower estimate of the true sup norm.
     measure : str
         "mu"    normalized Lebesgue measure, quadrature on the tensor grid
-                {2 pi t / n}^d, summed one axis at a time (_grid_values);
+                {2 pi t / n}^d with n = quadrature_grid_size(degree, p,
+                OVERSAMPLE), summed one axis at a time (_grid_values);
         "mu_xi" the half/half mixture of mu and the empirical measure of a
                 point set (pointset required).
     pointset : PointSet, optional
         Sample points for the mixture.
-    oversample : int
-        Grid refinement factor for the continuous part, >= 2.
 
     Returns
     -------
     float
         Nonnegative norm value.
     """
-    _check_norm_args(p, oversample)
+    _check_norm_args(p)
     if measure not in ("mu", "mu_xi"):
         raise ValueError(f"unknown measure: {measure}")
     if measure == "mu":
-        return lp_norms(poly, (p,), oversample)[0]
+        return lp_norms(poly, (p,))[0]
     if pointset is None:
         raise ValueError(f"measure {measure} requires a point set")
     if pointset.dim != poly.dim:
@@ -411,7 +400,7 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None,
     sample_abs = np.abs(poly.eval(pointset.points))
 
     # mu_xi: mean of the p-th powers of the two sides
-    n = quadrature_grid_size(poly.degree, p, oversample)
+    n = quadrature_grid_size(poly.degree, p, OVERSAMPLE)
     grid_abs = np.abs(_grid_values(poly, n))
     if p == math.inf:
         return float(max(grid_abs.max(), sample_abs.max()))

@@ -81,6 +81,19 @@ def test_gram_is_computed_once_and_read_only():
         sampled.gram, sampled.matrix.conj().T @ sampled.matrix / 20)
 
 
+def test_sampled_matrix_is_read_only():
+    # the cached gram is only right while the matrix it came from is unchanged
+    sampled = build_sampled(TrigSystem(1, (3,)), draw_points(20, 1, seed=2))
+    gram = sampled.gram.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        sampled.matrix[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        sampled.matrix *= 2.0
+    np.testing.assert_array_equal(sampled.gram, gram)
+    np.testing.assert_array_equal(
+        sampled.gram, sampled.matrix.conj().T @ sampled.matrix / 20)
+
+
 def test_uniform_grid_is_exact_quadrature():
     sampled = _grid_sampled(3)
     gram = sampled.gram

@@ -84,7 +84,6 @@ def test_target_exponent_frozen_values():
 def test_schedule_m_frozen_values():
     assert schedule_m(1, 30.0) == 7
     assert schedule_m(2, 30.0) == 222
-    assert schedule_m(2, 30.0, "log3") == 160
     assert schedule_m(8, 30.0) == 14184 or schedule_m(8, 30.0) == 14183
 
 
@@ -179,6 +178,31 @@ def test_run_recover_class_target(tmp_path):
     rep = run_recover(cfg)
     assert rep.error_lp_mu > 0
     assert rep.v == 2
+
+
+def test_run_recover_trace_starts_with_the_config_echo(tmp_path):
+    run_recover(_cfg(tmp_path))
+    out = tmp_path / "out"
+    trace = (out / "womp_trace.csv").read_text().splitlines()
+    assert trace[0].startswith("# config: ")
+    assert trace[0] == (out / "recovery.csv").read_text().splitlines()[0]
+    assert trace[1] == "step,chosen_index,chosen_ip,max_ip,residual_norm"
+
+
+def test_cli_recover_from_one_sample_is_not_exact(tmp_path, capsys):
+    # one sample lets any column fit it, so sigma_discrete is at rounding
+    # level; the error is not, and sigma_ref says so
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[recover]\nm = 1\n")
+    assert main(["recover", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "exact recovery" not in out
+    assert "sigma_ref=" in out and "ratio=" in out
+    rep = run_recover(_cfg(tmp_path, recover={"m": 1}))
+    assert rep.sigma_discrete <= 1e-12 * rep.trace.residual_norms[0]
+    assert rep.ratio_discrete is None and not rep.exact_recovery
+    assert rep.error_lp_mu > 1
 
 
 def test_run_recover_rejects_small_box_for_class_target(tmp_path):
@@ -418,11 +442,10 @@ def test_cli_value_refused_by_a_library_check_names_its_key(
     ("rate-sweep", "beta = 3"), ("rate-sweep", "profile = x"),
     ("rate-sweep", "density = 0"), ("rate-sweep", "p_list = 1"),
     ("rate-sweep", "v_list = 0"), ("rate-sweep", "a = 0"),
-    ("rate-sweep", "schedule = x"), ("rate-sweep", "t = 2"),
+    ("rate-sweep", "t = 2"),
     ("rate-sweep", "c_emp = -1"), ("rate-sweep", "J = -2"),
     ("fooling", "box_list = 0"), ("fooling", "m_rule = x"),
     ("fooling", "m_list = -1"), ("fooling", "p = 0.5"), ("fooling", "q = 0.5"),
-    ("common", "threads = 0"),
     ("check-disc", "grid = true\nd = 3\ndegree = 100"),
     ("find-points", "grid = true\nd = 3\ndegree = 100"),
 ])
@@ -460,6 +483,64 @@ def test_rate_sweep_compute_checks_its_section():
     sec["c_emp"] = -1.0
     with pytest.raises(ConfigError, match=r"^\[rate-sweep\] c_emp: "):
         rate_sweep_compute(sec, base_seed=0)
+
+
+def test_removed_options_are_refused(tmp_path, capsys):
+    # the thread pool option, the log^3 schedule and the two fooling
+    # switches are gone: a config that still sets one must not run as if
+    # it did not
+    for section, ini in [("common", "threads = 1"),
+                         ("rate-sweep", "schedule = log3"),
+                         ("fooling", "run_recovery = false"),
+                         ("fooling", "dump_instances = false")]:
+        cfgfile = tmp_path / "c.ini"
+        cfgfile.write_text(f"[{section}]\n{ini}\n")
+        command = "rate-sweep" if section == "common" else section
+        assert main([command, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "o")]) == 2
+        key = ini.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"config error: unknown key {key!r} in section [{section}]\n")
+        assert not (tmp_path / "o").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["rate-sweep", "--threads", "1", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+    sec = {**default_config()["rate-sweep"], "schedule": "log3"}
+    with pytest.raises(ConfigError, match=r"^unknown key 'schedule' in "
+                                          r"section \[rate-sweep\]$"):
+        rate_sweep_compute(sec, base_seed=0)
+
+
+@pytest.mark.parametrize("ini, message", [
+    ("a = 0.001", "[rate-sweep] a: a = 0.001 gives fewer samples than greedy "
+     "steps at v = 1, 2, 3, 4, 6, 8, leaving 0 v; the fit needs 4"),
+    ("v_list = 1,2", "[rate-sweep] v_list: expected at least 4 entries, none "
+     "repeated, got '1,2'"),
+    ("v_list = 2,2,2,2", "[rate-sweep] v_list: expected at least 4 entries, "
+     "none repeated, got '2,2,2,2'"),
+])
+def test_cli_rate_sweep_refuses_a_section_the_fit_cannot_use(tmp_path, capsys,
+                                                              ini, message):
+    # these used to reach fit_rate, which named no key, or (for 2,2,2,2)
+    # to fit a slope over the single v = 2
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[rate-sweep]\n{ini}\n")
+    code = main(["rate-sweep", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_rate_sweep_drops_v_below_their_step_count():
+    # at a = 0.3 the budgets of v = 1 and 2 (1 and 3 samples) fall below
+    # their 2 and 4 greedy steps; four v remain, so the sweep runs
+    sec = {**default_config()["rate-sweep"], "a": 0.3, "seeds": 1}
+    cells, fits, dropped = rate_sweep_compute(sec, base_seed=0)
+    assert dropped == [1, 2]
+    assert [c["v"] for c in cells] == [3, 4, 6, 8]
+    assert fits[2.0].v_values == (3, 4, 6, 8)
 
 
 def test_cli_only_check_disc_advises_a_randomized_method(tmp_path, capsys,
@@ -511,15 +592,14 @@ def test_cli_dump_config_prints_exactly_these_keys(capsys):
         elif line:
             keys.add(f"{section} {line.split(' = ')[0]}")
     expected = {
-        "common": "seed out threads",
+        "common": "seed out",
         "find-points": "d degree u m0 m_cap mode grid",
         "check-disc": "d degree u p mode method trials m points_file grid",
         "recover": "d degree v p t c_emp m target sparsity r beta J density "
                    "selection certify points_file",
-        "rate-sweep": "d r beta profile density p_list v_list seeds a schedule "
-                      "t c_emp certify J",
-        "fooling": "d box_list m_rule m_list seeds p q run_recovery "
-                   "dump_instances",
+        "rate-sweep": "d r beta profile density p_list v_list seeds a t c_emp "
+                      "certify J",
+        "fooling": "d box_list m_rule m_list seeds p q",
     }
     assert keys == {f"[{sec}] {key}" for sec, names in expected.items()
                     for key in names.split()}

@@ -1,13 +1,14 @@
 """The library sketch and config examples in README.md run against the
 package in src/."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-from womplab.cli import main
+from womplab.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,3 +40,18 @@ def test_readme_ini_blocks_run(tmp_path):
         path.write_text(block)
         assert main([command, "--config", str(path),
                      "--out", str(tmp_path / f"out{i}")]) == 0
+
+
+def test_readme_cli_synopsis_lists_the_shared_options():
+    # the synopsis block names exactly the options every subcommand takes,
+    # so a removed option cannot linger in it
+    text = (ROOT / "README.md").read_text()
+    synopsis, = re.findall(r"^```\n(womplab <subcommand> .*?)^```", text,
+                           re.S | re.M)
+    documented = set(re.findall(r"\[(--[\w-]+)", synopsis))
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    per_command = [{opt for action in parser._actions
+                    for opt in action.option_strings if opt.startswith("--")}
+                   - {"--help"} for parser in sub.choices.values()]
+    assert documented == set.intersection(*per_command)

@@ -342,7 +342,7 @@ def test_adversary_gap_bounds_any_recovery():
 def test_adversary_gap_rejects_too_many_points():
     xi = draw_points(10, 1, seed=14)
     with pytest.raises(ValueError):
-        adversary_gap(xi, (8,))  # theta = 17, needs m <= 8.5
+        adversary_gap(xi, (8,), recovery=lambda samples: TrigPolynomial(1, {}))
 
 
 def test_fooling_io_roundtrip(tmp_path):

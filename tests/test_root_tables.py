@@ -127,9 +127,10 @@ def test_shared_tables_match_per_call_tables(seq):
     assert _root_tables.cache_info().currsize <= 1
     for poly, _ in seq:
         assert poly.degree == degree_loop(poly)
-        got = lp_norms(poly, (2, 4, math.inf), oversample=2)
+        # p = 10 has a finer grid than the others once the degree is 5
+        got = lp_norms(poly, (2, 10, math.inf))
         assert np.array_equal(np.array(got).view(np.uint64),
-                              np.array(lp_norms_per_call(poly, (2, 4, math.inf), 2))
+                              np.array(lp_norms_per_call(poly, (2, 10, math.inf)))
                               .view(np.uint64))
     assert _root_tables.cache_info().currsize <= 1
 

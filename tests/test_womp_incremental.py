@@ -164,7 +164,7 @@ def test_womp_matches_reference_at_largest_sweep_cell():
     v = 8
     J = default_truncation_level(v)
     system = TrigSystem(1, (2 ** J - 1,))
-    m = schedule_m(v, sec["a"], sec["schedule"])
+    m = schedule_m(v, sec["a"])
     assert (m, system.size) == (14_183, 63)
     seed = 100_003 * v
     sampled = build_sampled(system, draw_points(m, 1, seed))
