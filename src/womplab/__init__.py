@@ -3,7 +3,7 @@ and weak orthogonal greedy recovery experiments."""
 
 from .trig import (TrigPolynomial, TrigSystem, dyadic_block, fejer_kernel,
                    lp_norm, lp_norms, multiply, quadrature_grid_size,
-                   read_polynomial, write_polynomial)
+                   write_polynomial)
 from .classes import (ClassSpec, PROFILES, default_truncation_level,
                       sample_class_function)
 from .discretization import (DiscreteHilbert, DiscretizationReport, PointSet,

@@ -240,7 +240,7 @@ def largest_uncertifiable_m(deg: int, u: int) -> int:
       every u-support that contains it, so a certificate forces
       |g(k)| <= 1/2 for 1 <= k <= K = 2 deg.  The Fejer kernel
       F(x) = sum_{|k|<=K} (1 - |k|/(K+1)) e^{ikx}, which is
-      fejer_kernel(K+1) of criterion 1, is nonnegative with F(0) = K+1.
+      fejer_kernel((K+1,)) of criterion 1, is nonnegative with F(0) = K+1.
       Keeping only the diagonal terms of a sum of nonnegative terms gives
 
           sum_{|k|<=K} (1 - |k|/(K+1)) |g(k)|^2

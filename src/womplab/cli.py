@@ -17,9 +17,6 @@ from .experiments import (ConfigError, dump_config, parse_config,
                           run_check_disc, run_find_points, run_fooling,
                           run_rate_sweep, run_recover)
 
-COMMANDS = ("find-points", "check-disc", "recover", "rate-sweep",
-            "fooling", "verify")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -27,16 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sampling discretization and weak greedy recovery "
                     "experiments for sparse trigonometric polynomials.")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "find-points": "double m until a two-sided certificate holds",
-        "check-disc": "certify one point set for u-sparse discretization",
-        "recover": "run the sampling recovery pipeline once",
-        "rate-sweep": "error decay rates over sparsity budgets",
-        "fooling": "adversarial lower-bound instances on a box ladder",
-        "verify": "run the built-in acceptance checks",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=helps[name])
+    for name, (text, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="INI file overriding the defaults")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", help="output directory override")
@@ -87,7 +76,7 @@ def _cmd_verify(cfg, args) -> int:
     return 0 if payload["passed"] else 1
 
 
-def _cmd_find_points(cfg) -> int:
+def _cmd_find_points(cfg, args) -> int:
     found, reports = run_find_points(cfg)
     for rep in reports:
         print(f"m={rep.m}: holds={rep.holds} c_low={rep.c_low:.4f} "
@@ -100,7 +89,7 @@ def _cmd_find_points(cfg) -> int:
     return 0
 
 
-def _cmd_check_disc(cfg) -> int:
+def _cmd_check_disc(cfg, args) -> int:
     rep = run_check_disc(cfg)
     print(f"m={rep.m} N={rep.size} u={rep.u} p={rep.p:g} mode={rep.mode}: "
           f"holds={rep.holds} c_low={rep.c_low:.6f} c_high={rep.c_high:.6f}")
@@ -109,7 +98,7 @@ def _cmd_check_disc(cfg) -> int:
     return 0 if rep.holds else 1
 
 
-def _cmd_recover(cfg) -> int:
+def _cmd_recover(cfg, args) -> int:
     rep = run_recover(cfg)
     if rep.cert_warning:
         print(f"warning: {rep.cert_warning}")
@@ -122,7 +111,7 @@ def _cmd_recover(cfg) -> int:
     return 0
 
 
-def _cmd_rate_sweep(cfg) -> int:
+def _cmd_rate_sweep(cfg, args) -> int:
     cells, fits = run_rate_sweep(cfg)
     refused = {c["v"]: c["report"].cert_warning for c in cells
                if cfg["rate-sweep"]["certify"] and c["report"].certificate is None}
@@ -135,7 +124,7 @@ def _cmd_rate_sweep(cfg) -> int:
     return 0
 
 
-def _cmd_fooling(cfg) -> int:
+def _cmd_fooling(cfg, args) -> int:
     records = run_fooling(cfg)
     worst = max(r.instance.vanishing_defect for r in records)
     print(f"{len(records)} instances; worst vanishing defect {worst:.3e}")
@@ -145,6 +134,17 @@ def _cmd_fooling(cfg) -> int:
     return 0
 
 
+# Each subcommand's help line and handler, in --help order.
+COMMANDS = {
+    "find-points": ("double m until a two-sided certificate holds", _cmd_find_points),
+    "check-disc": ("certify one point set for u-sparse discretization", _cmd_check_disc),
+    "recover": ("run the sampling recovery pipeline once", _cmd_recover),
+    "rate-sweep": ("error decay rates over sparsity budgets", _cmd_rate_sweep),
+    "fooling": ("adversarial lower-bound instances on a box ladder", _cmd_fooling),
+    "verify": ("run the built-in acceptance checks", _cmd_verify),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -152,17 +152,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(dump_config(cfg))
             return 0
-        if args.command == "find-points":
-            return _cmd_find_points(cfg)
-        if args.command == "check-disc":
-            return _cmd_check_disc(cfg)
-        if args.command == "recover":
-            return _cmd_recover(cfg)
-        if args.command == "rate-sweep":
-            return _cmd_rate_sweep(cfg)
-        if args.command == "fooling":
-            return _cmd_fooling(cfg)
-        return _cmd_verify(cfg, args)
+        return COMMANDS[args.command][1](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

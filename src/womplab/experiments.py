@@ -35,6 +35,11 @@ class ConfigError(ValueError):
     """Invalid configuration; the CLI maps this to exit code 2."""
 
 
+# Sampled entries m N at the top of README's scope (12,000 samples of
+# 2,001 columns); a larger rate-sweep cell is refused before it runs.
+SCOPE_ENTRIES = 12_000 * 2_001
+
+
 DEFAULTS = {
     "common": {
         "seed": 0,
@@ -410,15 +415,19 @@ def fit_rate(v_values, medians, p, target, n_seeds) -> RateFit:
                    float(slope), float(intercept), target, n_seeds)
 
 
+def _cell_shape(sec, v):
+    """Truncation level J, box system (degree 2^J - 1) and sample budget
+    of the sweep cells at v."""
+    J = sec["J"] if sec["J"] >= 0 else default_truncation_level(v)
+    return J, TrigSystem(sec["d"], (2 ** J - 1,) * sec["d"]), schedule_m(v, sec["a"])
+
+
 def _sweep_cell(args):
     """One (v, seed) cell: draw points, sample the target, recover, measure."""
     sec, base_seed, v, seed_idx = args
     d = sec["d"]
-    J = sec["J"] if sec["J"] >= 0 else default_truncation_level(v)
+    J, system, m = _cell_shape(sec, v)
     spec = ClassSpec(sec["r"], sec["beta"], J)
-    degree = 2 ** J - 1
-    system = TrigSystem(d, (degree,) * d)
-    m = schedule_m(v, sec["a"])
     cell_seed = base_seed + 100_003 * v + seed_idx
     pts = draw_points(m, d, cell_seed)
     f0 = sample_class_function(spec, sec["profile"], cell_seed, dim=d,
@@ -441,7 +450,8 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
     acceptance gate, so it checks its section itself, before any cell
     runs.  A v whose sample budget falls below its greedy step count is
     dropped and reported back; a section that leaves the fit fewer than
-    4 distinct v is refused.
+    4 distinct v, repeats a p, or has a cell with u above N or with more
+    than SCOPE_ENTRIES sampled entries is refused.
     """
     _check("rate-sweep", sec)
     v_list = _numbers(sec, "rate-sweep", "v_list")
@@ -449,6 +459,9 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
     if len(set(v_list)) < len(v_list) or len(v_list) < 4:
         raise ConfigError(f"[rate-sweep] v_list: expected at least 4 entries, "
                           f"none repeated, got {sec['v_list']!r}")
+    if len(set(p_list)) < len(p_list):
+        raise ConfigError(f"[rate-sweep] p_list: expected no repeated entry, "
+                          f"got {sec['p_list']!r}")
     dropped = sorted(v for v in v_list
                      if schedule_m(v, sec["a"]) < math.ceil(sec["c_emp"] * v))
     kept = [v for v in v_list if v not in dropped]
@@ -457,6 +470,16 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
                           f"samples than greedy steps at v = "
                           f"{', '.join(map(str, dropped))}, leaving "
                           f"{len(kept)} v; the fit needs 4")
+    for v in kept:
+        _, system, m = _cell_shape(sec, v)
+        n, u = system.size, math.ceil((1 + sec["c_emp"]) * v)
+        if u > n:
+            raise ConfigError(f"[rate-sweep] c_emp: at v = {v}, u = ceil((1 + "
+                              f"c_emp) v) = {u} exceeds the dictionary size N = {n}")
+        if m * n > SCOPE_ENTRIES:
+            raise ConfigError(f"[rate-sweep] v_list: v = {v} takes m = {m} "
+                              f"samples of N = {n} columns, {m * n:,} entries; "
+                              f"the scope ends at {SCOPE_ENTRIES:,}")
     n_seeds = sec["seeds"]
     jobs = [(sec, base_seed, v, s) for v in kept for s in range(n_seeds)]
 

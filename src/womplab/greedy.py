@@ -281,15 +281,12 @@ def best_vterm(h: DiscreteHilbert, target, v: int) -> BestTermResult:
     normal equations on h.gram screen every support in stacked solves, and
     project() solves, in lexicographic order, only the supports whose
     screened error may reach the smallest (see _screen_bound) or that the
-    screen's bound does not cover.  v = 0 returns the norm of the target.
-    Refuses more than DEFAULT_SUBSET_CAP supports.
+    screen's bound does not cover.  Refuses v < 1 and more than
+    DEFAULT_SUBSET_CAP supports.
     """
+    if v < 1:
+        raise ValueError("v must be >= 1")
     target = np.asarray(target, dtype=complex)
-    if v < 0:
-        raise ValueError("v must be >= 0")
-    if v == 0:
-        return BestTermResult(h.norm(target), (), np.zeros(0, complex))
-
     supports = _supports(h.size, v)
     rhs = (target.conj() @ h.matrix).conj() / h.m
     norm_sq = float(np.vdot(target, target).real) / h.m

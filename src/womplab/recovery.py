@@ -21,7 +21,7 @@ from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
                              uniform_grid_points)
 from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
 from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
-                   lp_norms)
+                   lp_norms, write_polynomial)
 
 # A sigma_v reference below this multiple of the target's sample norm is at
 # rounding level: no ratio is reported against it, and at sigma_ref it
@@ -66,16 +66,14 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
     The mixture Gram is (I + discrete Gram)/2, so each support admits an
     exact normal-equations solve; the supports are solved in stacked
     blocks (_block_solve).  Returns (error, support, approximant).  Ties
-    keep the lexicographically first support.  Refuses more than
-    DEFAULT_SUBSET_CAP supports.
+    keep the lexicographically first support.  Refuses v < 1 and more
+    than DEFAULT_SUBSET_CAP supports.
     """
-    if v < 0:
-        raise ValueError("v must be >= 0")
+    if v < 1:
+        raise ValueError("v must be >= 1")
     y = sample_target(f0, sampled)
     a_box = np.array([f0.coeffs.get(k, 0.0) for k in sampled.system.indices()])
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
-    if v == 0:
-        return math.sqrt(norm2_sq), (), TrigPolynomial(f0.dim, {})
     supports = _supports(sampled.size, v)
     gram = 0.5 * (np.eye(sampled.size) + sampled.gram)
     rhs = 0.5 * (a_box + sampled.matrix.conj().T @ y / sampled.m)
@@ -343,8 +341,6 @@ def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
 
 def write_fooling(inst: FoolingInstance, path) -> None:
     """Serialize the fooling polynomial with a metadata header."""
-    from .trig import write_polynomial
-
     box = " ".join(str(b) for b in inst.box)
     xs = " ".join(f"{x:.17g}" for x in inst.x_star)
     header = [

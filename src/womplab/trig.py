@@ -29,12 +29,7 @@ OVERSAMPLE = 8
 
 def _as_points(points, dim):
     """Coerce input to an (m, dim) float array of sample points."""
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if pts.ndim == 1:
-        if dim == 1:
-            pts = pts.reshape(-1, 1)
-        else:
-            pts = pts.reshape(1, -1)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ValueError(f"expected points of dimension {dim}, got shape {pts.shape}")
     return pts
@@ -61,10 +56,7 @@ class TrigPolynomial:
             raise ValueError("dimension must be >= 1")
         clean = {}
         for k, c in self.coeffs.items():
-            if isinstance(k, tuple):  # the common case, without np.isscalar
-                key = tuple(map(int, k))
-            else:
-                key = (int(k),) if np.isscalar(k) else tuple(int(ki) for ki in k)
+            key = tuple(map(int, k))
             if len(key) != self.dim:
                 raise ValueError(f"index {key} does not match dimension {self.dim}")
             c = complex(c)
@@ -126,11 +118,7 @@ class TrigPolynomial:
         return TrigPolynomial(self.dim, {k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return TrigPolynomial(self.dim, {k: c * other for k, c in self.coeffs.items()})
         return multiply(self, other)
-
-    __rmul__ = __mul__
 
     def _check_same_dim(self, other):
         if not isinstance(other, TrigPolynomial) or other.dim != self.dim:
@@ -172,11 +160,10 @@ def fejer_kernel(j) -> TrigPolynomial:
 
     Parameters
     ----------
-    j : int or sequence of int
-        Positive order, one per coordinate; a scalar is the univariate
-        kernel.
+    j : sequence of int
+        Positive order, one per coordinate.
     """
-    orders = (int(j),) if np.isscalar(j) else tuple(int(v) for v in j)
+    orders = tuple(map(int, j))
     if any(v < 1 for v in orders):
         raise ValueError("Fejer orders must be positive integers")
     axes = [[(k, 1.0 - abs(k) / v) for k in range(-(v - 1), v)] for v in orders]
@@ -222,7 +209,7 @@ class TrigSystem:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        box = (int(self.box),) if np.isscalar(self.box) else tuple(int(v) for v in self.box)
+        box = tuple(map(int, self.box))
         if len(box) != self.dim:
             raise ValueError("box length must equal dim")
         if any(v < 0 for v in box):
@@ -256,7 +243,7 @@ class TrigSystem:
 
     def column_of(self, k) -> int:
         """Dictionary column of a frequency tuple."""
-        key = (int(k),) if np.isscalar(k) else tuple(int(v) for v in k)
+        key = tuple(map(int, k))
         col = 0
         for ki, v in zip(key, self.box):
             if abs(ki) > v:
@@ -418,44 +405,3 @@ def write_polynomial(poly: TrigPolynomial, path, header_lines=()) -> None:
             c = poly.coeffs[k]
             ks = " ".join(str(v) for v in k)
             fh.write(f"{ks} {c.real:.17g} {c.imag:.17g}\n")
-
-
-def read_polynomial(path) -> TrigPolynomial:
-    """Read the text form written by write_polynomial; '#' lines are skipped.
-
-    A malformed header, a row without d integers and two finite numbers,
-    or a file with no header raises ValueError naming the path and the
-    1-based line.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-
-    def bad(lineno, what):
-        return ValueError(f"{path}:{lineno}: {what}")
-
-    dim = None
-    coeffs = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if dim is None:
-            header = len(parts) == 2 and parts[0] == "dim"
-            dim = int(parts[1]) if header and parts[1].isdecimal() else 0
-            if dim < 1:
-                raise bad(lineno, f"expected the header 'dim <d>' with d >= 1, "
-                                  f"got {line!r}")
-            continue
-        try:
-            k = tuple(int(v) for v in parts[:dim])
-            re, im = (float(v) for v in parts[dim:])
-            if len(k) != dim or not (math.isfinite(re) and math.isfinite(im)):
-                raise ValueError
-        except ValueError:
-            raise bad(lineno, f"expected {dim} integers and 2 finite numbers, "
-                              f"got {line!r}") from None
-        coeffs[k] = complex(re, im)
-    if dim is None:
-        raise bad(len(lines) + 1, "no 'dim <d>' header")
-    return TrigPolynomial(dim, coeffs)

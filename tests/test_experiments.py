@@ -533,6 +533,28 @@ def test_cli_rate_sweep_refuses_a_section_the_fit_cannot_use(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("ini, message", [
+    # c_emp = 20 drops v = 1 (7 samples, 20 steps) and stops at v = 2
+    ("c_emp = 20", "[rate-sweep] c_emp: at v = 2, u = ceil((1 + c_emp) v) = 42 "
+     "exceeds the dictionary size N = 15"),
+    ("v_list = 1,2,3,400", "[rate-sweep] v_list: v = 400 takes m = 23959955 "
+     "samples of N = 4095 columns, 98,116,015,725 entries; the scope ends at "
+     "24,012,000"),
+    ("p_list = 2,2", "[rate-sweep] p_list: expected no repeated entry, got '2,2'"),
+])
+def test_cli_rate_sweep_refuses_a_cell_before_it_runs(tmp_path, capsys, ini,
+                                                      message):
+    # c_emp = 20 exited with recover's keyless message, v = 400 with a raw
+    # 1.43 TiB allocation error, and p_list = 2,2 wrote every cell twice
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[rate-sweep]\n{ini}\nseeds = 1\n")
+    code = main(["rate-sweep", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_rate_sweep_drops_v_below_their_step_count():
     # at a = 0.3 the budgets of v = 1 and 2 (1 and 3 samples) fall below
     # their 2 and 4 greedy steps; four v remain, so the sweep runs

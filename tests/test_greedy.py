@@ -204,12 +204,11 @@ def test_best_vterm_matches_brute_force_oracle():
     assert result.sigma == pytest.approx(best_err, rel=1e-12)
 
 
-def test_best_vterm_zero_terms_returns_target_norm():
+def test_best_vterm_refuses_zero_terms():
+    # as recover does: sigma_0 is only the target's norm
     _, _, h = _grid_hilbert(2)
-    y = np.full(5, 2.0, dtype=complex)
-    result = best_vterm(h, y, 0)
-    assert result.sigma == pytest.approx(2.0, rel=1e-14)
-    assert result.support == ()
+    with pytest.raises(ValueError, match="v must be >= 1"):
+        best_vterm(h, np.full(5, 2.0, dtype=complex), 0)
 
 
 def test_best_vterm_exact_on_sparse_target():
