@@ -100,8 +100,9 @@ def _cmd_check_disc(cfg, args) -> int:
 
 def _cmd_recover(cfg, args) -> int:
     rep = run_recover(cfg)
-    if rep.cert_warning:
-        print(f"warning: {rep.cert_warning}")
+    for warning in (rep.cert_warning, rep.sigma_warning):
+        if warning:
+            print(f"warning: {warning}")
     print(f"m={rep.m} v={rep.v} u={rep.u} p={rep.p:g}: "
           f"error={rep.error_lp_mu:.6g}")
     if rep.exact_recovery:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigPolynomial, TrigSystem, _tensor_grid, lp_norm
+from .trig import TrigPolynomial, TrigSystem, _as_points, _tensor_grid, lp_norm
 
 # Two-sided comparison constants: the discrete p-th power must stay within
 # [LOWER_CONST, UPPER_CONST] times the continuous one.
@@ -52,7 +52,7 @@ class PointSet:
     seed: int | None = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1, self.dim)
+        pts = _as_points(self.points, self.dim).view()  # freeze a view, not the input
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -448,14 +448,23 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
         raise ValueError(f"unknown method {method!r}")
     if method == "randomized" and trials < 1:
         raise ValueError(f"a randomized check needs trials >= 1, got {trials}")
-    if p == 2.0:
-        return _check_usd_l2(sampled, u, mode, method, trials, seed)
-    if method == "exhaustive":
+    if p != 2.0 and method == "exhaustive":
         raise ValueError("p != 2 checks are randomized searches only")
-    return _check_usd_lp(sampled, u, p, mode, trials, seed)
+    c_low, arg_low, c_high, arg_high, work = (
+        _check_usd_l2(sampled, u, method, trials, seed) if p == 2.0
+        else _check_usd_lp(sampled, u, p, trials, seed))
+    used_seed = sampled.pointset.seed
+    if method != "exhaustive" and used_seed is None:
+        used_seed = seed
+    return DiscretizationReport(
+        m=sampled.m, size=n, u=u, p=float(p), mode=mode,
+        holds=_holds(mode, c_low, c_high, p), c_low=c_low, c_high=c_high,
+        worst_support=_pick_worst(mode, c_low, arg_low, c_high, arg_high),
+        method="exhaustive" if method == "exhaustive" else f"randomized({trials})",
+        seed=used_seed, eigensolves=work)
 
 
-def _check_usd_l2(sampled, u, mode, method, trials, seed):
+def _check_usd_l2(sampled, u, method, trials, seed):
     n = sampled.size
     count = math.comb(n, u)
     if method == "exhaustive" and count > DEFAULT_SUBSET_CAP:
@@ -491,22 +500,9 @@ def _check_usd_l2(sampled, u, mode, method, trials, seed):
                         for _ in range(trials)], dtype=np.intp).reshape(-1, u)
         lo, hi = solve(idx)
     # the first row, in lexicographic or draw order, attaining each extreme
-    c_low, c_high, arg_low, arg_high = math.inf, -math.inf, None, None
-    if len(idx):
-        i_low, i_high = int(np.argmin(lo)), int(np.argmax(hi))
-        c_low, c_high = float(lo[i_low]), float(hi[i_high])
-        arg_low, arg_high = tuple(idx[i_low].tolist()), tuple(idx[i_high].tolist())
-
-    method_tag = "exhaustive" if method == "exhaustive" else f"randomized({trials})"
-    used_seed = sampled.pointset.seed
-    if method != "exhaustive" and used_seed is None:
-        used_seed = seed
-    worst = _pick_worst(mode, c_low, arg_low, c_high, arg_high)
-    return DiscretizationReport(
-        m=sampled.m, size=n, u=u, p=2.0, mode=mode,
-        holds=_holds(mode, c_low, c_high, 2.0),
-        c_low=c_low, c_high=c_high, worst_support=worst,
-        method=method_tag, seed=used_seed, eigensolves=len(idx))
+    i_low, i_high = int(np.argmin(lo)), int(np.argmax(hi))
+    return (float(lo[i_low]), tuple(idx[i_low].tolist()),
+            float(hi[i_high]), tuple(idx[i_high].tolist()), len(idx))
 
 
 def _pick_worst(mode, c_low, arg_low, c_high, arg_high):
@@ -518,11 +514,10 @@ def _pick_worst(mode, c_low, arg_low, c_high, arg_high):
     return arg_high
 
 
-def _check_usd_lp(sampled, u, p, mode, trials, seed):
+def _check_usd_lp(sampled, u, p, trials, seed):
     """Randomized witness search for p != 2: random sparse combinations with
     coordinatewise polishing of the extreme ratio candidates."""
     n = sampled.size
-    m = sampled.m
     rng = np.random.default_rng(seed)
     indices = sampled.system.indices()
 
@@ -561,12 +556,4 @@ def _check_usd_lp(sampled, u, p, mode, trials, seed):
 
     c_low, arg_low = polish(best_low, +1)
     c_high, arg_high = polish(best_high, -1)
-    worst = _pick_worst(mode, c_low, arg_low, c_high, arg_high)
-    used_seed = sampled.pointset.seed
-    if used_seed is None:
-        used_seed = seed
-    return DiscretizationReport(
-        m=m, size=n, u=u, p=float(p), mode=mode,
-        holds=_holds(mode, c_low, c_high, p),
-        c_low=float(c_low), c_high=float(c_high), worst_support=worst,
-        method=f"randomized({trials})", seed=used_seed, eigensolves=trials)
+    return float(c_low), arg_low, float(c_high), arg_high, trials

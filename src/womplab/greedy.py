@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (DEFAULT_SUBSET_CAP, DiscreteHilbert, _chunks,
-                             _combinations)
+from .discretization import (DEFAULT_SUBSET_CAP, DiscreteHilbert, SubsetCapError,
+                             _chunks, _combinations)
 
 # Relative stopping tolerance: iteration halts once the best inner product
 # falls below this multiple of the initial norm.
@@ -263,13 +263,13 @@ class BestTermResult:
 
 def _supports(n, v):
     """The v-subsets of range(n), v >= 1, as lexicographic rows; refuses
-    v > n and more than DEFAULT_SUBSET_CAP of them."""
+    v > n, and more than DEFAULT_SUBSET_CAP of them with SubsetCapError."""
     if v > n:
         raise ValueError(f"v exceeds dictionary size {n}")
     count = math.comb(n, v)
     if count > DEFAULT_SUBSET_CAP:
-        raise ValueError(f"C({n},{v}) = {count} supports exceed cap "
-                         f"{DEFAULT_SUBSET_CAP}")
+        raise SubsetCapError(f"C({n},{v}) = {count} supports exceed cap "
+                             f"{DEFAULT_SUBSET_CAP}")
     return _combinations(n, v)
 
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import (DEFAULT_SUBSET_CAP, DiscretizationReport, PointSet,
-                             SampledSystem, build_sampled, check_usd,
+from .discretization import (DiscretizationReport, PointSet, SampledSystem,
+                             SubsetCapError, build_sampled, check_usd,
                              uniform_grid_points)
 from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
-from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
-                   lp_norms, write_polynomial)
+from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, _grid_values,
+                   _root_tables, fejer_kernel, lp_norm, lp_norms, write_polynomial)
 
 # A sigma_v reference below this multiple of the target's sample norm is at
 # rounding level: no ratio is reported against it, and at sigma_ref it
@@ -100,6 +100,7 @@ class RecoveryReport:
     seed: int | None
     certificate: DiscretizationReport | None
     cert_warning: str | None
+    sigma_warning: str | None
     error_lp_mu: float
     sigma_discrete: float | None
     sigma_ref: float | None
@@ -151,7 +152,8 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     dictionary (exact oracle), and the conservative Lp(mu_xi) reference,
     namely the L2(mu_xi)-best v-term fit evaluated in Lp(mu_xi).  For
     p = 2 the latter is the exact sigma_v in L2(mu_xi); for p > 2 it is an
-    upper bound.
+    upper bound.  Both are None, with the reason in sigma_warning, when
+    their C(N, v) supports exceed the subset cap.
     """
     if p != math.inf and p < 2:
         raise ValueError("recovery guarantees need p >= 2")
@@ -181,11 +183,15 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     diff = f0 - approx
     error = lp_norm(diff, p, "mu")
 
-    sigma_disc = sigma_ref = None
-    if compute_sigma and math.comb(system.size, v) <= DEFAULT_SUBSET_CAP:
-        sigma_disc = best_vterm(sampled, y, v).sigma
-        _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
-        sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi)
+    sigma_disc = sigma_ref = sigma_warning = None
+    if compute_sigma:
+        try:
+            sigma_disc = best_vterm(sampled, y, v).sigma
+            _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
+        except SubsetCapError as exc:
+            sigma_warning = f"sigma references skipped: {exc}"
+        else:
+            sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi)
     scale = trace.residual_norms[0]
     # sigma_discrete is at rounding level whenever the samples cannot tell
     # supports apart (m <= v), so only sigma_ref can flag exact recovery
@@ -195,7 +201,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     return RecoveryReport(
         d=system.dim, size=system.size, m=xi.m, v=v, u=u, p=float(p), t=t,
         c_emp=c_emp, seed=seed if seed is not None else xi.seed,
-        certificate=certificate, cert_warning=warning,
+        certificate=certificate, cert_warning=warning, sigma_warning=sigma_warning,
         error_lp_mu=error, sigma_discrete=sigma_disc, sigma_ref=sigma_ref,
         ratio_discrete=ratio_disc, ratio_pipeline=ratio_pipe,
         exact_recovery=exact, trace=trace, approximant=approx)
@@ -237,15 +243,14 @@ NULL_SPACE_TOL = 1e-10
 @functools.lru_cache(maxsize=1)
 def _fooling_grid(box: tuple) -> tuple:
     """make_fooling's point-independent work on a box: the oversampled
-    grid, the box system evaluated on it, the system's frequency tuples
-    and the Fejer kernel of order box.  The arrays are read-only; only the
-    last box is kept."""
-    _fooling_grid.cache_clear()  # free the last box's matrix before building this one
-    system = TrigSystem(len(box), box)
-    grid = uniform_grid_points(OVERSAMPLE * (max(box) + 1) + 1, len(box)).points
-    matrix = system.evaluate_at(grid)
-    matrix.flags.writeable = False
-    return grid, matrix, tuple(system.indices()), fejer_kernel(box)
+    grid, the box's _root_tables on it (held here, so lp_norm's next box
+    cannot free them), the frequency tuples and the Fejer kernel of order
+    box.  The arrays are read-only; only the last box is kept."""
+    _fooling_grid.cache_clear()  # free the last box's tables before building these
+    n = OVERSAMPLE * (max(box) + 1) + 1
+    tables = _root_tables(n, tuple(-b for b in box), tuple(2 * b + 1 for b in box))
+    return (uniform_grid_points(n, len(box)).points, tables,
+            tuple(TrigSystem(len(box), box).indices()), fejer_kernel(box))
 
 
 def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
@@ -259,13 +264,13 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     product vanishes at every sample, has degree at most twice the box,
     and its value at the center is exactly the product of the box orders.
 
-    The grid, the box system's read-only evaluation matrix on it, the
-    frequency tuples and the Fejer kernel depend on the box alone; they
-    are built once and kept until a call on another box, so consecutive
-    calls on one box share them.  The matrix has (8 (max(box) + 1) + 1)^d
-    rows and theta columns: on box (15, 15) it holds 16,641 x 961 complex
-    entries (256 MB), kept between calls.  x_star is a read-only row of
-    the grid.
+    The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
+    + 1) + 1, by lp_norm's sum factorisation (_grid_values), one batch
+    entry per null vector.  The grid, the box's per-axis root tables, the
+    frequency tuples and the Fejer kernel depend on the box alone; they are
+    built once and kept until a call on another box.  On box (15, 15) they
+    hold 129^2 grid points and one 129 x 31 table, under 1 MB.  x_star is a
+    read-only row of the grid.
     """
     box = tuple(int(b) for b in box)
     dim = len(box)
@@ -287,14 +292,15 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     assert null_dim >= theta - xi.m >= 1
 
     # evaluate the whole null basis on an oversampled grid in one pass
-    grid, grid_matrix, indices, kernel = _fooling_grid(box)
-    grid_vals = grid_matrix @ null_basis
-    sups = np.abs(grid_vals).max(axis=0)
-    l2s = np.sqrt(np.mean(np.abs(grid_vals) ** 2, axis=0))
+    grid, tables, indices, kernel = _fooling_grid(box)
+    widths = tuple(2 * b + 1 for b in box)
+    grid_abs = np.abs(_grid_values(null_basis.T.reshape(-1, *widths), tables))
+    sups = grid_abs.max(axis=0)
+    l2s = np.sqrt(np.mean(grid_abs ** 2, axis=0))
     best = int(np.argmax(sups / l2s))
     column = null_basis[:, best]
     sup = float(sups[best])
-    x_star = grid[int(np.argmax(np.abs(grid_vals[:, best])))]
+    x_star = grid[int(np.argmax(grid_abs[:, best]))]
 
     g_xi = TrigPolynomial(dim, {indices[i]: column[i] / sup for i in range(theta)})
     f = g_xi * kernel.translate(x_star)

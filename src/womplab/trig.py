@@ -316,17 +316,22 @@ def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
     return tuple(built[span] for span in zip(lo, shape))
 
 
-def _grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
-    """poly on _tensor_grid(n, poly.dim), in the same row order: the dense
-    coefficient array summed one axis at a time against _root_tables
-    (sum factorisation, not an FFT)."""
+def _grid_values(vals: np.ndarray, tables: tuple) -> np.ndarray:
+    """Dense coefficient arrays vals[..., w_1, .., w_d] on the tensor grid of
+    their per-axis _root_tables, in _tensor_grid's row order: summed one
+    axis at a time (sum factorisation, not an FFT).  Leading axes of vals
+    are a batch, kept last: the result has shape (n^d, *batch)."""
+    for table in reversed(tables):  # each product puts its grid axis first
+        vals = np.tensordot(table, vals, axes=([1], [-1]))
+    return vals.reshape(-1, *vals.shape[len(tables):])
+
+
+def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
+    """poly on _tensor_grid(n, poly.dim), in the same row order."""
     if not poly.coeffs:
         return np.zeros(n ** poly.dim, dtype=complex)
     vals, lo = _dense(poly)
-    tables = _root_tables(n, tuple(lo.tolist()), vals.shape)
-    for table in reversed(tables):  # each product puts its grid axis first
-        vals = np.tensordot(table, vals, axes=([1], [-1]))
-    return vals.reshape(-1)
+    return _grid_values(vals, _root_tables(n, tuple(lo.tolist()), vals.shape))
 
 
 def _check_norm_args(p):
@@ -343,7 +348,7 @@ def lp_norms(poly: TrigPolynomial, ps) -> tuple:
         _check_norm_args(p)
         n = quadrature_grid_size(degree, p, OVERSAMPLE)
         if n not in grid_abs:
-            grid_abs[n] = np.abs(_grid_values(poly, n))
+            grid_abs[n] = np.abs(_poly_grid_values(poly, n))
         norms.append(float(grid_abs[n].max() if p == math.inf
                            else np.mean(grid_abs[n] ** p) ** (1.0 / p)))
     return tuple(norms)
@@ -388,7 +393,7 @@ def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None) -> floa
 
     # mu_xi: mean of the p-th powers of the two sides
     n = quadrature_grid_size(poly.degree, p, OVERSAMPLE)
-    grid_abs = np.abs(_grid_values(poly, n))
+    grid_abs = np.abs(_poly_grid_values(poly, n))
     if p == math.inf:
         return float(max(grid_abs.max(), sample_abs.max()))
     val = 0.5 * (np.mean(grid_abs ** p) + np.mean(sample_abs ** p))

@@ -40,6 +40,22 @@ def test_empty_pointset_is_legal_but_not_samplable():
         sampled.gram
 
 
+@pytest.mark.parametrize("dim, shape", [(1, (3, 2)), (2, (3, 4)), (2, (6,)),
+                                        (2, (0, 1)), (1, (2, 1, 1))])
+def test_pointset_refuses_points_of_another_width(dim, shape):
+    # a (3, 2) array is 3 points in d = 2, never 6 points in d = 1
+    with pytest.raises(ValueError) as err:
+        PointSet(dim, np.zeros(shape))
+    assert str(err.value) == f"expected points of dimension {dim}, got shape {shape}"
+
+
+def test_pointset_freezes_its_own_view_of_the_points():
+    pts = np.zeros((3, 2))
+    ps = PointSet(2, pts)
+    assert not ps.points.flags.writeable and pts.flags.writeable
+    assert np.shares_memory(ps.points, pts)
+
+
 def test_pointset_io_roundtrip(tmp_path):
     ps = draw_points(7, 2, seed=1)
     path = tmp_path / "points.txt"

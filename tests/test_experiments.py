@@ -205,6 +205,27 @@ def test_cli_recover_from_one_sample_is_not_exact(tmp_path, capsys):
     assert rep.error_lp_mu > 1
 
 
+def test_cli_recover_says_why_it_has_no_sigma_references(tmp_path, capsys):
+    # box 1000 holds N = 2001 columns, and C(2001, 2) = 2,001,000 exceeds
+    # the subset cap: the references are skipped, and the run says so
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[recover]\ndegree = 1000\nv = 2\n")
+    assert main(["recover", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    reason = "C(2001,2) = 2001000 supports exceed cap 2000000"
+    assert out[:2] == [
+        "warning: certificate skipped: C(2001,6) = 88489444277633400 supports "
+        "exceed the subset cap 2000000",
+        f"warning: sigma references skipped: {reason}"]
+    assert out[2].startswith("m=64 v=2 u=6 p=2: error=") and len(out) == 3
+    rep = run_recover(_cfg(tmp_path, recover={"degree": 1000, "v": 2}))
+    assert rep.sigma_discrete is None and rep.sigma_ref is None
+    assert rep.sigma_warning == f"sigma references skipped: {reason}"
+    row = (tmp_path / "o" / "recovery.csv").read_text().splitlines()[-1]
+    assert row.split(",")[13:15] == ["", ""]  # sigma_ref and ratio stay empty
+
+
 def test_run_recover_rejects_small_box_for_class_target(tmp_path):
     cfg = _cfg(tmp_path, recover={"target": "single-spike", "degree": 4,
                                   "J": 3})

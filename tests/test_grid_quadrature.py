@@ -1,6 +1,7 @@
 """The sum-factorised grid kernel, the dense product and the shared norms.
 
-`_grid_values` is checked against the direct evaluation `poly.eval` on the
+`_poly_grid_values`, the sum-factorised kernel `_grid_values` on one
+polynomial, is checked against the direct evaluation `poly.eval` on the
 same tensor grid, `multiply` against the dict convolution it replaced, and
 the norms `make_fooling` and `lp_norms` take from one grid evaluation
 against `lp_norm` bit for bit.
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 from womplab.discretization import draw_points
 from womplab.recovery import make_fooling
 from womplab.trig import (COEFF_DROP_TOL, TrigPolynomial, TrigSystem,
-                          _grid_values, _tensor_grid, fejer_kernel, lp_norm,
-                          lp_norms, multiply)
+                          _grid_values, _poly_grid_values, _root_tables,
+                          _tensor_grid, fejer_kernel, lp_norm, lp_norms,
+                          multiply)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,7 +60,7 @@ def sparse_polys(draw, dim=None):
 def test_grid_values_match_direct_evaluation(poly, n):
     # n may be smaller than the support's width: the table then folds
     # frequencies mod n, as the exponentials themselves do on that grid
-    got = _grid_values(poly, n)
+    got = _poly_grid_values(poly, n)
     expect = poly.eval(_tensor_grid(n, poly.dim))
     assert got.shape == expect.shape == (n ** poly.dim,)
     scale = sum(abs(c) for c in poly.coeffs.values())
@@ -67,14 +69,62 @@ def test_grid_values_match_direct_evaluation(poly, n):
 
 def test_grid_values_edge_cases():
     zero = TrigPolynomial(2, {})
-    assert np.array_equal(_grid_values(zero, 5), np.zeros(25, dtype=complex))
+    assert np.array_equal(_poly_grid_values(zero, 5), np.zeros(25, dtype=complex))
     f = TrigPolynomial(3, {(-4, 2, 7): 2.0 - 1.0j, (1, -3, 0): 0.5j})
-    assert _grid_values(f, 1) == pytest.approx([2.0 - 0.5j], abs=1e-15)
+    assert _poly_grid_values(f, 1) == pytest.approx([2.0 - 0.5j], abs=1e-15)
     # row order: the last axis runs fastest, as in _tensor_grid
     g = TrigPolynomial(2, {(0, 1): 1.0})
-    vals = _grid_values(g, 4).reshape(4, 4)
+    vals = _poly_grid_values(g, 4).reshape(4, 4)
     assert np.allclose(vals, np.tile(np.exp(2j * np.pi * np.arange(4) / 4), (4, 1)),
                        atol=1e-15)
+
+
+def batch_entry_bound(box, n, batch):
+    """Per column c of batch (coefficients on the box system), a bound on
+    |_grid_values - evaluate_at(grid) @ c| at any point of the grid
+    {2 pi t / n}^d, both within it of sum_k c_k exp(2 pi i <k, t> / n).
+
+    With u = 2^-53, gamma_k = k u / (1 - k u), B = sum(box), X = 2 pi:
+    - evaluate_at: the grid coordinate 2 pi t / n is off by gamma_3 X, the
+      phase <k, x> adds gamma_d B X, and exp adds at most 8 u, so each
+      entry is within (gamma_3 + gamma_d) B X + 8 u; the product with c
+      adds (sqrt(2) gamma_2 + gamma_2N) |c|_1, N the number of columns;
+    - _root_tables: the phase 2 pi r / n takes a product and a quotient,
+      gamma_3 X, and exp 8 u, so a product of d table entries is within
+      d (gamma_3 X + 8 u); each axis of the sum factorisation adds
+      (sqrt(2) gamma_2 + gamma_2w) |c|_1 for its width w.
+    The factor 2 absorbs the second-order terms.
+    """
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    d, widths, x = len(box), [2 * b + 1 for b in box], 2 * np.pi
+    entry = (gamma(3) + gamma(d)) * sum(box) * x + (d + 1) * 8 * u + d * gamma(3) * x
+    sums = (d + 1) * math.sqrt(2) * gamma(2) + gamma(2 * math.prod(widths))
+    sums += sum(gamma(2 * w) for w in widths)
+    return 2 * (entry + sums) * np.abs(batch).sum(axis=0)
+
+
+@pytest.mark.parametrize("box, m, seed", [
+    ((6,), 0, 0), ((6,), 5, 1), ((40,), 20, 2),
+    ((3, 2), 0, 0), ((3, 2), 7, 3), ((4, 4), 20, 4), ((2, 5), 10, 5)])
+def test_batched_grid_values_match_the_evaluation_matrix(box, m, seed):
+    # the batch make_fooling passes: a null basis of the box system at m
+    # points (every column at m = 0), on its oversampled grid
+    system = TrigSystem(len(box), box)
+    if m:
+        pts = draw_points(m, len(box), seed).points
+        batch = np.linalg.svd(system.evaluate_at(pts))[2][m:].conj().T
+    else:
+        batch = np.eye(system.size, dtype=complex)
+    n = 8 * (max(box) + 1) + 1
+    tables = _root_tables(n, tuple(-b for b in box), tuple(2 * b + 1 for b in box))
+    got = _grid_values(batch.T.reshape(-1, *(2 * b + 1 for b in box)), tables)
+    expect = system.evaluate_at(_tensor_grid(n, len(box))) @ batch
+    assert got.shape == expect.shape == (n ** len(box), system.size - m)
+    assert np.all(np.abs(got - expect) <= batch_entry_bound(box, n, batch))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

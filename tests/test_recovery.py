@@ -11,13 +11,13 @@ import pytest
 
 from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import (DiscreteHilbert, PointSet, build_sampled,
-                                    check_usd, draw_points)
+                                    check_usd, draw_points, uniform_grid_points)
 from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
                               adversary_gap, best_vterm_l2_muxi, make_fooling,
                               reconstruct, recover, sample_target,
                               write_fooling)
-from womplab.trig import (TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
-                          multiply)
+from womplab.trig import (TrigPolynomial, TrigSystem, _root_tables, fejer_kernel,
+                          lp_norm, multiply)
 
 
 def _sparse_target(system, cols, coeffs):
@@ -249,8 +249,8 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
     # box A twice (a cache hit), then box B, then A again (rebuilt): every
     # instance is bit for bit the one built with the cache cleared first
     calls = [((8,), 4, 1), ((8,), 4, 2), ((2, 2), 6, 3), ((8,), 0, 0), ((8,), 4, 1)]
-    pts = [draw_points(m, len(box), seed) if m else PointSet(len(box), np.zeros((0, 1)))
-           for box, m, seed in calls]
+    pts = [draw_points(m, len(box), seed) if m
+           else PointSet(len(box), np.zeros((0, len(box)))) for box, m, seed in calls]
     warm = [make_fooling(xi, box) for (box, _, _), xi in zip(calls, pts)]
     assert _fooling_grid.cache_info().currsize == 1
     for (box, _, _), xi, inst in zip(calls, pts, warm):
@@ -268,27 +268,88 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
 
 def test_make_fooling_box_work_is_read_only_and_kept_for_one_box():
     inst = make_fooling(draw_points(3, 2, 5), (2, 1))
-    grid, matrix, indices, kernel = _fooling_grid((2, 1))
-    assert not grid.flags.writeable and not matrix.flags.writeable
-    assert not inst.x_star.flags.writeable
-    assert matrix.shape == (len(grid), 15) and len(indices) == 15
-    assert _fooling_grid((2, 1))[1] is matrix
+    grid, tables, indices, kernel = _fooling_grid((2, 1))
+    assert not grid.flags.writeable and not inst.x_star.flags.writeable
+    assert all(not t.flags.writeable for t in tables)
+    # the box's own root tables on the grid of n = 25 points per axis
+    assert grid.shape == (25 ** 2, 2) and len(indices) == 15
+    fresh = _root_tables(25, (-2, -1), (5, 3))
+    assert [t.shape for t in tables] == [(25, 5), (25, 3)]
+    assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
+    assert _fooling_grid((2, 1))[1] is tables
     assert _fooling_grid.cache_info().currsize == 1
+    # lp_norm's next box replaces the tables in _root_tables' cache, but
+    # the fooling grid still holds them, unchanged
+    lp_norm(inst.f, 4.0, "mu")
+    assert _root_tables.cache_info().currsize == 1
+    assert _fooling_grid((2, 1))[1] is tables
+    assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
 
 
 def test_a_fooling_grid_miss_frees_the_last_box_before_building():
-    # at most one box's matrix is alive, also while the next is built
+    # at most one box's tables are alive, also while the next are built
     tracemalloc.start()
     try:
         _fooling_grid((99,))
         tracemalloc.reset_peak()
-        matrix = _fooling_grid((100,))[1]
+        table = _fooling_grid((100,))[1][0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the new matrix and evaluate_at's phases (about 2.1 times the matrix);
-    # the last box's matrix, kept through the build, would add one more
-    assert peak < 2.5 * matrix.nbytes
+    # the new table and its int64 phases (1.5 times the table); the last
+    # box's table, kept through the build, would add one more
+    assert peak < 1.9 * table.nbytes
+
+
+def test_the_fooling_grid_of_the_top_box_is_small():
+    # box (15, 15) at the top of the scope: 129^2 grid points and one
+    # 129 x 31 table, no grid matrix (16,641 x 961 complex, 256 MB)
+    grid, tables, indices, kernel = _fooling_grid((15, 15))
+    assert not any(isinstance(a, np.ndarray) for a in (indices, kernel))
+    assert grid.nbytes + sum(t.nbytes for t in tables) < 2 ** 20
+
+
+def old_fooling_choice(xi, box):
+    """x_star and the winning null vector as make_fooling chose them with
+    the grid matrix: evaluate_at on the grid times the null basis, here in
+    row chunks, keeping the first grid row of each column's maximum."""
+    system = TrigSystem(len(box), box)
+    _, svals, vh = np.linalg.svd(system.evaluate_at(xi.points))
+    null_basis = vh[int(np.sum(svals > 1e-10 * svals[0])):].conj().T
+    grid = uniform_grid_points(8 * (max(box) + 1) + 1, len(box)).points
+    sups = np.full(null_basis.shape[1], -1.0)
+    rows = np.zeros(null_basis.shape[1], dtype=int)
+    sumsq = np.zeros(null_basis.shape[1])
+    for lo in range(0, len(grid), 2048):
+        vals = np.abs(system.evaluate_at(grid[lo:lo + 2048]) @ null_basis)
+        top = vals.max(axis=0)
+        new = top > sups
+        rows[new] = lo + vals.argmax(axis=0)[new]
+        sups = np.maximum(sups, top)
+        sumsq += (vals ** 2).sum(axis=0)
+    best = int(np.argmax(sups / np.sqrt(sumsq / len(grid))))
+    return grid[rows[best]], null_basis[:, best] / sups[best]
+
+
+# m = theta/4 (the adversary's budget), theta/2 and a few points, on the
+# boxes of criterion 7 and the adversary workload and at the top of the
+# scope; with no points every null vector is one exponential, they tie,
+# and roundoff alone picks x_star
+FOOLING_SETS = ([((b,), m, s) for b in (8, 16, 32, 64, 96)
+                 for m, s in (((2 * b + 1) // 4, 0), ((2 * b + 1) // 4, 1), (b, 2))]
+                + [((4, 4), 20, 0), ((4, 4), 20, 1), ((4, 4), 40, 2),
+                   ((4, 4), 10, 3), ((8,), 2, 3), ((15, 15), 240, 0)])
+
+
+@pytest.mark.parametrize("box, m, seed", FOOLING_SETS)
+def test_fooling_choice_is_the_grid_matrix_choice(box, m, seed):
+    xi = draw_points(m, len(box), seed)
+    inst = make_fooling(xi, box)
+    x_star, g_coeffs = old_fooling_choice(xi, box)
+    assert inst.x_star.tobytes() == x_star.tobytes()
+    indices = TrigSystem(len(box), box).indices()
+    got = np.array([inst.g_xi.coeffs.get(k, 0) for k in indices])
+    assert np.abs(got - g_coeffs).max() <= 1e-12
 
 
 def test_box_caches_shared_by_threads_give_the_serial_results():

@@ -1,7 +1,7 @@
 """Shared root-of-unity tables and the array forms of the per-key loops.
 
-`_grid_values` builds its tables through `_root_tables`, which keeps the
-last bounding box's tables for the next call.  Each result is compared at
+`_poly_grid_values` builds its tables through `_root_tables`, which keeps
+the last bounding box's tables for the next call.  Each result is compared at
 the byte level (signed zeros included) with the former code, kept here as
 oracles: a table built per call, `degree` as a generator over the keys,
 `eval` rebuilding integer keys from the float frequency array, and
@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from womplab.experiments import default_config, rate_sweep_compute
-from womplab.trig import (COEFF_DROP_TOL, TrigPolynomial, _dense, _grid_values,
-                          _root_tables, lp_norms, multiply,
+from womplab.trig import (COEFF_DROP_TOL, TrigPolynomial, _dense,
+                          _poly_grid_values, _root_tables, lp_norms, multiply,
                           quadrature_grid_size)
 
 
 def grid_values_per_call(poly, n):
-    """The former `_grid_values`: one table per axis, built on every call."""
+    """The former `_grid_values(poly, n)`: one table per axis, built on
+    every call."""
     if not poly.coeffs:
         return np.zeros(n ** poly.dim, dtype=complex)
     vals, lo = _dense(poly)
@@ -43,12 +44,15 @@ def degree_loop(poly):
 
 
 def lp_norms_per_call(poly, ps, oversample=8):
-    norms = []
+    """The norms on per-call tables; exponents of one grid size share its
+    evaluation, as in lp_norms."""
+    degree, grids, norms = degree_loop(poly), {}, []
     for p in ps:
-        n = quadrature_grid_size(degree_loop(poly), p, oversample)
-        grid_abs = np.abs(grid_values_per_call(poly, n))
-        norms.append(float(grid_abs.max() if p == math.inf
-                           else np.mean(grid_abs ** p) ** (1.0 / p)))
+        n = quadrature_grid_size(degree, p, oversample)
+        if n not in grids:
+            grids[n] = np.abs(grid_values_per_call(poly, n))
+        norms.append(float(grids[n].max() if p == math.inf
+                           else np.mean(grids[n] ** p) ** (1.0 / p)))
     return norms
 
 
@@ -122,7 +126,7 @@ def shape_sequences(draw):
 @given(shape_sequences())
 def test_shared_tables_match_per_call_tables(seq):
     for poly, n in seq:
-        assert np.array_equal(bits(_grid_values(poly, n)),
+        assert np.array_equal(bits(_poly_grid_values(poly, n)),
                               bits(grid_values_per_call(poly, n)))
     assert _root_tables.cache_info().currsize <= 1
     for poly, _ in seq:
@@ -152,7 +156,7 @@ def test_same_width_at_another_offset_is_a_new_table():
     rng = np.random.default_rng(4)
     for lo in ([-3, 2], [1, 2], [-3, 2], [1, -5]):
         poly = in_window(rng, lo, [3, 3], terms=4)
-        assert np.array_equal(bits(_grid_values(poly, 7)),
+        assert np.array_equal(bits(_poly_grid_values(poly, 7)),
                               bits(grid_values_per_call(poly, 7)))
 
 
@@ -170,7 +174,7 @@ def test_degree_and_products_on_negative_frequencies():
 
 def test_cached_tables_are_read_only_and_one_box_is_kept():
     poly = TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j})
-    _grid_values(poly, 11)
+    _poly_grid_values(poly, 11)
     tables = _root_tables(11, (-2, 1), (6, 4))
     assert _root_tables.cache_info().currsize == 1
     assert [t.shape for t in tables] == [(11, 6), (11, 4)]
@@ -183,7 +187,7 @@ def test_cached_tables_are_read_only_and_one_box_is_kept():
     # axes with the same frequency range share one table
     square = _root_tables(5, (-1, -1), (3, 3))
     assert square[0] is square[1]
-    _grid_values(TrigPolynomial(1, {(4,): 1.0}), 9)
+    _poly_grid_values(TrigPolynomial(1, {(4,): 1.0}), 9)
     assert _root_tables.cache_info().currsize == 1
 
 
