@@ -21,8 +21,8 @@ from .discretization import build_sampled, check_usd, draw_points, \
     uniform_grid_points
 from .experiments import DEFAULTS, rate_sweep_compute
 from .greedy import best_vterm, project, womp
-from .recovery import adversary_gap, best_vterm_l2_muxi, reconstruct
-from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norm, lp_norms
+from .recovery import adversary_gap, best_vterm_l2_muxi, reconstruct, sample_target
+from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norms
 
 
 # The pinned acceptance bounds: criterion 4's worst residual/sigma_v,
@@ -164,8 +164,8 @@ def _recovery_ensemble():
                 "resid_disc": trace.residual_norms[-1],
                 "sigma_disc": sigma_disc,
                 "error": dict(zip((2.0, 4.0), lp_norms(diff, (2.0, 4.0)))),
-                "sigma_ref": {p: lp_norm(ref_diff, p, "mu_xi", pointset=pts)
-                              for p in (2.0, 4.0)},
+                "sigma_ref": dict(zip((2.0, 4.0), lp_norms(
+                    ref_diff, (2.0, 4.0), sample_target(ref_diff, sampled)))),
             })
     return cells
 

@@ -526,7 +526,7 @@ def _check_usd_lp(sampled, u, p, trials, seed):
         disc = float(np.mean(np.abs(vals) ** p))
         poly = TrigPolynomial(sampled.system.dim,
                               {indices[c]: w for c, w in zip(support, coeff)})
-        cont = lp_norm(poly, p, "mu") ** p
+        cont = lp_norm(poly, p) ** p
         return disc / cont
 
     candidates = []

@@ -248,6 +248,9 @@ def _outdir(cfg) -> str:
 
 
 def _pointset_from(sec, section, system, seed):
+    if sec.get("points_file") and sec.get("grid"):
+        raise ConfigError(f"[{section}] grid: expected false when "
+                          "points_file is set, got true")
     if sec.get("points_file"):
         pts = read_pointset(sec["points_file"])
         if pts.dim != system.dim:
@@ -438,7 +441,7 @@ def _sweep_cell(args):
                      compute_sigma=False, seed=seed_idx)
     errors = {p_list[0]: report.error_lp_mu}
     for p in p_list[1:]:
-        errors[p] = lp_norm(f0 - report.approximant, p, "mu")
+        errors[p] = lp_norm(f0 - report.approximant, p)
     return {"v": v, "seed": seed_idx, "m": m, "J": J, "size": system.size,
             "steps": report.trace.steps, "errors": errors, "report": report}
 

@@ -110,6 +110,8 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     times its norm, sets rank_deficient; such a run returns project()'s
     minimum-norm coefficients.
     """
+    if h.m == 0:
+        raise ValueError("womp needs m >= 1 samples")
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
     if selection not in SELECTIONS:

@@ -20,8 +20,9 @@ from .discretization import (DiscretizationReport, PointSet, SampledSystem,
                              SubsetCapError, build_sampled, check_usd,
                              uniform_grid_points)
 from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
-from .trig import (OVERSAMPLE, TrigPolynomial, TrigSystem, _grid_values,
-                   _root_tables, fejer_kernel, lp_norm, lp_norms, write_polynomial)
+from .trig import (_EVAL_CHUNK_ENTRIES, OVERSAMPLE, TrigPolynomial, TrigSystem,
+                   _grid_values, _root_tables, fejer_kernel, lp_norm, lp_norms,
+                   write_polynomial)
 
 # A sigma_v reference below this multiple of the target's sample norm is at
 # rounding level: no ratio is reported against it, and at sigma_ref it
@@ -76,7 +77,7 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     supports = _supports(sampled.size, v)
     gram = 0.5 * (np.eye(sampled.size) + sampled.gram)
-    rhs = 0.5 * (a_box + sampled.matrix.conj().T @ y / sampled.m)
+    rhs = 0.5 * (a_box + (y.conj() @ sampled.matrix).conj() / sampled.m)
 
     err_sq = np.maximum(_block_solve(gram, rhs, norm2_sq, supports), 0.0)
     i = int(np.argmin(err_sq))  # ties keep the first support
@@ -159,6 +160,8 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         raise ValueError("recovery guarantees need p >= 2")
     if v < 1:
         raise ValueError("v must be >= 1")
+    if xi.m == 0:
+        raise ValueError("recovery needs m >= 1 sample points")
     u = int(math.ceil((1 + c_emp) * v))
     steps = int(math.ceil(c_emp * v))
     if u > system.size:
@@ -181,7 +184,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
                  selection=selection)
     approx = reconstruct(system, trace.selected, trace.coefficients)
     diff = f0 - approx
-    error = lp_norm(diff, p, "mu")
+    error = lp_norm(diff, p)
 
     sigma_disc = sigma_ref = sigma_warning = None
     if compute_sigma:
@@ -191,7 +194,8 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         except SubsetCapError as exc:
             sigma_warning = f"sigma references skipped: {exc}"
         else:
-            sigma_ref = lp_norm(f0 - ref_poly, p, "mu_xi", pointset=xi)
+            ref_diff = f0 - ref_poly
+            sigma_ref = lp_norms(ref_diff, (p,), sample_target(ref_diff, sampled))[0]
     scale = trace.residual_norms[0]
     # sigma_discrete is at rounding level whenever the samples cannot tell
     # supports apart (m <= v), so only sigma_ref can flag exact recovery
@@ -243,7 +247,7 @@ NULL_SPACE_TOL = 1e-10
 @functools.lru_cache(maxsize=1)
 def _fooling_grid(box: tuple) -> tuple:
     """make_fooling's point-independent work on a box: the oversampled
-    grid, the box's _root_tables on it (held here, so lp_norm's next box
+    grid, the box's _root_tables on it (held here, so lp_norms' next box
     cannot free them), the frequency tuples and the Fejer kernel of order
     box.  The arrays are read-only; only the last box is kept."""
     _fooling_grid.cache_clear()  # free the last box's tables before building these
@@ -265,8 +269,9 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     and its value at the center is exactly the product of the box orders.
 
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
-    + 1) + 1, by lp_norm's sum factorisation (_grid_values), one batch
-    entry per null vector.  The grid, the box's per-axis root tables, the
+    + 1) + 1, by lp_norms' sum factorisation (_grid_values), one batch
+    entry per null vector and at most _EVAL_CHUNK_ENTRIES grid values per
+    chunk of the batch.  The grid, the box's per-axis root tables, the
     frequency tuples and the Fejer kernel depend on the box alone; they are
     built once and kept until a call on another box.  On box (15, 15) they
     hold 129^2 grid points and one 129 x 31 table, under 1 MB.  x_star is a
@@ -291,16 +296,22 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     null_dim = null_basis.shape[1]
     assert null_dim >= theta - xi.m >= 1
 
-    # evaluate the whole null basis on an oversampled grid in one pass
+    # evaluate the null basis on an oversampled grid, a chunk of null
+    # vectors at a time, keeping each one's grid sup, L2 norm and argmax
     grid, tables, indices, kernel = _fooling_grid(box)
-    widths = tuple(2 * b + 1 for b in box)
-    grid_abs = np.abs(_grid_values(null_basis.T.reshape(-1, *widths), tables))
-    sups = grid_abs.max(axis=0)
-    l2s = np.sqrt(np.mean(grid_abs ** 2, axis=0))
+    batch = null_basis.T.reshape(-1, *(2 * b + 1 for b in box))
+    chunk = max(1, _EVAL_CHUNK_ENTRIES // len(grid))
+    sups, l2s, peaks = [], [], []
+    for lo in range(0, null_dim, chunk):
+        grid_abs = np.abs(_grid_values(batch[lo:lo + chunk], tables))
+        sups.append(grid_abs.max(axis=0))
+        l2s.append(np.sqrt(np.mean(grid_abs ** 2, axis=0)))
+        peaks.append(grid_abs.argmax(axis=0))
+    sups, l2s, peaks = map(np.concatenate, (sups, l2s, peaks))
     best = int(np.argmax(sups / l2s))
     column = null_basis[:, best]
     sup = float(sups[best])
-    x_star = grid[int(np.argmax(grid_abs[:, best]))]
+    x_star = grid[peaks[best]]
 
     g_xi = TrigPolynomial(dim, {indices[i]: column[i] / sup for i in range(theta)})
     f = g_xi * kernel.translate(x_star)
@@ -339,8 +350,7 @@ def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
         raise ValueError(f"adversary argument needs m <= theta/2 = {theta / 2}")
     inst = make_fooling(xi, box, p=p, q=q)
     candidate = recovery(np.zeros(xi.m, dtype=complex))
-    errors = (lp_norm(inst.f - candidate, p, "mu"),
-              lp_norm(-inst.f - candidate, p, "mu"))
+    errors = (lp_norm(inst.f - candidate, p), lp_norm(-inst.f - candidate, p))
     fooled = max(errors) >= inst.norm_p * (1 - 1e-12)
     return GapRecord(inst, inst.norm_p, errors, fooled)
 

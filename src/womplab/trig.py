@@ -23,7 +23,7 @@ COEFF_DROP_TOL = 1e-14
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
 
-# Grid refinement of lp_norm's quadrature and of make_fooling's sup search.
+# Grid refinement of lp_norms' quadrature and of make_fooling's sup search.
 OVERSAMPLE = 8
 
 
@@ -280,7 +280,7 @@ class TrigSystem:
 
 
 def quadrature_grid_size(degree: int, p, oversample: int) -> int:
-    """Per-dimension grid size used by lp_norm for the continuous measure.
+    """Per-dimension grid size used by lp_norms for the continuous measure.
 
     Always larger than oversample*(degree+1); for even integer p it also
     exceeds p*degree, which makes the quadrature of |f|^p exact.
@@ -334,70 +334,45 @@ def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
     return _grid_values(vals, _root_tables(n, tuple(lo.tolist()), vals.shape))
 
 
-def _check_norm_args(p):
-    if p != math.inf and not float(p) >= 1:
-        raise ValueError("p must be >= 1 or inf")
+def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
+    """Lp norms of a trigonometric polynomial, one per exponent p >= 1 in ps.
 
-
-def lp_norms(poly: TrigPolynomial, ps) -> tuple:
-    """Lp norms under the normalized Lebesgue measure, one per p in ps, each
-    bitwise lp_norm(poly, p, "mu"); exponents that share a grid size share
-    one grid evaluation."""
+    Without samples the measure is mu, the normalized Lebesgue measure:
+    quadrature on the tensor grid {2 pi t / n}^d with n =
+    quadrature_grid_size(degree, p, OVERSAMPLE), summed one axis at a time
+    (_grid_values), exact to roundoff for even integer p.  samples, the
+    values of poly at m >= 1 points xi, select mu_xi, the half/half mixture
+    of mu and the empirical measure of xi.  p = inf returns the grid (and
+    sample) maximum, a lower estimate of the true sup norm.  Exponents that
+    share a grid size share one grid evaluation.
+    """
+    if samples is not None:
+        sample_abs = np.abs(samples)
+        if sample_abs.size == 0:
+            raise ValueError("mixture measure of an empty point set")
     grid_abs, norms, degree = {}, [], poly.degree
     for p in ps:
-        _check_norm_args(p)
+        if p != math.inf and not float(p) >= 1:
+            raise ValueError("p must be >= 1 or inf")
         n = quadrature_grid_size(degree, p, OVERSAMPLE)
         if n not in grid_abs:
             grid_abs[n] = np.abs(_poly_grid_values(poly, n))
-        norms.append(float(grid_abs[n].max() if p == math.inf
-                           else np.mean(grid_abs[n] ** p) ** (1.0 / p)))
+        if p == math.inf:
+            val = grid_abs[n].max()
+            if samples is not None:
+                val = max(val, sample_abs.max())
+        else:
+            val = np.mean(grid_abs[n] ** p)
+            if samples is not None:  # mu_xi: mean of the two sides' p-th powers
+                val = 0.5 * (val + np.mean(sample_abs ** p))
+            val = val ** (1.0 / p)
+        norms.append(float(val))
     return tuple(norms)
 
 
-def lp_norm(poly: TrigPolynomial, p, measure: str = "mu", pointset=None) -> float:
-    """Lp norm of a trigonometric polynomial under one of two measures.
-
-    Parameters
-    ----------
-    poly : TrigPolynomial
-    p : float or math.inf
-        Exponent, p >= 1.  For even integer p the continuous quadrature is
-        exact to roundoff; p = inf returns the grid (or sample) maximum,
-        which is a lower estimate of the true sup norm.
-    measure : str
-        "mu"    normalized Lebesgue measure, quadrature on the tensor grid
-                {2 pi t / n}^d with n = quadrature_grid_size(degree, p,
-                OVERSAMPLE), summed one axis at a time (_grid_values);
-        "mu_xi" the half/half mixture of mu and the empirical measure of a
-                point set (pointset required).
-    pointset : PointSet, optional
-        Sample points for the mixture.
-
-    Returns
-    -------
-    float
-        Nonnegative norm value.
-    """
-    _check_norm_args(p)
-    if measure not in ("mu", "mu_xi"):
-        raise ValueError(f"unknown measure: {measure}")
-    if measure == "mu":
-        return lp_norms(poly, (p,))[0]
-    if pointset is None:
-        raise ValueError(f"measure {measure} requires a point set")
-    if pointset.dim != poly.dim:
-        raise ValueError("point set dimension mismatch")
-    if pointset.m == 0:
-        raise ValueError("mixture measure of an empty point set")
-    sample_abs = np.abs(poly.eval(pointset.points))
-
-    # mu_xi: mean of the p-th powers of the two sides
-    n = quadrature_grid_size(poly.degree, p, OVERSAMPLE)
-    grid_abs = np.abs(_poly_grid_values(poly, n))
-    if p == math.inf:
-        return float(max(grid_abs.max(), sample_abs.max()))
-    val = 0.5 * (np.mean(grid_abs ** p) + np.mean(sample_abs ** p))
-    return float(val ** (1.0 / p))
+def lp_norm(poly: TrigPolynomial, p) -> float:
+    """The Lp(mu) norm of one exponent: lp_norms(poly, (p,))[0]."""
+    return lp_norms(poly, (p,))[0]
 
 
 def write_polynomial(poly: TrigPolynomial, path, header_lines=()) -> None:

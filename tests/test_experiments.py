@@ -433,14 +433,18 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
      "{plane} holds points of dimension 2, the system has d = 1"),
     ("check-disc", "[check-disc]\npoints_file = {plane}\n", "[check-disc] "
      "points_file: {plane} holds points of dimension 2, the system has d = 1"),
+    ("check-disc", "[check-disc]\npoints_file = {three}\ngrid = true\n",
+     "[check-disc] grid: expected false when points_file is set, got true"),
 ])
 def test_cli_value_refused_by_a_library_check_names_its_key(
         tmp_path, capsys, command, ini, message):
     # each once exited 2 with a message that named no key; the empty
     # points file also printed numpy RuntimeWarnings first
-    files = {"points": tmp_path / "points.txt", "plane": tmp_path / "plane.txt"}
+    files = {name: tmp_path / f"{name}.txt" for name in ("points", "plane", "three")}
     files["points"].write_text("dim 1 0\n")
     files["plane"].write_text("dim 2 1\n0.5 1.5\n")
+    # grid = true with this file once ran on its 3 points and echoed grid=True
+    files["three"].write_text("dim 1 3\n0.1\n0.5\n1.0\n")
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(ini.format(**files))
     code = main([command, "--config", str(cfgfile),

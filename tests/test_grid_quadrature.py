@@ -166,9 +166,9 @@ def test_multiply_fooling_shape_matches_dict_convolution():
 def test_make_fooling_norms_are_bitwise_lp_norm(box, m, seed):
     xi = draw_points(m, len(box), seed)
     inst = make_fooling(xi, box)
-    assert inst.norm_q == lp_norm(inst.f, inst.q, "mu")
-    assert inst.norm_p == lp_norm(inst.f, inst.p, "mu")
-    assert inst.sup_grid == lp_norm(inst.f, math.inf, "mu")
+    assert inst.norm_q == lp_norm(inst.f, inst.q)
+    assert inst.norm_p == lp_norm(inst.f, inst.p)
+    assert inst.sup_grid == lp_norm(inst.f, math.inf)
 
 
 def test_lp_norms_are_bitwise_lp_norm():
@@ -177,7 +177,7 @@ def test_lp_norms_are_bitwise_lp_norm():
                            for i in range(-3, 2) for j in range(0, 4)})
     # on this degree-3 polynomial the p = 12 grid is finer than the p = 2 one
     ps = (2.0, 12, math.inf, 1.5, 4)
-    assert lp_norms(f, ps) == tuple(lp_norm(f, p, "mu") for p in ps)
+    assert lp_norms(f, ps) == tuple(lp_norm(f, p) for p in ps)
     assert lp_norms(TrigPolynomial(1, {}), (2, math.inf)) == (0.0, 0.0)
     with pytest.raises(ValueError):
         lp_norms(f, (2, 0.5))

@@ -12,12 +12,13 @@ import pytest
 from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import (DiscreteHilbert, PointSet, build_sampled,
                                     check_usd, draw_points, uniform_grid_points)
+from womplab.greedy import womp
 from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
                               adversary_gap, best_vterm_l2_muxi, make_fooling,
                               reconstruct, recover, sample_target,
                               write_fooling)
 from womplab.trig import (TrigPolynomial, TrigSystem, _root_tables, fejer_kernel,
-                          lp_norm, multiply)
+                          lp_norm, lp_norms, multiply)
 
 
 def _sparse_target(system, cols, coeffs):
@@ -126,6 +127,52 @@ def test_recover_forms_the_gram_once(monkeypatch):
     assert len(formed) == 1
 
 
+def _dense_target(system, seed, outside=None):
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size)
+    coeffs = dict(zip(system.indices(), coeff))
+    if outside is not None:
+        coeffs[outside] = 0.3 - 0.2j
+    return TrigPolynomial(system.dim, coeffs)
+
+
+def test_recover_never_evaluates_an_in_box_target_directly(monkeypatch):
+    # the samples of the target and of sigma_ref's difference are the
+    # sampled matrix times coefficients, not a second pass of exponentials
+    def refuse(self, points):
+        raise AssertionError("TrigPolynomial.eval called")
+
+    monkeypatch.setattr(TrigPolynomial, "eval", refuse)
+    system = TrigSystem(2, (2, 1))
+    rep = recover(_dense_target(system, 9), system, draw_points(60, 2, seed=9),
+                  v=2, p=4.0)
+    assert rep.sigma_ref is not None and rep.sigma_ref > 0
+
+
+@pytest.mark.parametrize("box, p, outside", [
+    ((3,), 2.0, None), ((3,), 4.0, None), ((2, 1), 4.0, None),
+    ((4,), math.inf, None), ((3,), 4.0, (6,)), ((2, 1), 2.0, (0, 3))])
+def test_sigma_ref_is_the_directly_evaluated_mixture_norm(box, p, outside):
+    system = TrigSystem(len(box), box)
+    f0 = _dense_target(system, 10, outside)
+    xi = draw_points(50, len(box), seed=10)
+    rep = recover(f0, system, xi, v=1, p=p)
+    _, _, ref_poly = best_vterm_l2_muxi(f0, build_sampled(system, xi), 1)
+    diff = f0 - ref_poly
+    direct = lp_norms(diff, (p,), diff.eval(xi.points))[0]
+    assert abs(rep.sigma_ref - direct) <= 1e-13 * direct
+
+
+def test_an_empty_point_set_is_refused_before_any_work():
+    # both once divided by m = 0 and returned residual_norms == (nan,)
+    system = TrigSystem(1, (3,))
+    empty = PointSet(1, np.zeros((0, 1)))
+    with pytest.raises(ValueError, match="m >= 1"):
+        womp(build_sampled(system, empty), np.zeros(0))
+    with pytest.raises(ValueError, match="m >= 1"):
+        recover(TrigPolynomial(1, {(0,): 1.0}), system, empty, v=1)
+
+
 def test_recovery_report_csv_row_shape():
     system = TrigSystem(1, (2,))
     f0 = _sparse_target(system, [2], [1.0])
@@ -182,13 +229,13 @@ def test_best_vterm_l2_muxi_matches_direct_minimization():
     sampled = build_sampled(system, xi)
     err, support, approx = best_vterm_l2_muxi(f0, sampled, 1)
     # the mixture error of the returned fit equals the reported error
-    got = lp_norm(f0 - approx, 2, "mu_xi", pointset=xi)
+    got = lp_norms(f0 - approx, (2,), (f0 - approx).eval(xi.points))[0]
     assert got == pytest.approx(err, rel=1e-10)
     # independent oracle: per-column normal equations in the mixture norm
     y = f0.eval(xi.points)
     gram = 0.5 * (np.eye(5) + sampled.gram)
     rhs = 0.5 * (coeff + sampled.matrix.conj().T @ y / xi.m)
-    norm_sq = lp_norm(f0, 2, "mu_xi", pointset=xi) ** 2
+    norm_sq = lp_norms(f0, (2,), y)[0] ** 2
     brute = [math.sqrt(max(norm_sq - abs(rhs[c]) ** 2 / gram[c, c].real, 0.0))
              for c in range(5)]
     assert err == pytest.approx(min(brute), rel=1e-10)
@@ -280,7 +327,7 @@ def test_make_fooling_box_work_is_read_only_and_kept_for_one_box():
     assert _fooling_grid.cache_info().currsize == 1
     # lp_norm's next box replaces the tables in _root_tables' cache, but
     # the fooling grid still holds them, unchanged
-    lp_norm(inst.f, 4.0, "mu")
+    lp_norm(inst.f, 4.0)
     assert _root_tables.cache_info().currsize == 1
     assert _fooling_grid((2, 1))[1] is tables
     assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
@@ -344,7 +391,15 @@ FOOLING_SETS = ([((b,), m, s) for b in (8, 16, 32, 64, 96)
 @pytest.mark.parametrize("box, m, seed", FOOLING_SETS)
 def test_fooling_choice_is_the_grid_matrix_choice(box, m, seed):
     xi = draw_points(m, len(box), seed)
-    inst = make_fooling(xi, box)
+    tracemalloc.start()
+    try:
+        inst = make_fooling(xi, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the null basis goes through the grid in chunks: on box (15, 15) the
+    # 721 null vectors at once peaked at 304 MiB, three chunks at 158 MiB
+    assert peak <= 200 * 2 ** 20
     x_star, g_coeffs = old_fooling_choice(xi, box)
     assert inst.x_star.tobytes() == x_star.tobytes()
     indices = TrigSystem(len(box), box).indices()

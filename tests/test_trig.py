@@ -9,7 +9,7 @@ from womplab import trig
 from womplab.discretization import uniform_grid_points
 from womplab.trig import (_EVAL_CHUNK_ENTRIES, TrigPolynomial, TrigSystem,
                           _tensor_grid, dyadic_block,
-                          fejer_kernel, lp_norm, multiply,
+                          fejer_kernel, lp_norm, lp_norms, multiply,
                           quadrature_grid_size, write_polynomial)
 
 
@@ -156,8 +156,8 @@ def test_fejer_unit_mean_and_peak():
     for j in (1, 2, 5, 8):
         k = fejer_kernel((j,))
         # nonnegative kernel: the L1 norm is the mean, i.e. coefficient 0
-        assert lp_norm(k, 1, "mu") == pytest.approx(1.0, abs=1e-12)
-        assert lp_norm(k, math.inf, "mu") == pytest.approx(float(j), rel=1e-12)
+        assert lp_norm(k, 1) == pytest.approx(1.0, abs=1e-12)
+        assert lp_norm(k, math.inf) == pytest.approx(float(j), rel=1e-12)
 
 
 def test_fejer_nonnegative_on_fine_grid():
@@ -274,10 +274,10 @@ def test_parseval_identity_random_polynomials():
     rng = np.random.default_rng(4)
     for _ in range(60):
         f = _random_poly(rng, 1, int(rng.integers(1, 17)))
-        assert lp_norm(f, 2, "mu") == pytest.approx(f.l2_norm(), rel=1e-12)
+        assert lp_norm(f, 2) == pytest.approx(f.l2_norm(), rel=1e-12)
     for _ in range(15):
         f = _random_poly(rng, 2, int(rng.integers(1, 6)))
-        assert lp_norm(f, 2, "mu") == pytest.approx(f.l2_norm(), rel=1e-12)
+        assert lp_norm(f, 2) == pytest.approx(f.l2_norm(), rel=1e-12)
 
 
 def test_l4_norm_against_parseval_oracle():
@@ -286,7 +286,7 @@ def test_l4_norm_against_parseval_oracle():
     for _ in range(25):
         f = _random_poly(rng, 1, int(rng.integers(1, 9)))
         oracle = math.sqrt(multiply(f, _conj(f)).l2_norm())
-        assert lp_norm(f, 4, "mu") == pytest.approx(oracle, rel=1e-11)
+        assert lp_norm(f, 4) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_sup_norm_is_a_lower_estimate():
@@ -295,7 +295,7 @@ def test_sup_norm_is_a_lower_estimate():
     # the finer grid holds every point of the quadrature grid
     n = quadrature_grid_size(f.degree, math.inf, trig.OVERSAMPLE)
     fine = float(np.abs(f.eval(_tensor_grid(8 * n, 1))).max())
-    assert lp_norm(f, math.inf, "mu") <= fine * (1 + 1e-12)
+    assert lp_norm(f, math.inf) <= fine * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -315,32 +315,47 @@ def test_tensor_grid_is_bitwise_the_meshgrid(d):
 def test_lp_norm_monotone_in_p():
     rng = np.random.default_rng(7)
     f = _random_poly(rng, 1, 5)
-    n2, n4, n6 = (lp_norm(f, p, "mu") for p in (2, 4, 6))
+    n2, n4, n6 = (lp_norm(f, p) for p in (2, 4, 6))
     assert n2 <= n4 * (1 + 1e-12) <= n6 * (1 + 1e-12) ** 2
 
 
 def test_lp_norm_validation():
     f = TrigPolynomial(1, {(0,): 1.0})
     with pytest.raises(ValueError):
-        lp_norm(f, 0.5, "mu")
-    with pytest.raises(ValueError):
-        lp_norm(f, 2, "nu")
-    with pytest.raises(ValueError):
-        lp_norm(f, 2, "mu_xi")  # needs a point set
+        lp_norm(f, 0.5)
+    with pytest.raises(ValueError, match="empty point set"):
+        lp_norms(f, (2,), samples=np.zeros(0, dtype=complex))
 
 
 def test_discrete_and_mixture_measures():
-    from womplab.discretization import PointSet
+    pts = np.array([[0.0], [np.pi / 2]])
     f = TrigPolynomial(1, {(1,): 1.0})
-    pts = PointSet(1, np.array([[0.0], [np.pi / 2]]))
     # |f| = 1 everywhere, so both measures agree
-    for measure in ("mu", "mu_xi"):
-        assert lp_norm(f, 4, measure, pointset=pts) == pytest.approx(1.0, rel=1e-12)
+    for samples in (None, f.eval(pts)):
+        assert lp_norms(f, (4,), samples)[0] == pytest.approx(1.0, rel=1e-12)
     g = TrigPolynomial(1, {(0,): 1.0, (1,): 1.0})
-    vals = np.abs(g.eval(pts.points))
+    vals = np.abs(g.eval(pts))
     expect_m = float(np.mean(vals ** 2) ** 0.5)
     mix = math.sqrt(0.5 * (g.l2_norm() ** 2 + expect_m ** 2))
-    assert lp_norm(g, 2, "mu_xi", pointset=pts) == pytest.approx(mix, rel=1e-12)
+    assert lp_norms(g, (2,), g.eval(pts))[0] == pytest.approx(mix, rel=1e-12)
+
+
+def test_mixture_norms_are_bitwise_the_inline_formula():
+    rng = np.random.default_rng(12)
+    ps = (1, 2, 3, 4, math.inf)
+    for d in (1, 2):
+        f = _random_poly(rng, d, 3)
+        samples = f.eval(rng.uniform(0, 2 * np.pi, (17, d)))
+        sample_abs = np.abs(samples)
+        for p, got in zip(ps, lp_norms(f, ps, samples=samples)):
+            n = quadrature_grid_size(f.degree, p, trig.OVERSAMPLE)
+            grid_abs = np.abs(trig._poly_grid_values(f, n))
+            if p == math.inf:
+                expect = float(max(grid_abs.max(), sample_abs.max()))
+            else:
+                val = 0.5 * (np.mean(grid_abs ** p) + np.mean(sample_abs ** p))
+                expect = float(val ** (1.0 / p))
+            assert got.hex() == expect.hex(), (d, p)
 
 
 # --------------------------------------------------------------------- io
