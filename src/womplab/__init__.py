@@ -3,7 +3,7 @@ and weak orthogonal greedy recovery experiments."""
 
 from .trig import (TrigPolynomial, TrigSystem, dyadic_block, fejer_kernel,
                    lp_norm, lp_norms, multiply, quadrature_grid_size,
-                   write_polynomial)
+                   reconstruct, write_polynomial)
 from .classes import (ClassSpec, PROFILES, default_truncation_level,
                       sample_class_function)
 from .discretization import (DiscreteHilbert, DiscretizationReport, PointSet,
@@ -13,7 +13,7 @@ from .discretization import (DiscreteHilbert, DiscretizationReport, PointSet,
 from .greedy import BestTermResult, WompTrace, best_vterm, project, womp
 from .recovery import (FoolingInstance, GapRecord, RecoveryReport,
                        adversary_gap, best_vterm_l2_muxi, make_fooling,
-                       reconstruct, recover, write_fooling)
+                       recover, write_fooling)
 from .experiments import (ConfigError, RateFit, default_config, fit_rate,
                           parse_config, rate_sweep_compute, schedule_m,
                           target_exponent)

@@ -20,9 +20,9 @@ import numpy as np
 from .discretization import build_sampled, check_usd, draw_points, \
     uniform_grid_points
 from .experiments import DEFAULTS, rate_sweep_compute
-from .greedy import best_vterm, project, womp
-from .recovery import adversary_gap, best_vterm_l2_muxi, reconstruct, sample_target
-from .trig import TrigPolynomial, TrigSystem, fejer_kernel, lp_norms
+from .greedy import project, womp
+from .recovery import adversary_gap, recover, sample_target
+from .trig import TrigSystem, fejer_kernel, lp_norms, reconstruct
 
 
 # The pinned acceptance bounds: criterion 4's worst residual/sigma_v,
@@ -132,9 +132,11 @@ _ENSEMBLE_SEEDS = 50
 
 @functools.cache
 def _recovery_ensemble():
-    """Dense targets, certified point sets, WOMP with 2v steps, both norms.
+    """Dense targets, certified point sets, recover with 2v steps, both norms.
 
-    Cached because criteria 4 and 5 read the same 200 runs.
+    Cached because criteria 4 and 5 read the same 200 runs.  The
+    certificate is a check_usd at the cell's own u: recover's would be at
+    u = 3 v, which is 3 on the u = 4 cells.
     """
     cells = []
     for deg, u in _ENSEMBLE_CELLS:
@@ -149,20 +151,16 @@ def _recovery_ensemble():
             rng = np.random.default_rng(seed + 1)
             coeff = rng.standard_normal(system.size) \
                 + 1j * rng.standard_normal(system.size)
-            f0 = TrigPolynomial(1, dict(zip(system.indices(), coeff)))
-            y = f0.eval(pts.points)
-            trace = womp(sampled, y, steps=2 * v)
-            approx = reconstruct(system, trace.selected, trace.coefficients)
-            sigma_disc = best_vterm(sampled, y, v).sigma
-            _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
-            diff = f0 - approx
-            ref_diff = f0 - ref_poly
+            f0 = reconstruct(system, range(system.size), coeff)
+            rep = recover(f0, system, pts, v, c_emp=2.0, certify=False)
+            diff = f0 - rep.approximant
+            ref_diff = f0 - rep.reference
             cells.append({
                 "deg": deg, "u": u, "v": v, "m": m, "seed": s,
                 "holds": cert.holds,
-                "scale": trace.residual_norms[0],
-                "resid_disc": trace.residual_norms[-1],
-                "sigma_disc": sigma_disc,
+                "scale": rep.trace.residual_norms[0],
+                "resid_disc": rep.trace.residual_norms[-1],
+                "sigma_disc": rep.sigma_discrete,
                 "error": dict(zip((2.0, 4.0), lp_norms(diff, (2.0, 4.0)))),
                 "sigma_ref": dict(zip((2.0, 4.0), lp_norms(
                     ref_diff, (2.0, 4.0), sample_target(ref_diff, sampled)))),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigPolynomial, TrigSystem, _as_points, _tensor_grid, lp_norm
+from .trig import TrigSystem, _as_points, _tensor_grid, lp_norm, reconstruct
 
 # Two-sided comparison constants: the discrete p-th power must stay within
 # [LOWER_CONST, UPPER_CONST] times the continuous one.
@@ -519,14 +519,11 @@ def _check_usd_lp(sampled, u, p, trials, seed):
     coordinatewise polishing of the extreme ratio candidates."""
     n = sampled.size
     rng = np.random.default_rng(seed)
-    indices = sampled.system.indices()
 
     def ratio(support, coeff):
         vals = sampled.matrix[:, support] @ coeff
         disc = float(np.mean(np.abs(vals) ** p))
-        poly = TrigPolynomial(sampled.system.dim,
-                              {indices[c]: w for c, w in zip(support, coeff)})
-        cont = lp_norm(poly, p) ** p
+        cont = lp_norm(reconstruct(sampled.system, support, coeff), p) ** p
         return disc / cont
 
     candidates = []

@@ -25,10 +25,9 @@ from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
                              SubsetCapError, build_sampled, check_usd,
                              draw_points, read_pointset, uniform_grid_points,
                              write_pointset)
-from .recovery import (RecoveryReport, adversary_gap, recover, reconstruct,
-                       write_fooling)
+from .recovery import RecoveryReport, adversary_gap, recover, write_fooling
 from .greedy import SELECTIONS, womp
-from .trig import TrigPolynomial, TrigSystem, lp_norm
+from .trig import TrigPolynomial, TrigSystem, lp_norm, reconstruct
 
 
 class ConfigError(ValueError):
@@ -102,7 +101,6 @@ DEFAULTS = {
     "fooling": {
         "d": 1,
         "box_list": "8,16,32",
-        "m_rule": "quarter",
         "m_list": "",
         "seeds": 10,
         "p": 4.0,
@@ -134,7 +132,6 @@ VALID = {
     "density": ((lambda x: 0 < x <= 1), "expected 0 < density <= 1"),
     "mode": MODES, "method": METHODS, "selection": SELECTIONS,
     "target": ("dense", "sparse") + PROFILES, "profile": PROFILES,
-    "m_rule": ("quarter", "explicit"),
 }
 
 
@@ -202,7 +199,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def _numbers(sec, section, key):
-    """Entries of a list key; only m_list, unused by m_rule = quarter, may be empty."""
+    """Entries of a list key; only m_list, empty for theta/4 per box, may be empty."""
     kind, noun = (float, "numbers") if key == "p_list" else (int, "integers")
     try:
         vals = [kind(tok) for tok in str(sec[key]).replace(",", " ").split()]
@@ -259,10 +256,13 @@ def _pointset_from(sec, section, system, seed):
                               f"system has d = {system.dim}")
         return pts
     if sec.get("grid"):
-        try:
-            return uniform_grid_points(2 * max(system.box) + 1, system.dim)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] grid: {exc}") from None
+        n = 2 * max(system.box) + 1
+        entries = n ** system.dim * system.size
+        if entries > SCOPE_ENTRIES:
+            raise ConfigError(f"[{section}] grid: {n ** system.dim} grid points "
+                              f"of N = {system.size} columns are {entries:,} "
+                              f"entries; the scope ends at {SCOPE_ENTRIES:,}")
+        return uniform_grid_points(n, system.dim)
     return draw_points(sec["m"], system.dim, seed)
 
 
@@ -281,6 +281,9 @@ def run_find_points(cfg: dict):
     system = TrigSystem(d, (degree,) * d)
     if u > system.size:
         raise ConfigError(f"[find-points] u: {u} exceeds the system size {system.size}")
+    if sec["m0"] > sec["m_cap"]:
+        raise ConfigError(f"[find-points] m0: expected <= m_cap = "
+                          f"{sec['m_cap']}, got {sec['m0']}")
     attempts = ([_pointset_from(sec, "find-points", system, seed)] if sec["grid"]
                 else (draw_points(sec["m0"] << k, d, seed + k)
                       for k in range((sec["m_cap"] // sec["m0"]).bit_length())))
@@ -339,8 +342,7 @@ def _make_target(sec, system, seed):
     rng = np.random.default_rng(seed)
     if kind == "dense":
         coeff = rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size)
-        return TrigPolynomial(system.dim,
-                              dict(zip(system.indices(), coeff)))
+        return reconstruct(system, range(system.size), coeff)
     if kind == "sparse":
         v = sec["sparsity"]
         if not 0 <= v <= system.size:
@@ -350,9 +352,9 @@ def _make_target(sec, system, seed):
         coeff = rng.standard_normal(v) + 1j * rng.standard_normal(v)
         return reconstruct(system, cols, coeff)
     J = sec["J"] if sec["J"] >= 0 else default_truncation_level(sec["v"])
-    if 2 ** (J + 1) - 1 > max(system.box):
+    if 2 ** J - 1 > max(system.box):
         raise ConfigError(f"[recover] J: truncation level J={J} needs box "
-                          f"degree >= {2 ** (J + 1) - 1}")
+                          f"degree >= {2 ** J - 1}")
     return sample_class_function(ClassSpec(sec["r"], sec["beta"], J), kind,
                                  seed, dim=system.dim, density=sec["density"])
 
@@ -556,17 +558,15 @@ def run_fooling(cfg: dict):
     seed = cfg["common"]["seed"]
     d = sec["d"]
     boxes = _numbers(sec, "fooling", "box_list")
-    if sec["m_rule"] == "quarter":
-        m_list = [TrigSystem(d, (b,) * d).size // 4 for b in boxes]
-    else:
-        m_list = _numbers(sec, "fooling", "m_list")
-        if len(m_list) != len(boxes):
-            raise ConfigError(f"[fooling] m_list: expected {len(boxes)} "
-                              f"entries, one per box, got {len(m_list)}")
-        for box, m in zip(boxes, m_list):
-            half = (2 * box + 1) ** d / 2
-            if m > half:
-                raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
+    m_list = (_numbers(sec, "fooling", "m_list")
+              or [TrigSystem(d, (b,) * d).size // 4 for b in boxes])
+    if len(m_list) != len(boxes):
+        raise ConfigError(f"[fooling] m_list: expected {len(boxes)} "
+                          f"entries, one per box, got {len(m_list)}")
+    for box, m in zip(boxes, m_list):
+        half = (2 * box + 1) ** d / 2
+        if m > half:
+            raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
 
     out = _outdir(cfg)
     records = []

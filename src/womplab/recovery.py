@@ -22,20 +22,12 @@ from .discretization import (DiscretizationReport, PointSet, SampledSystem,
 from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
 from .trig import (_EVAL_CHUNK_ENTRIES, OVERSAMPLE, TrigPolynomial, TrigSystem,
                    _grid_values, _root_tables, fejer_kernel, lp_norm, lp_norms,
-                   write_polynomial)
+                   quadrature_grid_size, reconstruct, write_polynomial)
 
 # A sigma_v reference below this multiple of the target's sample norm is at
 # rounding level: no ratio is reported against it, and at sigma_ref it
 # flags exact recovery.
 EXACT_RECOVERY_REL_TOL = 1e-12
-
-
-def reconstruct(system: TrigSystem, columns, coefficients) -> TrigPolynomial:
-    """Polynomial with the given coefficients on the system's columns."""
-    coeffs = {}
-    for col, c in zip(columns, coefficients):
-        coeffs[system.index_at(int(col))] = complex(c)
-    return TrigPolynomial(system.dim, coeffs)
 
 
 def sample_target(f0: TrigPolynomial, sampled: SampledSystem) -> np.ndarray:
@@ -110,6 +102,7 @@ class RecoveryReport:
     exact_recovery: bool
     trace: WompTrace | None
     approximant: TrigPolynomial | None = field(repr=False, default=None)
+    reference: TrigPolynomial | None = field(repr=False, default=None)
 
     CSV_HEADER = ("seed,d,N,m,v,u,p,t,c_emp,cert_holds,c_low,c_high,"
                   "error_Lp_mu,sigma_ref,ratio,steps_used")
@@ -154,7 +147,8 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     namely the L2(mu_xi)-best v-term fit evaluated in Lp(mu_xi).  For
     p = 2 the latter is the exact sigma_v in L2(mu_xi); for p > 2 it is an
     upper bound.  Both are None, with the reason in sigma_warning, when
-    their C(N, v) supports exceed the subset cap.
+    their C(N, v) supports exceed the subset cap.  The report keeps the
+    L2(mu_xi)-best v-term polynomial as reference, beside the approximant.
     """
     if p != math.inf and p < 2:
         raise ValueError("recovery guarantees need p >= 2")
@@ -186,7 +180,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     diff = f0 - approx
     error = lp_norm(diff, p)
 
-    sigma_disc = sigma_ref = sigma_warning = None
+    sigma_disc = sigma_ref = sigma_warning = ref_poly = None
     if compute_sigma:
         try:
             sigma_disc = best_vterm(sampled, y, v).sigma
@@ -208,7 +202,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         certificate=certificate, cert_warning=warning, sigma_warning=sigma_warning,
         error_lp_mu=error, sigma_discrete=sigma_disc, sigma_ref=sigma_ref,
         ratio_discrete=ratio_disc, ratio_pipeline=ratio_pipe,
-        exact_recovery=exact, trace=trace, approximant=approx)
+        exact_recovery=exact, trace=trace, approximant=approx, reference=ref_poly)
 
 
 @dataclass(frozen=True)
@@ -248,13 +242,12 @@ NULL_SPACE_TOL = 1e-10
 def _fooling_grid(box: tuple) -> tuple:
     """make_fooling's point-independent work on a box: the oversampled
     grid, the box's _root_tables on it (held here, so lp_norms' next box
-    cannot free them), the frequency tuples and the Fejer kernel of order
-    box.  The arrays are read-only; only the last box is kept."""
+    cannot free them) and the Fejer kernel of order box.  The arrays are
+    read-only; only the last box is kept."""
     _fooling_grid.cache_clear()  # free the last box's tables before building these
-    n = OVERSAMPLE * (max(box) + 1) + 1
+    n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
     tables = _root_tables(n, tuple(-b for b in box), tuple(2 * b + 1 for b in box))
-    return (uniform_grid_points(n, len(box)).points, tables,
-            tuple(TrigSystem(len(box), box).indices()), fejer_kernel(box))
+    return uniform_grid_points(n, len(box)).points, tables, fejer_kernel(box)
 
 
 def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
@@ -271,11 +264,11 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
     + 1) + 1, by lp_norms' sum factorisation (_grid_values), one batch
     entry per null vector and at most _EVAL_CHUNK_ENTRIES grid values per
-    chunk of the batch.  The grid, the box's per-axis root tables, the
-    frequency tuples and the Fejer kernel depend on the box alone; they are
-    built once and kept until a call on another box.  On box (15, 15) they
-    hold 129^2 grid points and one 129 x 31 table, under 1 MB.  x_star is a
-    read-only row of the grid.
+    chunk of the batch.  The grid, the box's per-axis root tables and the
+    Fejer kernel depend on the box alone; they are built once and kept
+    until a call on another box.  On box (15, 15) they hold 129^2 grid
+    points and one 129 x 31 table, under 1 MB.  x_star is a read-only row
+    of the grid.
     """
     box = tuple(int(b) for b in box)
     dim = len(box)
@@ -298,7 +291,7 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
 
     # evaluate the null basis on an oversampled grid, a chunk of null
     # vectors at a time, keeping each one's grid sup, L2 norm and argmax
-    grid, tables, indices, kernel = _fooling_grid(box)
+    grid, tables, kernel = _fooling_grid(box)
     batch = null_basis.T.reshape(-1, *(2 * b + 1 for b in box))
     chunk = max(1, _EVAL_CHUNK_ENTRIES // len(grid))
     sups, l2s, peaks = [], [], []
@@ -313,7 +306,7 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     sup = float(sups[best])
     x_star = grid[peaks[best]]
 
-    g_xi = TrigPolynomial(dim, {indices[i]: column[i] / sup for i in range(theta)})
+    g_xi = reconstruct(system, range(theta), column / sup)
     f = g_xi * kernel.translate(x_star)
 
     samples_max = float(np.abs(f.eval(xi.points)).max()) if xi.m else 0.0

@@ -279,6 +279,12 @@ class TrigSystem:
         return out
 
 
+def reconstruct(system: TrigSystem, columns, coefficients) -> TrigPolynomial:
+    """Polynomial with the given coefficients on the system's columns."""
+    return TrigPolynomial(system.dim, {system.index_at(int(col)): complex(c)
+                                       for col, c in zip(columns, coefficients)})
+
+
 def quadrature_grid_size(degree: int, p, oversample: int) -> int:
     """Per-dimension grid size used by lp_norms for the continuous measure.
 

@@ -8,7 +8,8 @@ import pytest
 
 from womplab import acceptance, discretization
 from womplab.cli import main
-from womplab.experiments import (DEFAULTS, VALID, ConfigError, _sweep_cell,
+from womplab.experiments import (DEFAULTS, VALID, ConfigError, _cell_shape,
+                                 _make_target, _sweep_cell,
                                  default_config, dump_config, fit_rate,
                                  parse_config,
                                  rate_sweep_compute, run_check_disc,
@@ -233,6 +234,32 @@ def test_run_recover_rejects_small_box_for_class_target(tmp_path):
         run_recover(cfg)
 
 
+def test_cli_recover_class_target_needs_box_degree_2_to_the_J_minus_1(
+        tmp_path, capsys):
+    # at v = 1 the default level is J = 2, whose class functions have
+    # frequencies -3..3; degree 3 once was refused with ">= 7"
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text("[recover]\ntarget = saturated-spread\ndegree = 3\n")
+    assert main(["recover", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    cfgfile.write_text("[recover]\ntarget = saturated-spread\ndegree = 2\n")
+    assert main(["recover", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o2")]) == 2
+    assert capsys.readouterr().err == ("config error: [recover] J: truncation "
+                                       "level J=2 needs box degree >= 3\n")
+    assert not (tmp_path / "o2").exists()
+
+
+def test_every_default_rate_sweep_cell_passes_the_recover_level_check():
+    sec = DEFAULTS["rate-sweep"]
+    for v in map(int, sec["v_list"].split(",")):
+        J, system, _ = _cell_shape(sec, v)
+        target = {**DEFAULTS["recover"], "target": sec["profile"], "v": v, "J": J}
+        f0 = _make_target(target, system, seed=0)
+        assert f0.degree == max(system.box) == 2 ** J - 1
+
+
 def test_rate_sweep_compute_deterministic_and_negative_slope():
     sec = default_config()["rate-sweep"]
     sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0})
@@ -330,9 +357,18 @@ def test_run_fooling_quarter_rule(tmp_path):
     assert (tmp_path / "out" / "fooling_box4.txt").exists()
 
 
+def test_run_fooling_uses_a_given_m_list(tmp_path):
+    # a given m_list once ran theta/4 = 4 points on box 8 and echoed
+    # m_list=2 beside m_rule=quarter
+    cfg = _cfg(tmp_path, fooling={"box_list": "8", "m_list": "2", "seeds": 1})
+    records = run_fooling(cfg)
+    assert [r.instance.pointset.m for r in records] == [2]
+    lines = (tmp_path / "out" / "fooling.csv").read_text().splitlines()
+    assert lines[2].split(",")[:3] == ["8", "17", "2"]
+
+
 def test_run_fooling_explicit_budgets_must_align(tmp_path):
-    cfg = _cfg(tmp_path, fooling={"box_list": "4,8", "m_rule": "explicit",
-                                  "m_list": "2"})
+    cfg = _cfg(tmp_path, fooling={"box_list": "4,8", "m_list": "2"})
     with pytest.raises(ConfigError):
         run_fooling(cfg)
 
@@ -414,7 +450,7 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
      "[find-points] u: 10 exceeds the system size 9"),
     ("recover", "[recover]\nv = 5\n", "[recover] v: u = ceil((1 + c_emp) v) = "
      "15 exceeds the dictionary size N = 9"),
-    ("fooling", "[fooling]\nbox_list = 4\nm_rule = explicit\nm_list = 5\n",
+    ("fooling", "[fooling]\nbox_list = 4\nm_list = 5\n",
      "[fooling] m_list: m = 5 exceeds theta/2 = 4.5 on box 4"),
     ("recover", "[recover]\npoints_file = {points}\n",
      "[recover] points_file: {points} holds no points"),
@@ -435,6 +471,9 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
      "points_file: {plane} holds points of dimension 2, the system has d = 1"),
     ("check-disc", "[check-disc]\npoints_file = {three}\ngrid = true\n",
      "[check-disc] grid: expected false when points_file is set, got true"),
+    # m0 above m_cap once made no attempt and exited 1 with an empty trail
+    ("find-points", "[find-points]\nm0 = 5000\n",
+     "[find-points] m0: expected <= m_cap = 4096, got 5000"),
 ])
 def test_cli_value_refused_by_a_library_check_names_its_key(
         tmp_path, capsys, command, ini, message):
@@ -469,7 +508,7 @@ def test_cli_value_refused_by_a_library_check_names_its_key(
     ("rate-sweep", "v_list = 0"), ("rate-sweep", "a = 0"),
     ("rate-sweep", "t = 2"),
     ("rate-sweep", "c_emp = -1"), ("rate-sweep", "J = -2"),
-    ("fooling", "box_list = 0"), ("fooling", "m_rule = x"),
+    ("fooling", "box_list = 0"),
     ("fooling", "m_list = -1"), ("fooling", "p = 0.5"), ("fooling", "q = 0.5"),
     ("check-disc", "grid = true\nd = 3\ndegree = 100"),
     ("find-points", "grid = true\nd = 3\ndegree = 100"),
@@ -487,6 +526,27 @@ def test_cli_value_outside_its_range_names_its_key(tmp_path, capsys, section,
     key = ini.split(" = ")[0]
     assert capsys.readouterr().err.startswith(
         f"config error: [{section}] {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, ini", [
+    ("check-disc", "d = 2\ndegree = 100\ngrid = true\nmethod = randomized"),
+    ("find-points", "d = 2\ndegree = 100\ngrid = true"),
+])
+def test_cli_grid_past_the_scope_is_refused_before_sampling(
+        tmp_path, capsys, monkeypatch, section, ini):
+    # 201^2 = 40,401 grid points under the 2,000,000-point cap once
+    # reached evaluate_at for a 40,401 x 40,401 complex matrix (26 GB)
+    def refuse(self, points):
+        raise AssertionError("evaluate_at reached")
+    monkeypatch.setattr(TrigSystem, "evaluate_at", refuse)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[{section}]\n{ini}\n")
+    assert main([section, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [{section}] grid: 40401 grid points of N = 40401 "
+        f"columns are 1,632,240,801 entries; the scope ends at 24,012,000\n")
     assert not (tmp_path / "o").exists()
 
 
@@ -646,7 +706,7 @@ def test_cli_dump_config_prints_exactly_these_keys(capsys):
                    "selection certify points_file",
         "rate-sweep": "d r beta profile density p_list v_list seeds a t c_emp "
                       "certify J",
-        "fooling": "d box_list m_rule m_list seeds p q",
+        "fooling": "d box_list m_list seeds p q",
     }
     assert keys == {f"[{sec}] {key}" for sec, names in expected.items()
                     for key in names.split()}

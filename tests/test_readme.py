@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 from womplab.cli import build_parser, main
+from womplab.discretization import DEFAULT_SUBSET_CAP
+from womplab.experiments import SCOPE_ENTRIES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +57,11 @@ def test_readme_cli_synopsis_lists_the_shared_options():
                     for opt in action.option_strings if opt.startswith("--")}
                    - {"--help"} for parser in sub.choices.values()]
     assert documented == set.intersection(*per_command)
+
+
+def test_readme_quotes_the_scope_limits_of_the_constants():
+    # README writes the limits by hand; a change to either constant fails
+    # here until README follows it
+    text = (ROOT / "README.md").read_text()
+    for value in (DEFAULT_SUBSET_CAP, SCOPE_ENTRIES):
+        assert f"{value:,}" in text

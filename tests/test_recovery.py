@@ -12,6 +12,7 @@ import pytest
 from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import (DiscreteHilbert, PointSet, build_sampled,
                                     check_usd, draw_points, uniform_grid_points)
+from womplab import greedy
 from womplab.greedy import womp
 from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
                               adversary_gap, best_vterm_l2_muxi, make_fooling,
@@ -55,6 +56,25 @@ def test_recover_dense_target_reports_ratios():
     # after v steps the greedy cannot beat the exhaustive v-term oracle;
     # the extra c_emp * v steps are allowed to (and here do) go below it
     assert rep.trace.residual_norms[1] >= rep.sigma_discrete * (1 - 1e-9)
+
+
+def test_recover_keeps_the_l2_muxi_best_vterm_as_reference(monkeypatch):
+    system = TrigSystem(1, (4,))
+    rng = np.random.default_rng(3)
+    f0 = reconstruct(system, range(9), rng.standard_normal(9)
+                     + 1j * rng.standard_normal(9))
+    xi = draw_points(40, 1, seed=3)
+    ref = recover(f0, system, xi, v=2, certify=False).reference
+    _, _, expect = best_vterm_l2_muxi(f0, build_sampled(system, xi), 2)
+    assert list(ref.coeffs) == list(expect.coeffs)
+    assert _bits(list(ref.coeffs.values())) == _bits(list(expect.coeffs.values()))
+    # no reference when the sigma references are skipped, by the caller
+    # or by the subset cap
+    assert recover(f0, system, xi, v=2, certify=False,
+                   compute_sigma=False).reference is None
+    monkeypatch.setattr(greedy, "DEFAULT_SUBSET_CAP", 35)  # C(9, 2) = 36
+    rep = recover(f0, system, xi, v=2, certify=False)
+    assert rep.sigma_warning is not None and rep.reference is None
 
 
 def test_recover_class_target_within_empirical_factor():
@@ -315,11 +335,11 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
 
 def test_make_fooling_box_work_is_read_only_and_kept_for_one_box():
     inst = make_fooling(draw_points(3, 2, 5), (2, 1))
-    grid, tables, indices, kernel = _fooling_grid((2, 1))
+    grid, tables, kernel = _fooling_grid((2, 1))
     assert not grid.flags.writeable and not inst.x_star.flags.writeable
     assert all(not t.flags.writeable for t in tables)
     # the box's own root tables on the grid of n = 25 points per axis
-    assert grid.shape == (25 ** 2, 2) and len(indices) == 15
+    assert grid.shape == (25 ** 2, 2)
     fresh = _root_tables(25, (-2, -1), (5, 3))
     assert [t.shape for t in tables] == [(25, 5), (25, 3)]
     assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
@@ -351,8 +371,8 @@ def test_a_fooling_grid_miss_frees_the_last_box_before_building():
 def test_the_fooling_grid_of_the_top_box_is_small():
     # box (15, 15) at the top of the scope: 129^2 grid points and one
     # 129 x 31 table, no grid matrix (16,641 x 961 complex, 256 MB)
-    grid, tables, indices, kernel = _fooling_grid((15, 15))
-    assert not any(isinstance(a, np.ndarray) for a in (indices, kernel))
+    grid, tables, kernel = _fooling_grid((15, 15))
+    assert not isinstance(kernel, np.ndarray)
     assert grid.nbytes + sum(t.nbytes for t in tables) < 2 ** 20
 
 
