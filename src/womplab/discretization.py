@@ -37,6 +37,8 @@ class SubsetCapError(ValueError):
 # Supports per stacked solve in the exhaustive scans; bounds their memory.
 SUPPORT_CHUNK = 1024
 
+_E = np.finfo(float).eps / 2  # unit roundoff, 2^-53
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -360,18 +362,22 @@ def _eig_rounding_bound(sampled, u):
     spread within a class there is below 3e-15, and on six point sets the
     scan solved 4 to 12 blocks besides the 7,872 class representatives.
     """
-    e = np.finfo(float).eps / 2
+    g = _entry_bound(sampled)
+    return 4 * (u * g + 8 * u ** 3 * _E * (1 + g))
 
-    def gamma(k):
-        return k * e / (1 - k * e)
 
-    pts = sampled.pointset.points
-    x_max = float(np.abs(pts).max()) if sampled.m else 0.0
-    eta = gamma(sampled.system.dim) * x_max * sum(sampled.system.box) + 8 * e
-    g = (2 * eta + eta ** 2
-         + (math.sqrt(2) * gamma(2 * sampled.m) + 2 * e) * (1 + eta) ** 2)
-    beta = u * g + 8 * u ** 3 * e * (1 + g)
-    return 4 * beta
+def _gamma(k):
+    """gamma_k = k e / (1 - k e), e the unit roundoff _E (Higham, sec. 3.1)."""
+    return k * _E / (1 - k * _E)
+
+
+def _entry_bound(sampled):
+    """g of steps 1 and 2 of _eig_rounding_bound: every computed entry of
+    (1/m) A^H A, in any summation order, is within g of the exact one."""
+    x_max = float(np.abs(sampled.pointset.points).max()) if sampled.m else 0.0
+    eta = _gamma(sampled.system.dim) * x_max * sum(sampled.system.box) + 8 * _E
+    return (2 * eta + eta ** 2
+            + (math.sqrt(2) * _gamma(2 * sampled.m) + 2 * _E) * (1 + eta) ** 2)
 
 
 def _holds(mode: str, c_low: float, c_high: float, p: float) -> bool:

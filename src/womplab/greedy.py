@@ -3,21 +3,24 @@
 The Hilbert space is C^m with inner product (1/m) sum f_i conj(g_i), the
 dictionary is the columns of a sampled system.  Each step selects a column
 whose inner product with the residual is within the weakness factor t of
-the best one, then re-projects the target onto everything selected so far.
-The default selection is the exact argmax (valid for every t <= 1, lowest
-index on ties); an adversarial mode picks the lowest-index column that
-merely clears the t threshold, which exercises the weak guarantee.
+the best one, then re-projects the target onto everything selected: in
+Gram space on a sampled system's exponential moments, else by incremental
+QR.  The default selection is the exact argmax (valid for every t <= 1,
+lowest index on ties); an adversarial mode picks the lowest-index column
+that merely clears the t threshold, which exercises the weak guarantee.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (DEFAULT_SUBSET_CAP, DiscreteHilbert, SubsetCapError,
-                             _chunks, _combinations)
+from .discretization import (DEFAULT_SUBSET_CAP, DiscreteHilbert, SampledSystem,
+                             SubsetCapError, _E, _chunks, _combinations,
+                             _entry_bound, _gamma)
 
 # Relative stopping tolerance: iteration halts once the best inner product
 # falls below this multiple of the initial norm.
@@ -101,14 +104,13 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
         selected.
 
     Selection always happens against columns normalized in the discrete
-    norm, so the weakness comparison is scale-free.  The selected columns
-    are kept as an incremental QR factorisation (Gram-Schmidt with one
-    reorthogonalisation): each step costs one product of the residual with
-    the dictionary, the residual is updated with the new orthonormal
-    vector, and the final coefficients solve R c = Q^H y.  A column whose
-    orthogonal part is at or below lstsq's rank cutoff, eps * max(m, k)
-    times its norm, sets rank_deficient; such a run returns project()'s
-    minimum-norm coefficients.
+    norm, so the weakness comparison is scale-free.  A SampledSystem runs in
+    Gram space (_womp_gram); any other h, or a run under _womp_gram's bound,
+    keeps the picks as an incremental QR factorisation (Gram-Schmidt with
+    one reorthogonalisation), one product of the residual with the
+    dictionary per step, and solves R c = Q^H y.  A column whose orthogonal
+    part is at or below lstsq's rank cutoff, eps * max(m, k) times its
+    norm, sets rank_deficient and project()'s minimum-norm coefficients.
     """
     if h.m == 0:
         raise ValueError("womp needs m >= 1 samples")
@@ -122,6 +124,11 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
         raise ValueError(f"step budget {steps} exceeds min(m, N) = {min(h.m, h.size)}")
 
     target = np.asarray(target, dtype=complex)
+    weak = t if selection == "adversarial-weak" else 1.0
+    if isinstance(h, SampledSystem):
+        trace = _womp_gram(h, target, t, steps, weak)
+        if trace is not None:
+            return trace
     matrix = h.matrix
     m = h.m
     col_norms = np.linalg.norm(matrix, axis=0) / math.sqrt(m)
@@ -142,17 +149,12 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     chosen_ips = []
     max_ips = []
     rank_flag = False
-    weak = t if selection == "adversarial-weak" else 1.0
 
     for _ in range(steps):
         abs_ips = np.abs(residual.conj() @ matrix) / ip_scale
-        # a selected column's inner product is roundoff, which a small t
-        # could still let through, so it takes no part in the selection
-        abs_ips[selected] = -1.0
-        max_ip = float(abs_ips.max())
-        if max_ip <= STOP_REL_TOL * norm0:
+        if (found := _select(abs_ips, selected, norm0, weak)) is None:
             break
-        pick = int(np.argmax(abs_ips >= weak * max_ip))
+        pick, max_ip = found
         selected.append(pick)
         # Gram-Schmidt with one reorthogonalisation; a column whose
         # orthogonal part falls to lstsq's rank cutoff leaves the span,
@@ -192,6 +194,94 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
                      coefficients=coefficients,
                      chosen_ips=tuple(chosen_ips), max_ips=tuple(max_ips),
                      rank_deficient=rank_flag)
+
+
+def _select(abs_ips, selected, norm0, weak):
+    """womp's rule: (pick, max_ip) among the columns not selected (theirs is
+    roundoff, which a small t could let through), or None to stop."""
+    abs_ips[selected] = -1.0
+    max_ip = float(abs_ips.max())
+    if max_ip <= STOP_REL_TOL * norm0:
+        return None
+    return int(np.argmax(abs_ips >= weak * max_ip)), max_ip
+
+
+def _window(box, col):
+    """Where row col of A^H A lies in _moment_table's array."""
+    q = np.unravel_index(col, [2 * b + 1 for b in box])  # k_col + box
+    return tuple(slice(2 * b - qa, 4 * b - qa + 1) for b, qa in zip(box, q))
+
+
+def _moment_table(h):
+    """m g(l) = sum_i exp(i<l, x_i>) at l + 2 box, |l| <= 2 box: the rows
+    conj(A[:, c]) @ A of the corner columns c with first coordinate -box[0]
+    give l_1 >= 0, m g(-l) = conj(m g(l)) the rest, and m g(0) = m."""
+    box, widths = h.system.box, tuple(2 * b + 1 for b in h.system.box)
+    corners = sorted({int(np.ravel_multi_index((0,) + q, widths))
+                      for q in itertools.product(*[(0, 2 * b) for b in box[1:]])})
+    rows = (h.matrix[:, corners].conj().T @ h.matrix).reshape(-1, *widths)
+    table = np.empty(tuple(4 * b + 1 for b in box), dtype=complex)
+    for c, row in zip(corners, rows):
+        table[_window(box, c)] = row
+    table[:2 * box[0]] = table[(slice(None, None, -1),) * len(box)][:2 * box[0]].conj()
+    table[tuple(2 * b for b in box)] = h.m
+    return table
+
+
+def _womp_gram(h, target, t, steps, weak):
+    """womp in Gram space (the batch OMP of Rubinstein, Zibulevsky and Elad,
+    Technion CS-2008-08), or None to hand the run to womp's QR route.  The
+    rows M[p, :] of M = A^H A are windows of _moment_table, built at the
+    first pick; R^H R = M[S, S] grows a column a step, kept as W = R^-1.
+    c = W W^H A_S^H y, the inner products y^H A - c^H M[S, :] and the
+    residual norm |y - A_S c| (k x m buffer) cost O(k (N + m)) a step.
+
+    Fallback bound, to first order in e = 2^-53, gamma_k = k e / (1 - k e):
+    the table is within m g of M (g: discretization._entry_bound).  W's new
+    column (-W r, 1) / d, r = W^H M[S, p], d = sqrt(m - |r|^2), keeps
+    |W R - I| <= gamma_(n+1) |W||R| (n = |S|), so R^H R = M + E with
+    |E|_2 <= phi = n m (g + 4 gamma_(n+1) kappa), kappa = sqrt(n m) |W|_F.
+    The run goes on while mu = 1 / |W|_F^2, at most each squared pivot,
+    exceeds 4 phi.  Then gamma_(n+1) kappa <= 1/16, |R^-1|_F <= (16/15) |W|_F
+    and lambda_min(M) >= (15/16)^2 mu - phi > mu / 2 > 2 n m g >= 5 n m^2 e:
+    each pick's part orthogonal to the others is at least sqrt(5 n m e) of
+    its norm, far above the QR route's rank cutoff eps max(m, k) while
+    m e << 1, so neither route flags rank_deficient; and c is within
+    2 (phi |c| + |d(A^H y)|) / mu of the exact solution.
+    """
+    matrix, m, box = h.matrix, h.m, h.system.box
+    beta0 = target.conj() @ matrix  # y^H A
+    g, norm0, table = _entry_bound(h), h.norm(target), None
+    rows = np.empty((steps, h.size), dtype=complex)  # M[p, :] of the picks
+    cols = np.empty((steps, m), dtype=complex)  # A[:, p] of the picks
+    w = np.zeros((steps, steps), dtype=complex)  # W = R^-1
+    wsq, c, beta = 0.0, beta0[:0], beta0  # |W|_F^2, c, y^H A - c^H M[S, :]
+    selected, res_norms, chosen_ips, max_ips = [], [norm0], [], []
+    for k in range(steps):
+        abs_ips = np.abs(beta) / m
+        if (found := _select(abs_ips, selected, norm0, weak)) is None:
+            break
+        pick, max_ip = found
+        table = _moment_table(h) if table is None else table
+        rows[k] = table[_window(box, pick)].reshape(-1)
+        r = w[:k, :k].conj().T @ rows[:k, pick]
+        d2 = m - float(np.vdot(r, r).real)
+        if not d2 > 0:
+            return None
+        n, d = k + 1, math.sqrt(d2)
+        w[:k, k], w[k, k] = -(w[:k, :k] @ r) / d, 1 / d
+        wsq += float(np.vdot(w[:n, k], w[:n, k]).real)
+        if 1 / wsq <= 4 * n * m * (g + 4 * _gamma(n + 1) * math.sqrt(n * m * wsq)):
+            return None
+        selected.append(pick)
+        cols[k] = matrix[:, pick]
+        c = w[:n, :n] @ (w[:n, :n].conj().T @ beta0[selected].conj())
+        beta = beta0 - c.conj() @ rows[:n]
+        res_norms.append(h.norm(target - c @ cols[:n]))
+        chosen_ips.append(float(abs_ips[pick]))
+        max_ips.append(max_ip)
+    return WompTrace(t, tuple(selected), tuple(res_norms), c, tuple(chosen_ips),
+                     tuple(max_ips))
 
 
 def _block_solve(gram, rhs, norm_sq, supports):
@@ -234,11 +324,7 @@ def _screen_bound(gram, idx, norm_sq, m):
     m = 600, v = 2 on random points, and inf where lambda <= 0 (m < v,
     coincident points) or a condition fails.
     """
-    e = np.finfo(float).eps / 2
-
-    def gamma(k):
-        return k * e / (1 - k * e)
-
+    e, gamma = _E, _gamma
     v = idx.shape[1]
     blocks = gram[idx[:, :, None], idx[:, None, :]]
     diag = np.diagonal(blocks, axis1=1, axis2=2)

@@ -1,16 +1,21 @@
-"""The incremental-QR weak greedy against the reference loop that re-solves
-the least-squares problem from scratch at every step."""
+"""Both routes of the weak greedy (incremental QR on the columns, and Gram
+space on a sampled system's moment table) against the reference loop that
+re-solves the least-squares problem from scratch at every step, and
+against each other."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from womplab.classes import ClassSpec, default_truncation_level, \
     sample_class_function
-from womplab.discretization import build_sampled, draw_points
+from womplab.discretization import PointSet, _entry_bound, build_sampled, \
+    draw_points
 from womplab.experiments import default_config, schedule_m
+from womplab import greedy
 from womplab.greedy import STOP_REL_TOL, DiscreteHilbert, project, womp
 from womplab.recovery import sample_target
 from womplab.trig import TrigPolynomial, TrigSystem
@@ -174,9 +179,11 @@ def test_womp_matches_reference_at_largest_sweep_cell():
     y = sample_target(f0, sampled)
     got = assert_matches_oracle(sampled, y, steps=steps)
     assert got.steps == steps and not got.rank_deficient
-    # womp used to call scipy.linalg.solve_triangular here; the inline back
-    # substitution must keep every coefficient bit
-    assert_solves_as_lapack(sampled, y, got)
+    # a sampled system runs in Gram space, and this cell must not fall back
+    # to the QR route (test_back_substitution_is_bitwise_lapack covers its bits)
+    gram = greedy._womp_gram(sampled, y, 1.0, steps, 1.0)
+    assert gram is not None
+    assert_same_trace(gram, got)
 
 
 def test_rank_deficient_run_returns_project_coefficients():
@@ -218,3 +225,113 @@ def test_nearly_parallel_columns_keep_the_residual_norms_accurate():
         assert not got.rank_deficient
         np.testing.assert_allclose(got.residual_norms, want["residual_norms"],
                                    rtol=0, atol=1e-10 * want["residual_norms"][0])
+
+
+def assert_same_trace(got, want):
+    """Every field of two traces equal, the floats bit for bit."""
+    assert got.selected == want.selected
+    assert got.rank_deficient == want.rank_deficient
+    for field in ("residual_norms", "chosen_ips", "max_ips", "coefficients"):
+        a = np.asarray(getattr(got, field))
+        b = np.asarray(getattr(want, field))
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("box", [(0,), (1,), (6,), (2, 3), (0, 2), (3, 0),
+                                 (1, 2, 1), (2, 0, 1)])
+def test_moment_table_entries_match_the_product_gram(box):
+    # every entry of A^H A / m that the table gives is within the per-entry
+    # bound g of the exact one, and so is h.gram's: they differ by <= 2 g
+    d = len(box)
+    system = TrigSystem(d, box)
+    for m, seed in ((1, 0), (7, 1), (300, 2)):
+        h = build_sampled(system, draw_points(m, d, seed))
+        table = greedy._moment_table(h)
+        rows = np.array([table[greedy._window(box, p)].ravel()
+                         for p in range(system.size)])
+        assert np.abs(rows / m - h.gram).max() <= 2 * _entry_bound(h)
+        assert np.all(np.diagonal(rows) == m)  # g(0) = 1 exactly
+
+
+def coefficient_gap_bound(h, y, selected):
+    """Bound on the gap between the two routes' coefficients for the
+    selected columns A_S, with n = |S|, M = A_S^H A_S and lam a lower bound
+    on lambda_min(M) from h.gram (entries within g, so M's eigenvalues
+    within m n g).  _womp_gram's docstring puts its coefficients within
+    2 (phi |c| + |d(A^H y)|) / mu of the exact c, with 1 / mu = |W|_F^2
+    <= n / lambda_min(R^H R) <= 2 n / lam, phi = n m (g + 4 gamma_(n+1)
+    kappa), kappa = sqrt(n m) |W|_F <= n sqrt(2 m / lam) and |d(A^H y)| <=
+    sqrt(n m) gamma_m |y|.  The QR route is backward stable, so its gap to
+    c is at most kappa(A_S) eps |c| + kappa(A_S)^2 eps |r| / |A_S| with
+    eps of the order of m n e; with kappa(A_S)^2 <= n m / lam and
+    g >= 2 m e both terms fall under the Gram route's bound.  So twice
+    that bound covers the gap; inf where lam <= 0."""
+    e = np.finfo(float).eps / 2
+    n, m = len(selected), h.m
+    if n == 0:
+        return 0.0
+    g = _entry_bound(h)
+    lam = m * (np.linalg.eigvalsh(h.gram[np.ix_(selected, selected)])[0] - n * g)
+    if not lam > 0:
+        return math.inf
+    gamma = (n + 1) * e / (1 - (n + 1) * e)
+    phi = n * m * (g + 4 * gamma * n * math.sqrt(2 * m / lam))
+    c = project(h, y, selected).coefficients
+    d_rhs = math.sqrt(n * m) * m * e / (1 - m * e) * np.linalg.norm(y)
+    return 2 * 4 * n * (phi * np.linalg.norm(c) + d_rhs) / lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(greedy_cases())
+def test_gram_route_matches_qr_route(case):
+    h, y, kwargs = case
+    weak = kwargs["t"] if kwargs["selection"] == "adversarial-weak" else 1.0
+    gram = greedy._womp_gram(h, y, kwargs["t"], kwargs["steps"], weak)
+    qr = womp(DiscreteHilbert(h.matrix), y, **kwargs)
+    got = womp(h, y, **kwargs)
+    if gram is None:  # fell back: womp is the QR route, bit for bit
+        assert_same_trace(got, qr)
+        return
+    assert_same_trace(got, gram)
+    assert gram.selected == qr.selected
+    assert not gram.rank_deficient and not qr.rank_deficient
+    gap = coefficient_gap_bound(h, y, list(gram.selected))
+    assert np.abs(gram.coefficients - qr.coefficients).max(initial=0) <= gap
+    # residual norms |y - A_S c| / sqrt(m) of each prefix: the coefficient
+    # gap times |A_S| <= sqrt(n m), plus the rounding of two residuals
+    e = np.finfo(float).eps / 2
+    for k in range(1, gram.steps + 1):
+        prefix = list(gram.selected[:k])
+        c = project(h, y, prefix).coefficients
+        slack = (math.sqrt(k * h.m) * coefficient_gap_bound(h, y, prefix)
+                 + 4 * h.m * e * (np.linalg.norm(y) + math.sqrt(k * h.m) * np.linalg.norm(c)))
+        assert abs(gram.residual_norms[k] - qr.residual_norms[k]) <= slack / math.sqrt(h.m)
+
+
+@pytest.mark.parametrize("selection", ["argmax", "adversarial-weak"])
+@pytest.mark.parametrize("gap", [1e-9, 1e-7])
+def test_near_coincident_points_fall_back_to_the_qr_route_bit_for_bit(selection, gap):
+    # pairs of points gap apart leave the later columns an orthogonal part of
+    # about gap times their norm: the QR route resolves it (no rank
+    # deficiency), the Cholesky factor cannot, so the Gram route hands the run
+    # over; at 1e-9 the pivot rounds to <= 0, at 1e-7 it stays positive and
+    # the bound on 1 / |W|_F^2 decides
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 2 * np.pi, 4)
+    pts = PointSet(1, np.concatenate([x, x[:2] + gap])[:, None])
+    h = build_sampled(TrigSystem(1, (3,)), pts)
+    y = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    assert greedy._womp_gram(h, y, 1e-3, 6, 1e-3 if selection != "argmax" else 1.0) is None
+    got = womp(h, y, t=1e-3, selection=selection)
+    assert got.steps > 4 and not got.rank_deficient
+    assert_same_trace(got, womp(DiscreteHilbert(h.matrix), y, t=1e-3, selection=selection))
+
+
+def test_zero_data_builds_no_moment_table(monkeypatch):
+    # the adversary's recovery map sees all-zero samples: the run stops
+    # before its first pick, so the table is never built
+    h = build_sampled(TrigSystem(2, (3, 3)), draw_points(40, 2, 0))
+    built = []
+    monkeypatch.setattr(greedy, "_moment_table", lambda h: built.append(h))
+    trace = womp(h, np.zeros(40, dtype=complex))
+    assert trace.steps == 0 and trace.coefficients.size == 0 and not built
