@@ -25,9 +25,10 @@ from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
                              SubsetCapError, build_sampled, check_usd,
                              draw_points, read_pointset, uniform_grid_points,
                              write_pointset)
-from .recovery import RecoveryReport, adversary_gap, recover, write_fooling
+from .recovery import (EXACT_RECOVERY_REL_TOL, RecoveryReport, adversary_gap,
+                       recover, write_fooling)
 from .greedy import SELECTIONS, womp
-from .trig import TrigPolynomial, TrigSystem, lp_norm, reconstruct
+from .trig import TrigPolynomial, TrigSystem, lp_norms, reconstruct
 
 
 class ConfigError(ValueError):
@@ -441,9 +442,10 @@ def _sweep_cell(args):
     report = recover(f0, system, pts, v=v, p=p_list[0], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
                      compute_sigma=False, seed=seed_idx)
-    errors = {p_list[0]: report.error_lp_mu}
-    for p in p_list[1:]:
-        errors[p] = lp_norm(f0 - report.approximant, p)
+    # an error at rounding level relative to the samples is exact recovery
+    tol = EXACT_RECOVERY_REL_TOL * report.trace.residual_norms[0]
+    errors = {p: 0.0 if e <= tol else e
+              for p, e in zip(p_list, lp_norms(f0 - report.approximant, p_list))}
     return {"v": v, "seed": seed_idx, "m": m, "J": J, "size": system.size,
             "steps": report.trace.steps, "errors": errors, "report": report}
 

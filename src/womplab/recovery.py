@@ -21,8 +21,9 @@ from .discretization import (DiscretizationReport, PointSet, SampledSystem,
                              uniform_grid_points)
 from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
 from .trig import (_EVAL_CHUNK_ENTRIES, OVERSAMPLE, TrigPolynomial, TrigSystem,
-                   _grid_values, _root_tables, fejer_kernel, lp_norm, lp_norms,
-                   quadrature_grid_size, reconstruct, write_polynomial)
+                   _box_coefficients, _grid_values, _root_tables, fejer_kernel,
+                   lp_norm, lp_norms, quadrature_grid_size, reconstruct,
+                   write_polynomial)
 
 # A sigma_v reference below this multiple of the target's sample norm is at
 # rounding level: no ratio is reported against it, and at sigma_ref it
@@ -37,19 +38,13 @@ def sample_target(f0: TrigPolynomial, sampled: SampledSystem) -> np.ndarray:
     dictionary, sampled as sampled.matrix @ a without a second pass of
     exponentials; terms outside the box are evaluated directly and added.
     """
-    system = sampled.system
-    if f0.dim != system.dim:
+    if f0.dim != sampled.system.dim:
         raise ValueError("target and system dimensions differ")
-    a = np.zeros(system.size, dtype=complex)
-    rest = {}
-    for k, c in f0.coeffs.items():
-        if all(abs(ki) <= b for ki, b in zip(k, system.box)):
-            a[system.column_of(k)] = c
-        else:
-            rest[k] = c
+    a = _box_coefficients(f0, sampled.system)
     y = sampled.matrix @ a
-    if rest:
-        y += TrigPolynomial(f0.dim, rest).eval(sampled.pointset.points)
+    rest = f0 - reconstruct(sampled.system, range(sampled.size), a)
+    if rest.coeffs:
+        y += rest.eval(sampled.pointset.points)
     return y
 
 
@@ -65,7 +60,7 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
     if v < 1:
         raise ValueError("v must be >= 1")
     y = sample_target(f0, sampled)
-    a_box = np.array([f0.coeffs.get(k, 0.0) for k in sampled.system.indices()])
+    a_box = _box_coefficients(f0, sampled.system)
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     supports = _supports(sampled.size, v)
     gram = 0.5 * (np.eye(sampled.size) + sampled.gram)
@@ -122,10 +117,11 @@ class RecoveryReport:
 
 
 def _ratio(err, sigma, scale):
-    """(err/sigma, exact_flag); sigma near zero means exact recovery."""
+    """(err/sigma, exact_flag); sigma at or below EXACT_RECOVERY_REL_TOL
+    times scale, the target's sample norm, means exact recovery."""
     if sigma is None:
         return None, False
-    if sigma <= EXACT_RECOVERY_REL_TOL * max(1.0, scale):
+    if sigma <= EXACT_RECOVERY_REL_TOL * scale:
         return None, True
     return err / sigma, False
 
@@ -149,6 +145,10 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     upper bound.  Both are None, with the reason in sigma_warning, when
     their C(N, v) supports exceed the subset cap.  The report keeps the
     L2(mu_xi)-best v-term polynomial as reference, beside the approximant.
+    Exactness is relative: a sigma_ref at or below EXACT_RECOVERY_REL_TOL
+    times the target's sample norm sqrt(mean |f0(xi)|^2) sets
+    exact_recovery, so scaling f0 by a power of two scales every error
+    and sigma and changes no flag.
     """
     if p != math.inf and p < 2:
         raise ValueError("recovery guarantees need p >= 2")

@@ -1,8 +1,8 @@
-"""Sparse trigonometric polynomials on the d-torus.
+"""Trigonometric polynomials on the d-torus.
 
 A polynomial is a finite sum  f(x) = sum_k c_k exp(i<k, x>)  with integer
-frequency vectors k.  Everything here is desk scale: polynomials are stored
-as sparse coefficient maps and evaluated directly, without fast transforms.
+frequency vectors k.  Everything here is desk scale: a polynomial is one
+dense coefficient box, evaluated directly, without fast transforms.
 The torus carries the normalized Lebesgue measure, so the exponentials form
 an orthonormal system and l2 norms come straight from Parseval.
 """
@@ -12,13 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass
 
 import numpy as np
-
-# Coefficients whose magnitude falls below this after arithmetic are dropped,
-# keeping the sparse representation canonical.
-COEFF_DROP_TOL = 1e-14
 
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
@@ -35,53 +32,81 @@ def _as_points(points, dim):
     return pts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class TrigPolynomial:
-    """Immutable sparse trigonometric polynomial.
+    """Immutable trigonometric polynomial on the dim-torus, built from a map
+    of integer multi-indices (length-dim iterables of ints) to complex
+    coefficients; indices that coincide as ints add up.
 
-    Parameters
-    ----------
-    dim : int
-        Dimension d of the torus.
-    coeffs : dict
-        Map from integer multi-indices (length-d tuples) to complex
-        coefficients.  Exact zeros are removed on construction.
+    It is stored as one read-only complex array _box over the bounding box
+    of the nonzero coefficients, from its lowest corner _lo.  Construction
+    and every operation trim exact zeros and only exact zeros, so no result
+    depends on the scale of the coefficients.
     """
 
     dim: int
-    coeffs: dict = field(default_factory=dict)
+    _lo: np.ndarray
+    _box: np.ndarray
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, coeffs=None):
+        if dim < 1:
             raise ValueError("dimension must be >= 1")
-        clean = {}
-        for k, c in self.coeffs.items():
-            key = tuple(map(int, k))
-            if len(key) != self.dim:
-                raise ValueError(f"index {key} does not match dimension {self.dim}")
-            c = complex(c)
-            if c != 0:
-                clean[key] = clean.get(key, 0) + c
-        object.__setattr__(self, "coeffs", clean)
+        items = list(coeffs.items()) if coeffs else []
+        if not items:
+            return self._set(dim, None, np.zeros((0,) * dim))
+        keys = np.array([k for k, _ in items], dtype=np.int64)
+        if keys.ndim != 2 or keys.shape[1] != dim:
+            raise ValueError(f"index shape {keys.shape[1:]} does not match dimension {dim}")
+        lo = keys.min(axis=0)
+        box = np.zeros(tuple(keys.max(axis=0) - lo + 1), dtype=complex)
+        np.add.at(box, tuple((keys - lo).T), np.array([c for _, c in items], complex))
+        self._set(dim, lo, box)
+
+    @classmethod
+    def _from_box(cls, dim, lo, box) -> "TrigPolynomial":
+        """The polynomial with coefficients box over the box from corner lo."""
+        (poly := object.__new__(cls))._set(dim, lo, box)
+        return poly
+
+    def _set(self, dim, lo, box):
+        # trim to the nonzero entries' bounding box; + 0.0 stores every zero
+        # real or imaginary part as +0.0, whatever sign arithmetic left on it
+        nz = np.nonzero(box)
+        if nz[0].size:
+            first = np.array([i.min() for i in nz])
+            box = box[_window(first, [i.max() + 1 for i in nz] - first)]
+            lo = np.asarray(lo, dtype=np.int64) + first
+        else:
+            box, lo = np.zeros((0,) * dim), np.zeros(dim, dtype=np.int64)
+        box = np.add(box, 0.0, dtype=complex)
+        box.flags.writeable = lo.flags.writeable = False
+        for name, value in (("dim", int(dim)), ("_lo", lo), ("_box", box)):
+            object.__setattr__(self, name, value)
+
+    def _terms(self):
+        """Frequencies (int64 rows) and values of the nonzero terms, lexicographic."""
+        nz = np.nonzero(self._box)
+        return np.stack(nz, axis=-1) + self._lo, self._box[nz]
+
+    @functools.cached_property
+    def coeffs(self):
+        """Read-only map from frequency tuples to the nonzero coefficients,
+        in lexicographic order."""
+        keys, vals = self._terms()
+        return types.MappingProxyType(dict(zip(map(tuple, keys.tolist()), vals.tolist())))
 
     @property
     def degree(self) -> int:
         """Max sup-norm of the stored frequencies (0 for the zero polynomial)."""
-        if not self.coeffs:
-            return 0
-        keys = np.array(list(self.coeffs))  # int64, or object past its range
-        return max(int(keys.max()), -int(keys.min()))
+        return max(int((self._lo + self._box.shape).max()) - 1, -int(self._lo.min()))
 
     def eval(self, points) -> np.ndarray:
         """Evaluate at an (m, d) array of points, returning complex values."""
         pts = _as_points(points, self.dim)
         out = np.zeros(pts.shape[0], dtype=complex)
-        if not self.coeffs:
-            return out
-        keys = sorted(self.coeffs)
-        K = np.array(keys, dtype=float)
-        c = np.array([self.coeffs[k] for k in keys])
-        chunk = max(1, _EVAL_CHUNK_ENTRIES // max(1, len(c)))
+        keys, c = self._terms()
+        K = keys.astype(float)
+        chunk = max(1, _EVAL_CHUNK_ENTRIES // max(1, c.size))
         for lo in range(0, pts.shape[0], chunk):
             block = pts[lo:lo + chunk]
             out[lo:lo + chunk] = np.exp(1j * (block @ K.T)) @ c
@@ -89,33 +114,37 @@ class TrigPolynomial:
 
     def l2_norm(self) -> float:
         """Exact L2 norm under the normalized measure (Parseval)."""
-        if not self.coeffs:
-            return 0.0
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
+        return float(np.sqrt(sum(abs(c) ** 2 for c in self._terms()[1].tolist())))
 
     def translate(self, shift) -> "TrigPolynomial":
         """Return x -> f(x - shift); coefficients pick up phases exp(-i<k, shift>)."""
         s = np.asarray(shift, dtype=float).reshape(-1)
         if s.size != self.dim:
             raise ValueError("shift dimension mismatch")
-        return TrigPolynomial(
-            self.dim,
-            {k: c * np.exp(-1j * float(np.dot(k, s))) for k, c in self.coeffs.items()},
-        )
+        nz = np.nonzero(self._box)
+        c = self._box[nz]
+        phase = np.exp(-1j * ((np.stack(nz, axis=-1) + self._lo) @ s))
+        # written out, the product rounds as a scalar complex product does;
+        # numpy's vectorised complex product may fuse its multiply-adds
+        out = np.zeros_like(self._box)
+        out.real[nz] = c.real * phase.real - c.imag * phase.imag
+        out.imag[nz] = c.real * phase.imag + c.imag * phase.real
+        return self._from_box(self.dim, self._lo, out)
 
     def __add__(self, other):
         self._check_same_dim(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return TrigPolynomial(self.dim, {k: c for k, c in out.items()
-                                         if abs(c) >= COEFF_DROP_TOL})
+        lo = np.minimum(self._lo, other._lo)
+        hi = np.maximum(self._lo + self._box.shape, other._lo + other._box.shape)
+        out = np.zeros(tuple(hi - lo), dtype=complex)
+        for part in (self, other):
+            out[_window(part._lo - lo, part._box.shape)] += part._box
+        return self._from_box(self.dim, lo, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return TrigPolynomial(self.dim, {k: -c for k, c in self.coeffs.items()})
+        return self._from_box(self.dim, self._lo, -self._box)
 
     def __mul__(self, other):
         return multiply(self, other)
@@ -125,56 +154,39 @@ class TrigPolynomial:
             raise ValueError("operands must be TrigPolynomial of equal dimension")
 
 
-def _dense(poly: TrigPolynomial):
-    """Coefficients in a dense array over their bounding box, and its lowest corner."""
-    keys = np.array(list(poly.coeffs), dtype=np.int64).reshape(-1, poly.dim)
-    lo = keys.min(axis=0)
-    dense = np.zeros(tuple(keys.max(axis=0) - lo + 1), dtype=complex)
-    dense[tuple((keys - lo).T)] = list(poly.coeffs.values())
-    return dense, lo
+def _window(start, shape) -> tuple:
+    """The slices of a box of the given shape placed at start."""
+    return tuple(slice(a, a + w) for a, w in zip(start, shape))
 
 
 def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     """Pointwise product: a direct dense convolution of the coefficients,
-    one shifted copy of f's dense array per nonzero coefficient of g."""
+    one shifted copy of f's box per nonzero coefficient of g."""
     f._check_same_dim(g)
-    if not f.coeffs or not g.coeffs:
+    if not f._box.size or not g._box.size:
         return TrigPolynomial(f.dim)
-    a, alo = _dense(f)
-    b, blo = _dense(g)
+    a, b = f._box, g._box
     out = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=complex)
     for k in np.argwhere(b):
-        out[tuple(slice(s, s + w) for s, w in zip(k, a.shape))] += b[tuple(k)] * a
-    keep = np.argwhere(np.abs(out) >= COEFF_DROP_TOL)
-    return TrigPolynomial(f.dim, dict(zip(map(tuple, (keep + alo + blo).tolist()),
-                                          out[tuple(keep.T)].tolist())))
+        out[_window(k, a.shape)] += b[tuple(k)] * a
+    return TrigPolynomial._from_box(f.dim, f._lo + g._lo, out)
 
 
 def fejer_kernel(j) -> TrigPolynomial:
-    """Tensor-product Fejer kernel with per-coordinate orders j.
+    """Tensor-product Fejer kernel with positive per-coordinate orders j.
 
     The univariate factor of order j has coefficients (1 - |k|/j) for
     |k| <= j - 1.  It is nonnegative on the torus, its mean is 1, and its
-    sup norm j is attained at 0; the tensor product inherits all three
-    properties coordinatewise.
-
-    Parameters
-    ----------
-    j : sequence of int
-        Positive order, one per coordinate.
+    sup norm j is attained at 0; the tensor product, the outer product of
+    the factors' coefficients, inherits all three properties coordinatewise.
     """
     orders = tuple(map(int, j))
     if any(v < 1 for v in orders):
         raise ValueError("Fejer orders must be positive integers")
-    axes = [[(k, 1.0 - abs(k) / v) for k in range(-(v - 1), v)] for v in orders]
-    coeffs = {}
-    for combo in itertools.product(*axes):
-        k = tuple(kw[0] for kw in combo)
-        w = 1.0
-        for kw in combo:
-            w *= kw[1]
-        coeffs[k] = w
-    return TrigPolynomial(len(orders), coeffs)
+    box = np.ones(())
+    for v in orders:
+        box = np.multiply.outer(box, 1.0 - np.abs(np.arange(1 - v, v)) / v)
+    return TrigPolynomial._from_box(len(orders), [1 - v for v in orders], box)
 
 
 def dyadic_block(j: int, d: int) -> frozenset:
@@ -219,37 +231,11 @@ class TrigSystem:
     @property
     def size(self) -> int:
         """Number of exponentials, prod_i (2*box[i] + 1)."""
-        n = 1
-        for v in self.box:
-            n *= 2 * v + 1
-        return n
+        return math.prod(2 * v + 1 for v in self.box)
 
     def indices(self) -> list:
         """All frequency tuples in lexicographic order."""
-        ranges = [range(-v, v + 1) for v in self.box]
-        return list(itertools.product(*ranges))
-
-    def index_at(self, col: int) -> tuple:
-        """Frequency tuple of a dictionary column."""
-        if not 0 <= col < self.size:
-            raise IndexError("column out of range")
-        k = []
-        rem = col
-        for v in reversed(self.box):
-            w = 2 * v + 1
-            k.append(rem % w - v)
-            rem //= w
-        return tuple(reversed(k))
-
-    def column_of(self, k) -> int:
-        """Dictionary column of a frequency tuple."""
-        key = tuple(map(int, k))
-        col = 0
-        for ki, v in zip(key, self.box):
-            if abs(ki) > v:
-                raise ValueError(f"index {key} outside box {self.box}")
-            col = col * (2 * v + 1) + (ki + v)
-        return col
+        return list(itertools.product(*(range(-v, v + 1) for v in self.box)))
 
     def evaluate_at(self, points) -> np.ndarray:
         """Evaluation matrix with entry [i, j] = exp(i <k_j, x_i>).
@@ -281,8 +267,20 @@ class TrigSystem:
 
 def reconstruct(system: TrigSystem, columns, coefficients) -> TrigPolynomial:
     """Polynomial with the given coefficients on the system's columns."""
-    return TrigPolynomial(system.dim, {system.index_at(int(col)): complex(c)
-                                       for col, c in zip(columns, coefficients)})
+    box = np.zeros(system.size, dtype=complex)
+    box[list(columns)] = coefficients
+    return TrigPolynomial._from_box(system.dim, [-v for v in system.box],
+                                    box.reshape([2 * v + 1 for v in system.box]))
+
+
+def _box_coefficients(poly: TrigPolynomial, system: TrigSystem) -> np.ndarray:
+    """poly's coefficients on the system's columns: one slice of its box."""
+    box = np.array(system.box)
+    lo = np.maximum(poly._lo, -box)
+    hi = np.maximum(lo, np.minimum(poly._lo + poly._box.shape, box + 1))
+    inside = np.zeros(2 * box + 1, dtype=complex)
+    inside[_window(lo + box, hi - lo)] = poly._box[_window(lo - poly._lo, hi - lo)]
+    return inside.reshape(-1)
 
 
 def quadrature_grid_size(degree: int, p, oversample: int) -> int:
@@ -334,10 +332,10 @@ def _grid_values(vals: np.ndarray, tables: tuple) -> np.ndarray:
 
 def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
     """poly on _tensor_grid(n, poly.dim), in the same row order."""
-    if not poly.coeffs:
+    if not poly._box.size:
         return np.zeros(n ** poly.dim, dtype=complex)
-    vals, lo = _dense(poly)
-    return _grid_values(vals, _root_tables(n, tuple(lo.tolist()), vals.shape))
+    return _grid_values(poly._box, _root_tables(n, tuple(poly._lo.tolist()),
+                                                poly._box.shape))
 
 
 def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
@@ -387,7 +385,6 @@ def write_polynomial(poly: TrigPolynomial, path, header_lines=()) -> None:
         for line in header_lines:
             fh.write(f"# {line}\n")
         fh.write(f"dim {poly.dim}\n")
-        for k in sorted(poly.coeffs):
-            c = poly.coeffs[k]
+        for k, c in poly.coeffs.items():
             ks = " ".join(str(v) for v in k)
             fh.write(f"{ks} {c.real:.17g} {c.imag:.17g}\n")

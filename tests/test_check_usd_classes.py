@@ -116,13 +116,15 @@ def _brute_representative(system, support):
     """First member in lexicographic order of the support's class under
     translation within the box and the reflection k -> -k."""
     box = np.array(system.box)
+    indices = system.indices()
+    column_of = {k: col for col, k in enumerate(indices)}
     best = None
     for sign in (1, -1):
-        ks = sign * np.array([system.index_at(c) for c in support])
+        ks = sign * np.array([indices[c] for c in support])
         for shift in itertools.product(*[range(-2 * b, 2 * b + 1) for b in box]):
             moved = ks + np.array(shift)
             if np.all(np.abs(moved) <= box):
-                member = tuple(sorted(system.column_of(k) for k in moved))
+                member = tuple(sorted(column_of[tuple(k)] for k in moved.tolist()))
                 best = member if best is None else min(best, member)
     return best
 

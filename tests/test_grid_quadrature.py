@@ -1,10 +1,12 @@
-"""The sum-factorised grid kernel, the dense product and the shared norms.
+"""The dense coefficient box, the sum-factorised grid kernel, the dense
+product and the shared norms.
 
-`_poly_grid_values`, the sum-factorised kernel `_grid_values` on one
-polynomial, is checked against the direct evaluation `poly.eval` on the
-same tensor grid, `multiply` against the dict convolution it replaced, and
-the norms `make_fooling` and `lp_norms` take from one grid evaluation
-against `lp_norm` bit for bit.
+The dense-box `TrigPolynomial` is checked bit for bit against the dict
+implementation it replaced, `_poly_grid_values`, the sum-factorised kernel
+`_grid_values` on one polynomial, against the direct evaluation
+`poly.eval` on the same tensor grid, `multiply` against the dict
+convolution before it, and the norms `make_fooling` and `lp_norms` take
+from one grid evaluation against `lp_norm` bit for bit.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from womplab.discretization import draw_points
 from womplab.recovery import make_fooling
-from womplab.trig import (COEFF_DROP_TOL, TrigPolynomial, TrigSystem,
+from womplab.trig import (TrigPolynomial, TrigSystem,
                           _grid_values, _poly_grid_values, _root_tables,
                           _tensor_grid, fejer_kernel, lp_norm, lp_norms,
                           multiply)
@@ -35,15 +37,14 @@ def multiply_dict(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
         for kg, cg in g.coeffs.items():
             k = tuple(a + b for a, b in zip(kf, kg))
             out[k] = out.get(k, 0) + cf * cg
-    return TrigPolynomial(f.dim, {k: c for k, c in out.items()
-                                  if abs(c) >= COEFF_DROP_TOL})
+    return TrigPolynomial(f.dim, {k: c for k, c in out.items() if c != 0})
 
 
 @st.composite
-def sparse_polys(draw, dim=None):
-    """A sparse polynomial: up to 12 frequencies in an offset window that
-    may lie on either side of 0, random complex coefficients, sometimes
-    none at all."""
+def sparse_maps(draw, dim=None):
+    """The (dim, coefficient map) of a sparse polynomial: up to 12
+    frequencies in an offset window that may lie on either side of 0,
+    random complex coefficients, sometimes none at all."""
     d = dim if dim is not None else draw(st.sampled_from([1, 2, 3]))
     terms = draw(st.integers(0, 12))
     offset = [draw(st.integers(-9, 9)) for _ in range(d)]
@@ -52,7 +53,138 @@ def sparse_polys(draw, dim=None):
             for _ in range(terms)}
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     coeff = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
-    return TrigPolynomial(d, dict(zip(sorted(keys), coeff)))
+    return d, dict(zip(sorted(keys), coeff))
+
+
+def sparse_polys(dim=None):
+    """sparse_maps as polynomials."""
+    return sparse_maps(dim).map(lambda dim_map: TrigPolynomial(*dim_map))
+
+
+class DictPolynomial:
+    """The former `TrigPolynomial`, the oracle of the dense box: a dict from
+    frequency tuples to complex coefficients, kept in insertion order, with
+    its drop rule |c| < 1e-14 changed to exact zeros."""
+
+    def __init__(self, dim, coeffs):
+        clean = {}
+        for k, c in coeffs.items():
+            key = tuple(map(int, k))
+            c = complex(c)
+            if c != 0:
+                clean[key] = clean.get(key, 0) + c
+        self.dim, self.coeffs = dim, clean
+
+    @property
+    def degree(self):
+        if not self.coeffs:
+            return 0
+        keys = np.array(list(self.coeffs))
+        return max(int(keys.max()), -int(keys.min()))
+
+    def eval(self, points):
+        out = np.zeros(points.shape[0], dtype=complex)
+        if not self.coeffs:
+            return out
+        keys = sorted(self.coeffs)
+        K = np.array(keys, dtype=float)
+        c = np.array([self.coeffs[k] for k in keys])
+        out[:] = np.exp(1j * (points @ K.T)) @ c
+        return out
+
+    def l2_norm(self):
+        if not self.coeffs:
+            return 0.0
+        return float(np.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values())))
+
+    def translate(self, shift):
+        return DictPolynomial(self.dim, {k: c * np.exp(-1j * float(np.dot(k, shift)))
+                                         for k, c in self.coeffs.items()})
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return DictPolynomial(self.dim, {k: c for k, c in out.items() if c != 0})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return DictPolynomial(self.dim, {k: -c for k, c in self.coeffs.items()})
+
+    def _dense(self):
+        keys = np.array(list(self.coeffs), dtype=np.int64).reshape(-1, self.dim)
+        lo = keys.min(axis=0)
+        dense = np.zeros(tuple(keys.max(axis=0) - lo + 1), dtype=complex)
+        dense[tuple((keys - lo).T)] = list(self.coeffs.values())
+        return dense, lo
+
+    def __mul__(self, other):
+        if not self.coeffs or not other.coeffs:
+            return DictPolynomial(self.dim, {})
+        a, alo = self._dense()
+        b, blo = other._dense()
+        out = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=complex)
+        for k in np.argwhere(b):
+            out[tuple(slice(s, s + w) for s, w in zip(k, a.shape))] += b[tuple(k)] * a
+        keep = np.argwhere(out != 0)
+        return DictPolynomial(self.dim, dict(zip(map(tuple, (keep + alo + blo).tolist()),
+                                                 out[tuple(keep.T)].tolist())))
+
+
+def sorted_terms(poly):
+    """The oracle's map in lexicographic order, the dense box's order."""
+    return DictPolynomial(poly.dim, dict(sorted(poly.coeffs.items())))
+
+
+def bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.uint64)
+
+
+def assert_same_terms(got, expect):
+    # the same frequencies in lexicographic order, and every bit of every
+    # coefficient, the sign of a zero part included
+    assert list(got.coeffs) == sorted(expect.coeffs)
+    assert np.array_equal(bits(list(got.coeffs.values())),
+                          bits(list(sorted_terms(expect).coeffs.values())))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.tuples(sparse_maps(d), sparse_maps(d))), st.integers(0, 2 ** 32 - 1))
+def test_dense_box_matches_the_dict_polynomial(pair, seed):
+    (d, fmap), (_, gmap) = pair
+    f, g = TrigPolynomial(d, fmap), TrigPolynomial(d, gmap)
+    F, G = DictPolynomial(d, fmap), DictPolynomial(d, gmap)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-7.0, 7.0, size=(9, d))
+    pts[0] = 0.0
+    for got, expect in ((f, F), (g, G), (f + g, F + G), (f - g, F - G), (-f, -F),
+                        (f * g, F * G), (f - f, F - F), (f * (g - g), F * (G - G))):
+        assert_same_terms(got, expect)
+        assert got.degree == expect.degree
+        assert np.array_equal(bits(got.eval(pts)), bits(expect.eval(pts)))
+        # both sum the squares one term at a time; the dense box in
+        # lexicographic order, the dict in insertion order
+        assert got.l2_norm().hex() == sorted_terms(expect).l2_norm().hex()
+    shift = rng.uniform(-2 * np.pi, 2 * np.pi, d)
+    got, expect = f.translate(shift), F.translate(shift)
+    if d == 1:
+        assert_same_terms(got, expect)
+        return
+    # in d >= 2 the former phase <k, shift> was one BLAS dot per term, which
+    # may fuse its multiply-adds, the box's one matrix-vector product for all
+    # terms: each phase is within gamma_d sum_i |k_i shift_i| of exact, exp
+    # within 8 u per value and the product by c within sqrt(2) gamma_2 |c|,
+    # so the two coefficients differ by at most
+    # 2 |c| (gamma_d sum_i |k_i shift_i| + 8 u + sqrt(2) gamma_2)
+    assert list(got.coeffs) == sorted(expect.coeffs)
+    u = np.finfo(float).eps / 2
+    for k, c in expect.coeffs.items():
+        phase_err = d * u / (1 - d * u) * float(np.abs(np.multiply(k, shift)).sum())
+        bound = 2 * abs(c) * (phase_err + 8 * u + math.sqrt(2) * 2 * u / (1 - 2 * u))
+        assert abs(got.coeffs[k] - c) <= bound
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -145,6 +277,10 @@ def test_multiply_drops_exact_cancellation():
     g = TrigPolynomial(1, {(0,): 1.0, (1,): -1.0})
     assert multiply(f, g).coeffs == multiply_dict(f, g).coeffs == {(0,): 1.0, (2,): -1.0}
     assert multiply(f, TrigPolynomial(1, {})).coeffs == {}
+    # only exact zeros drop: a tiny monomial times 1, or plus itself, stays
+    tiny = TrigPolynomial(1, {(3,): 1e-15})
+    assert multiply(tiny, TrigPolynomial(1, {(0,): 1.0})).coeffs == {(3,): 1e-15}
+    assert (tiny + tiny).coeffs == {(3,): 2e-15}
 
 
 def test_multiply_fooling_shape_matches_dict_convolution():

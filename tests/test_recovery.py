@@ -58,6 +58,33 @@ def test_recover_dense_target_reports_ratios():
     assert rep.trace.residual_norms[1] >= rep.sigma_discrete * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("box", [(10,), (2, 2)])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_recover_is_homogeneous_in_the_target(box, sparse):
+    # a power-of-two factor is exact in floating point, and no step depends
+    # on the target's scale (no absolute drop rule, no absolute floor on
+    # the exactness test), so every error and sigma scales bit for bit
+    system = TrigSystem(len(box), box)
+    rng = np.random.default_rng(21)
+    cols = [3, 11] if sparse else range(system.size)
+    coeff = rng.standard_normal(len(cols)) + 1j * rng.standard_normal(len(cols))
+    xi = draw_points(40, len(box), seed=21)
+
+    def run(s):
+        return recover(reconstruct(system, cols, s * coeff), system, xi, v=2,
+                       certify=False)
+
+    base = run(1.0)
+    assert base.exact_recovery == sparse
+    for k in (1, 20, 44, 50, 60):
+        s = 2.0 ** -k
+        rep = run(s)
+        for name in ("error_lp_mu", "sigma_ref", "sigma_discrete"):
+            assert (getattr(rep, name) / s).hex() == getattr(base, name).hex(), (k, name)
+        assert rep.exact_recovery == base.exact_recovery
+        assert rep.ratio_pipeline == base.ratio_pipeline
+
+
 def test_recover_keeps_the_l2_muxi_best_vterm_as_reference(monkeypatch):
     system = TrigSystem(1, (4,))
     rng = np.random.default_rng(3)

@@ -141,8 +141,8 @@ def greedy_cases(draw):
         terms = draw(st.integers(1, system.size))
         cols = rng.choice(system.size, size=terms, replace=False)
         coeff = rng.standard_normal(terms) + 1j * rng.standard_normal(terms)
-        f0 = TrigPolynomial(d, {system.index_at(int(c)): w
-                                for c, w in zip(cols, coeff)})
+        indices = system.indices()
+        f0 = TrigPolynomial(d, {indices[c]: w for c, w in zip(cols, coeff)})
         y = sample_target(f0, sampled)
     # At t of order 1e-15 the weak rule can take a column whose inner
     # product is pure roundoff (the oracle even a selected one, which womp
