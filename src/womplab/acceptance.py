@@ -19,9 +19,9 @@ import numpy as np
 
 from .discretization import build_sampled, check_usd, draw_points, \
     uniform_grid_points
-from .experiments import DEFAULTS, rate_sweep_compute
+from .experiments import DEFAULTS, rate_sweep_compute, zero_data_recovery
 from .greedy import project, womp
-from .recovery import adversary_gap, recover, sample_target
+from .recovery import _ratio, adversary_gap, recover, sample_target
 from .trig import TrigSystem, fejer_kernel, lp_norms, reconstruct
 
 
@@ -178,12 +178,13 @@ def criterion_lebesgue():
     for c in cells:
         if not c["holds"]:
             continue
-        if c["sigma_disc"] <= 1e-12 * max(1.0, c["scale"]):
+        ratio, exact = _ratio(c["resid_disc"], c["sigma_disc"], c["scale"])
+        if exact:
             if c["resid_disc"] > 1e-9:
                 return False, (f"deg={c['deg']} u={c['u']} seed={c['seed']}: "
                                f"sigma=0 but residual {c['resid_disc']:.2e}")
             continue
-        worst = max(worst, c["resid_disc"] / c["sigma_disc"])
+        worst = max(worst, ratio)
     ok = worst <= LEBESGUE_RATIO
     return ok, (f"worst residual/sigma_v = {worst:.4f} over "
                 f"{len(cells) - failed_certs} certified runs "
@@ -199,8 +200,7 @@ def criterion_pipeline():
             continue
         for p in (2.0, 4.0):
             h_theory = c["u"] ** (0.5 - 1.0 / p)
-            bound = PIPELINE_FACTOR * h_theory * c["sigma_ref"][p]
-            if c["sigma_ref"][p] <= 1e-12 * max(1.0, c["scale"]):
+            if _ratio(c["error"][p], c["sigma_ref"][p], c["scale"])[1]:
                 if c["error"][p] > 1e-9:
                     return False, (f"deg={c['deg']} u={c['u']} seed={c['seed']} "
                                    f"p={p:g}: sigma_ref=0, error {c['error'][p]:.2e}")
@@ -289,8 +289,6 @@ def criterion_scaling():
 
 def criterion_fooling():
     """Adversary construction: vanishing samples, zero recovery, norm ladder."""
-    from .experiments import zero_data_recovery
-
     medians = []
     worst_defect = 0.0
     for box in (8, 16, 32):

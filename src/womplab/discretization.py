@@ -124,15 +124,21 @@ def read_pointset(path) -> PointSet:
 
 
 @dataclass(frozen=True)
-class DiscreteHilbert:
-    """C^m with the (1/m)-weighted inner product and a column dictionary.
+class SampledSystem:
+    """A dictionary of exponentials evaluated at sample points, in C^m with
+    the (1/m)-weighted inner product.
 
+    matrix[i, j] = (j-th exponential)(i-th point), so every entry has
+    modulus 1.  Build it with build_sampled: the exhaustive check_usd and
+    womp's Gram route rely on the matrix being system.evaluate_at(points).
     gram, the discrete Gram (1/m) * matrix^H matrix, is computed on first
     use and kept read-only: the certificate's eigensolves and both best
     v-term references share it.
     """
 
     matrix: np.ndarray
+    system: TrigSystem
+    pointset: PointSet
 
     @property
     def m(self) -> int:
@@ -152,19 +158,6 @@ class DiscreteHilbert:
         gram = (self.matrix.conj().T @ self.matrix) / self.m
         gram.setflags(write=False)
         return gram
-
-
-@dataclass(frozen=True)
-class SampledSystem(DiscreteHilbert):
-    """A dictionary evaluated at sample points.
-
-    matrix[i, j] = (j-th exponential)(i-th point).  Build it with
-    build_sampled: the exhaustive check_usd relies on the matrix being
-    system.evaluate_at(points).
-    """
-
-    system: TrigSystem
-    pointset: PointSet
 
 
 def build_sampled(system: TrigSystem, pointset: PointSet) -> SampledSystem:

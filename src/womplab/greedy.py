@@ -4,10 +4,11 @@ The Hilbert space is C^m with inner product (1/m) sum f_i conj(g_i), the
 dictionary is the columns of a sampled system.  Each step selects a column
 whose inner product with the residual is within the weakness factor t of
 the best one, then re-projects the target onto everything selected: in
-Gram space on a sampled system's exponential moments, else by incremental
-QR.  The default selection is the exact argmax (valid for every t <= 1,
-lowest index on ties); an adversarial mode picks the lowest-index column
-that merely clears the t threshold, which exercises the weak guarantee.
+Gram space on the exponentials' moment table, or by incremental QR where a
+rounding bound hands the run over.  The default selection is the exact
+argmax (valid for every t <= 1, lowest index on ties); an adversarial mode
+picks the lowest-index column that merely clears the t threshold, which
+exercises the weak guarantee.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import (DEFAULT_SUBSET_CAP, DiscreteHilbert, SampledSystem,
-                             SubsetCapError, _E, _chunks, _combinations,
-                             _entry_bound, _gamma)
+from .discretization import (DEFAULT_SUBSET_CAP, SampledSystem, SubsetCapError,
+                             _E, _chunks, _combinations, _entry_bound, _gamma)
 
 # Relative stopping tolerance: iteration halts once the best inner product
 # falls below this multiple of the initial norm.
@@ -34,7 +34,7 @@ class ProjectionResult:
     rank_deficient: bool
 
 
-def project(h: DiscreteHilbert, target, support) -> ProjectionResult:
+def project(h: SampledSystem, target, support) -> ProjectionResult:
     """Orthogonal projection of target onto the span of support columns.
 
     Solved from scratch by least squares; a rank-deficient support is
@@ -83,13 +83,13 @@ class WompTrace:
 SELECTIONS = ("argmax", "adversarial-weak")
 
 
-def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
+def womp(h: SampledSystem, target, t: float = 1.0, steps: int | None = None,
          selection: str = "argmax") -> WompTrace:
     """Weak orthogonal matching pursuit on the sampled dictionary.
 
     Parameters
     ----------
-    h : DiscreteHilbert
+    h : SampledSystem
     target : array of m samples
     t : float
         Weakness threshold in (0, 1].
@@ -103,14 +103,10 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
         Both take the maximum and the pick over the columns not yet
         selected.
 
-    Selection always happens against columns normalized in the discrete
-    norm, so the weakness comparison is scale-free.  A SampledSystem runs in
-    Gram space (_womp_gram); any other h, or a run under _womp_gram's bound,
-    keeps the picks as an incremental QR factorisation (Gram-Schmidt with
-    one reorthogonalisation), one product of the residual with the
-    dictionary per step, and solves R c = Q^H y.  A column whose orthogonal
-    part is at or below lstsq's rank cutoff, eps * max(m, k) times its
-    norm, sets rank_deficient and project()'s minimum-norm coefficients.
+    Every column has norm 1 in the discrete norm (its entries have modulus
+    1), so selection compares |<residual, column>| / m and the weakness
+    comparison is scale-free.  The run is in Gram space (_womp_gram); a run
+    under _womp_gram's rounding bound falls back to _womp_qr.
     """
     if h.m == 0:
         raise ValueError("womp needs m >= 1 samples")
@@ -125,16 +121,20 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
 
     target = np.asarray(target, dtype=complex)
     weak = t if selection == "adversarial-weak" else 1.0
-    if isinstance(h, SampledSystem):
-        trace = _womp_gram(h, target, t, steps, weak)
-        if trace is not None:
-            return trace
+    trace = _womp_gram(h, target, t, steps, weak)
+    return _womp_qr(h, target, t, steps, weak) if trace is None else trace
+
+
+def _womp_qr(h, target, t, steps, weak):
+    """womp's fallback: the picks kept as an incremental QR factorisation
+    (Gram-Schmidt with one reorthogonalisation), one product of the residual
+    with the dictionary per step, and R c = Q^H y solved at the end.  A
+    column whose orthogonal part is at or below lstsq's rank cutoff,
+    eps * max(m, k) times its norm, sets rank_deficient and project()'s
+    minimum-norm coefficients.
+    """
     matrix = h.matrix
     m = h.m
-    col_norms = np.linalg.norm(matrix, axis=0) / math.sqrt(m)
-    if np.any(col_norms < 1e-15):
-        raise ValueError("dictionary contains a zero column")
-    ip_scale = m * col_norms
     eps = np.finfo(float).eps
 
     norm0 = h.norm(target)
@@ -151,7 +151,7 @@ def womp(h: DiscreteHilbert, target, t: float = 1.0, steps: int | None = None,
     rank_flag = False
 
     for _ in range(steps):
-        abs_ips = np.abs(residual.conj() @ matrix) / ip_scale
+        abs_ips = np.abs(residual.conj() @ matrix) / m
         if (found := _select(abs_ips, selected, norm0, weak)) is None:
             break
         pick, max_ip = found
@@ -230,9 +230,9 @@ def _moment_table(h):
 
 def _womp_gram(h, target, t, steps, weak):
     """womp in Gram space (the batch OMP of Rubinstein, Zibulevsky and Elad,
-    Technion CS-2008-08), or None to hand the run to womp's QR route.  The
-    rows M[p, :] of M = A^H A are windows of _moment_table, built at the
-    first pick; R^H R = M[S, S] grows a column a step, kept as W = R^-1.
+    Technion CS-2008-08), or None to hand the run to _womp_qr.  The rows
+    M[p, :] of M = A^H A are windows of _moment_table, built at the first
+    pick; R^H R = M[S, S] grows a column a step, kept as W = R^-1.
     c = W W^H A_S^H y, the inner products y^H A - c^H M[S, :] and the
     residual norm |y - A_S c| (k x m buffer) cost O(k (N + m)) a step.
 
@@ -245,7 +245,7 @@ def _womp_gram(h, target, t, steps, weak):
     exceeds 4 phi.  Then gamma_(n+1) kappa <= 1/16, |R^-1|_F <= (16/15) |W|_F
     and lambda_min(M) >= (15/16)^2 mu - phi > mu / 2 > 2 n m g >= 5 n m^2 e:
     each pick's part orthogonal to the others is at least sqrt(5 n m e) of
-    its norm, far above the QR route's rank cutoff eps max(m, k) while
+    its norm, far above _womp_qr's rank cutoff eps max(m, k) while
     m e << 1, so neither route flags rank_deficient; and c is within
     2 (phi |c| + |d(A^H y)|) / mu of the exact solution.
     """
@@ -361,7 +361,7 @@ def _supports(n, v):
     return _combinations(n, v)
 
 
-def best_vterm(h: DiscreteHilbert, target, v: int) -> BestTermResult:
+def best_vterm(h: SampledSystem, target, v: int) -> BestTermResult:
     """sigma_v of the target over the sampled dictionary, by enumeration.
 
     Bit for bit what project() (exact least squares) on every support of

@@ -4,6 +4,8 @@ perfbench/ calls the library with its own argument lists, wraps it with
 its tracer and compares seed-0 outputs with a recorded reference.  One
 traced pass of each workload, checked the way perfbench/run.py checks it,
 shows a broken signature or a moved seed-0 result here, in the test suite.
+The same pass counts womp's routes: every run stays in Gram space, and none
+falls back to the QR route.
 """
 
 import json
@@ -17,7 +19,20 @@ ROOT = Path(__file__).resolve().parents[1]
 PASS_CODE = """
 import json
 import checks, tracer, workloads
+from womplab import greedy
 
+calls = {"_womp_gram": 0, "_womp_qr": 0}
+
+
+def counted(name, func):
+    def wrapper(*args):
+        calls[name] += 1
+        return func(*args)
+    return wrapper
+
+
+for name in calls:
+    setattr(greedy, name, counted(name, getattr(greedy, name)))
 reference = checks.load_reference()
 problems = {}
 for name, cls in workloads.WORKLOADS.items():
@@ -27,7 +42,7 @@ for name, cls in workloads.WORKLOADS.items():
         outcome = workload.run_pass(inputs)
     items = checks.check_pass(name, workload.summarize(outcome), reference.get(name))
     problems[name] = {"items": len(items), "problems": [p for item in items for p in item]}
-print(json.dumps(problems))
+print(json.dumps({"problems": problems, "calls": calls}))
 """
 
 
@@ -38,8 +53,11 @@ def test_one_traced_pass_of_each_workload_meets_the_checks():
     proc = subprocess.run([sys.executable, "-c", PASS_CODE], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = out["problems"]
     assert sorted(result) == ["adversary", "certified", "sweep"]
     for name, row in result.items():
         assert row["items"] > 0, name
         assert row["problems"] == [], name
+    assert out["calls"]["_womp_gram"] > 0
+    assert out["calls"]["_womp_qr"] == 0

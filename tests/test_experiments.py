@@ -276,8 +276,9 @@ def test_rate_sweep_compute_deterministic_and_negative_slope():
 
 def test_rate_sweep_single_spike_collapses_to_exact_recovery():
     # a single-spike target is one-sparse, so every cell recovers it
-    # exactly and the coefficient drop tolerance zeroes the difference;
-    # zero medians carry no decay information, so the fit must refuse
+    # exactly: the difference is at rounding level, and _sweep_cell's
+    # exactness threshold, relative to the target's sample norm, reports it
+    # as 0; zero medians carry no decay information, so the fit must refuse
     # rather than report a slope fitted to nothing
     sec = default_config()["rate-sweep"]
     sec.update({"profile": "single-spike", "v_list": "1,2,3,4", "seeds": 2,

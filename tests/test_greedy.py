@@ -8,7 +8,7 @@ import pytest
 
 from womplab.discretization import PointSet, build_sampled, draw_points, \
     uniform_grid_points
-from womplab.greedy import DiscreteHilbert, best_vterm, project, womp
+from womplab.greedy import best_vterm, project, womp
 from womplab.recovery import reconstruct
 from womplab.trig import TrigSystem
 
@@ -122,21 +122,27 @@ def test_womp_validation():
 
 
 def test_coherent_pair_run_matches_hand_gram():
-    # Two unit-norm columns on an exact 5-point grid: g0 = e^{ix} and
-    # g1 = (e^{ix} + e^{2ix})/sqrt(2), Gram [[1, 1/sqrt(2)], [1/sqrt(2), 1]].
-    # For the target e^{2ix}: <f, g0> = 0 and <f, g1> = 1/sqrt(2), so the
-    # first step takes column 1 and leaves residual norm sqrt(1 - 1/2);
-    # the second step must take column 0, and the exact two-term expansion
-    # is f = sqrt(2) g1 - g0.
-    x = 2.0 * np.pi * np.arange(5) / 5
-    e1, e2 = np.exp(1j * x), np.exp(2j * x)
-    h = DiscreteHilbert(np.stack([e1, (e1 + e2) / math.sqrt(2)], axis=1))
-    trace = womp(h, e2)
-    assert trace.selected == (1, 0)
+    # Box 1 at the points 0 and pi/3: with w = e^{i pi/3} the columns are
+    # c_k = (1, w^k) and <c_j, c_k> = (1 + w^(j-k)) / 2, of modulus
+    # |cos((j - k) pi / 6)|.  For the target f = (1, w^2) (e^{2ix}, outside
+    # the box) the inner products with c_-1, c_0, c_1 have moduli 0, 1/2 and
+    # sqrt(3)/2, so the first step takes c_1 (column 2) and leaves residual
+    # norm sqrt(1 - 3/4) = 1/2.  The residual's inner products are then
+    # (1 - w)^2 / 4 with c_0 (modulus 1/4) and -(1 + w)(1 + w^2) / 4 with
+    # c_-1 (modulus sqrt(3)/4): the second step takes c_-1 (column 0),
+    # which the target is orthogonal to, and the exact expansion is
+    # f = (1 + i/sqrt(3)) c_1 - (i/sqrt(3)) c_-1.
+    x = np.array([0.0, np.pi / 3])
+    h = build_sampled(TrigSystem(1, (1,)), PointSet(1, x[:, None]))
+    trace = womp(h, np.exp(2j * x))
+    assert trace.selected == (2, 0)
     assert trace.residual_norms[0] == pytest.approx(1.0, rel=1e-12)
-    assert trace.residual_norms[1] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert trace.residual_norms[1] == pytest.approx(0.5, rel=1e-12)
     assert trace.residual_norms[2] == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(trace.coefficients, [math.sqrt(2.0), -1.0],
+    np.testing.assert_allclose(trace.max_ips, [math.sqrt(3) / 2, math.sqrt(3) / 4],
+                               rtol=1e-12)
+    np.testing.assert_allclose(trace.coefficients,
+                               [1 + 1j / math.sqrt(3), -1j / math.sqrt(3)],
                                atol=1e-12)
 
 
@@ -170,12 +176,11 @@ def test_project_matches_normal_equations_oracle():
     # independent check: the projection coefficients must solve the
     # support's normal equations G c = Phi_S^H y / m
     rng = np.random.default_rng(21)
-    mat = rng.standard_normal((50, 8)) + 1j * rng.standard_normal((50, 8))
     y = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-    h = DiscreteHilbert(mat)
+    h = build_sampled(TrigSystem(1, (3,)), draw_points(50, 1, seed=21))
     support = [0, 2, 5]
     res = project(h, y, support)
-    cols = mat[:, support]
+    cols = h.matrix[:, support]
     gram = cols.conj().T @ cols / 50
     rhs = cols.conj().T @ y / 50
     np.testing.assert_allclose(res.coefficients, np.linalg.solve(gram, rhs),
@@ -227,7 +232,7 @@ def test_best_vterm_validation():
     with pytest.raises(ValueError):
         best_vterm(h, y, 6)
     # C(2001, 2) = 2,001,000 supports exceed the cap of 2,000,000
-    wide = DiscreteHilbert(np.ones((1, 2001), dtype=complex))
+    wide = build_sampled(TrigSystem(1, (1000,)), PointSet(1, np.zeros((1, 1))))
     with pytest.raises(ValueError, match="2001000 supports exceed cap 2000000"):
         best_vterm(wide, np.zeros(1, dtype=complex), 2)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from womplab.classes import ClassSpec, sample_class_function
-from womplab.discretization import (DiscreteHilbert, PointSet, build_sampled,
+from womplab.discretization import (PointSet, SampledSystem, build_sampled,
                                     check_usd, draw_points, uniform_grid_points)
 from womplab import greedy
 from womplab.greedy import womp
@@ -158,15 +158,15 @@ def test_recover_p4_measures_in_lp():
 def test_recover_forms_the_gram_once(monkeypatch):
     # the certificate and both best v-term references read one Gram
     formed = []
-    original = DiscreteHilbert.__dict__["gram"].func
+    original = SampledSystem.__dict__["gram"].func
 
     def gram(self):
         formed.append(self)
         return original(self)
 
     counting = functools.cached_property(gram)
-    counting.__set_name__(DiscreteHilbert, "gram")
-    monkeypatch.setattr(DiscreteHilbert, "gram", counting)
+    counting.__set_name__(SampledSystem, "gram")
+    monkeypatch.setattr(SampledSystem, "gram", counting)
     system = TrigSystem(1, (4,))
     f0 = _sparse_target(system, [2, 6], [1.5, -0.7 + 0.3j])
     rep = recover(f0, system, draw_points(200, 1, seed=3), v=2)

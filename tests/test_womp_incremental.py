@@ -1,7 +1,7 @@
-"""Both routes of the weak greedy (incremental QR on the columns, and Gram
-space on a sampled system's moment table) against the reference loop that
-re-solves the least-squares problem from scratch at every step, and
-against each other."""
+"""Both routes of the weak greedy (Gram space on a sampled system's moment
+table, and its fallback, incremental QR on the columns) against the
+reference loop that re-solves the least-squares problem from scratch at
+every step, and against each other."""
 
 import math
 
@@ -16,7 +16,7 @@ from womplab.discretization import PointSet, _entry_bound, build_sampled, \
     draw_points
 from womplab.experiments import default_config, schedule_m
 from womplab import greedy
-from womplab.greedy import STOP_REL_TOL, DiscreteHilbert, project, womp
+from womplab.greedy import STOP_REL_TOL, project, womp
 from womplab.recovery import sample_target
 from womplab.trig import TrigPolynomial, TrigSystem
 
@@ -58,9 +58,16 @@ def womp_lstsq(h, target, t=1.0, steps=None, selection="argmax"):
                 rank_deficient=rank_flag or final.rank_deficient)
 
 
-def assert_matches_oracle(h, y, **kwargs):
+def womp_qr(h, target, t=1.0, steps=None, selection="argmax"):
+    """womp's QR route, which womp runs only where the Gram route refuses."""
+    steps = min(h.m, h.size) if steps is None else steps
+    weak = t if selection == "adversarial-weak" else 1.0
+    return greedy._womp_qr(h, np.asarray(target, dtype=complex), t, steps, weak)
+
+
+def assert_matches_oracle(h, y, run=womp, **kwargs):
     want = womp_lstsq(h, y, **kwargs)
-    got = womp(h, y, **kwargs)
+    got = run(h, y, **kwargs)
     assert got.selected == want["selected"]
     assert got.rank_deficient == want["rank_deficient"]
     # relative to the target norm: a residual at roundoff level has no
@@ -108,19 +115,22 @@ def assert_solves_as_lapack(h, y, trace):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(1, 16), st.integers(0, 40), st.integers(0, 8),
-       st.floats(0, 12), st.integers(0, 2 ** 32 - 1))
+       st.floats(0, 8), st.integers(0, 2 ** 32 - 1))
 def test_back_substitution_is_bitwise_lapack(rank, extra_rows, extra_cols,
                                              spread, seed):
-    # random complex dictionaries whose columns span 10^(+-spread) in
-    # scale (womp refuses columns below 1e-15), so R's diagonal is as badly
-    # scaled; womp takes rank steps
+    # random points, up to half of them in pairs 10^-spread apart: a pair
+    # leaves the later columns an orthogonal part of about 10^-spread of
+    # their norm, so R's diagonal spans as many orders; the QR route takes
+    # rank steps
     rng = np.random.default_rng(seed)
-    m, n = rank + extra_rows, rank + extra_cols
-    matrix = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    matrix *= 10.0 ** rng.uniform(-spread, spread, n)
-    h = DiscreteHilbert(matrix)
+    m = rank + extra_rows
+    x = rng.uniform(0, 2 * np.pi, m)
+    pairs = int(rng.integers(0, m // 2 + 1))
+    x[m - pairs:] = x[:pairs] + 10.0 ** -spread
+    h = build_sampled(TrigSystem(1, ((rank + extra_cols) // 2,)),
+                      PointSet(1, x[:, None]))
     y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    trace = womp(h, y, steps=rank)
+    trace = womp_qr(h, y, steps=rank)
     assert not trace.rank_deficient
     assert trace.steps == rank
     assert_solves_as_lapack(h, y, trace)
@@ -161,6 +171,7 @@ def greedy_cases(draw):
 def test_womp_matches_lstsq_reference(case):
     h, y, kwargs = case
     assert_matches_oracle(h, y, **kwargs)
+    assert_matches_oracle(h, y, run=womp_qr, **kwargs)
 
 
 def test_womp_matches_reference_at_largest_sweep_cell():
@@ -179,46 +190,51 @@ def test_womp_matches_reference_at_largest_sweep_cell():
     y = sample_target(f0, sampled)
     got = assert_matches_oracle(sampled, y, steps=steps)
     assert got.steps == steps and not got.rank_deficient
-    # a sampled system runs in Gram space, and this cell must not fall back
-    # to the QR route (test_back_substitution_is_bitwise_lapack covers its bits)
+    # womp runs in Gram space, and this cell must not fall back to the QR
+    # route (test_back_substitution_is_bitwise_lapack covers its bits)
     gram = greedy._womp_gram(sampled, y, 1.0, steps, 1.0)
     assert gram is not None
     assert_same_trace(gram, got)
 
 
 def test_rank_deficient_run_returns_project_coefficients():
-    # column 1 equals column 0 up to 1e-20 in its second entry, far below
-    # the rank cutoff; with t tiny the weak rule takes it at step 2
-    matrix = np.array([[1, 1, 0], [0, 1e-20, 0], [0, 0, 1]], dtype=complex)
-    h = DiscreteHilbert(matrix)
-    y = np.ones(3, dtype=complex)
-    kwargs = dict(t=1e-25, steps=2, selection="adversarial-weak")
-    got = assert_matches_oracle(h, y, **kwargs)
-    assert got.selected == (0, 1)
+    # two of three points 16 ulps apart: columns 0, 1, 2 of box 300, z^-300
+    # times (1, z, z^2), have a smallest singular value of about 2e-16,
+    # below the rank cutoff eps * 3 * sqrt(3) = 1.2e-15, while the high
+    # frequencies still resolve the pair, so the largest inner product at
+    # step 3 clears the stopping tolerance and the weak rule at t = 1e-25
+    # takes column 2.  The Gram route refuses the run.
+    x = np.array([1.0, 1.0 + 16 * np.spacing(1.0), 3.0])
+    h = build_sampled(TrigSystem(1, (300,)), PointSet(1, x[:, None]))
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    assert greedy._womp_gram(h, y, 1e-25, 3, 1e-25) is None
+    got = womp(h, y, t=1e-25, selection="adversarial-weak")
+    assert got.selected == (0, 1, 2)
     assert got.rank_deficient
-    ref = project(h, y, [0, 1])
+    ref = project(h, y, [0, 1, 2])
     assert ref.rank_deficient
     np.testing.assert_array_equal(got.coefficients, ref.coefficients)
     # the dependent column leaves the span, and so the residual, unchanged
-    assert got.residual_norms[2] == got.residual_norms[1]
+    assert got.residual_norms[3] == got.residual_norms[2]
 
 
 def test_nearly_parallel_columns_keep_the_residual_norms_accurate():
-    # six columns within 1e-6 of one another (condition ~1e7): one
-    # Gram-Schmidt pass loses orthogonality like eps * cond^2 and the
-    # tracked residual norms drift from the reference by ~1e-8; with the
-    # reorthogonalisation they agree to ~1e-11.  The residual vectors, and
-    # with them the inner products, are themselves determined only to
-    # ~eps * cond here, so only selection and norms are compared.
+    # 60 points in an arc of width 0.2 make the six selected columns of
+    # box 3 nearly parallel (condition ~5e7), and the Gram route hands the
+    # run to the QR route: one Gram-Schmidt pass loses orthogonality like
+    # eps * cond^2 and the tracked residual norms drift from the reference
+    # by up to ~1e-8; with the reorthogonalisation they agree to ~1e-11.
+    # The residual vectors, and with them the inner products, are
+    # themselves determined only to ~eps * cond here, so only selection and
+    # norms are compared.
     m = 60
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        base = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        cols = [base] + [base + 1e-6 * (rng.standard_normal(m)
-                                        + 1j * rng.standard_normal(m))
-                         for _ in range(5)]
+        x = 1.0 + 0.2 * rng.uniform(0, 1, m)
+        h = build_sampled(TrigSystem(1, (3,)), PointSet(1, x[:, None]))
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        h = DiscreteHilbert(np.stack(cols, axis=1))
+        assert greedy._womp_gram(h, y, 1.0, 6, 1.0) is None
         want = womp_lstsq(h, y, steps=6)
         got = womp(h, y, steps=6)
         assert got.selected == want["selected"]
@@ -287,7 +303,7 @@ def test_gram_route_matches_qr_route(case):
     h, y, kwargs = case
     weak = kwargs["t"] if kwargs["selection"] == "adversarial-weak" else 1.0
     gram = greedy._womp_gram(h, y, kwargs["t"], kwargs["steps"], weak)
-    qr = womp(DiscreteHilbert(h.matrix), y, **kwargs)
+    qr = womp_qr(h, y, **kwargs)
     got = womp(h, y, **kwargs)
     if gram is None:  # fell back: womp is the QR route, bit for bit
         assert_same_trace(got, qr)
@@ -324,7 +340,7 @@ def test_near_coincident_points_fall_back_to_the_qr_route_bit_for_bit(selection,
     assert greedy._womp_gram(h, y, 1e-3, 6, 1e-3 if selection != "argmax" else 1.0) is None
     got = womp(h, y, t=1e-3, selection=selection)
     assert got.steps > 4 and not got.rank_deficient
-    assert_same_trace(got, womp(DiscreteHilbert(h.matrix), y, t=1e-3, selection=selection))
+    assert_same_trace(got, womp_qr(h, y, t=1e-3, selection=selection))
 
 
 def test_zero_data_builds_no_moment_table(monkeypatch):
