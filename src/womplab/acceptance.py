@@ -180,7 +180,7 @@ def criterion_lebesgue():
             continue
         ratio, exact = _ratio(c["resid_disc"], c["sigma_disc"], c["scale"])
         if exact:
-            if c["resid_disc"] > 1e-9:
+            if c["resid_disc"] > 1e-9 * c["scale"]:
                 return False, (f"deg={c['deg']} u={c['u']} seed={c['seed']}: "
                                f"sigma=0 but residual {c['resid_disc']:.2e}")
             continue
@@ -201,7 +201,7 @@ def criterion_pipeline():
         for p in (2.0, 4.0):
             h_theory = c["u"] ** (0.5 - 1.0 / p)
             if _ratio(c["error"][p], c["sigma_ref"][p], c["scale"])[1]:
-                if c["error"][p] > 1e-9:
+                if c["error"][p] > 1e-9 * c["scale"]:
                     return False, (f"deg={c['deg']} u={c['u']} seed={c['seed']} "
                                    f"p={p:g}: sigma_ref=0, error {c['error'][p]:.2e}")
                 continue

@@ -4,11 +4,11 @@ The Hilbert space is C^m with inner product (1/m) sum f_i conj(g_i), the
 dictionary is the columns of a sampled system.  Each step selects a column
 whose inner product with the residual is within the weakness factor t of
 the best one, then re-projects the target onto everything selected: in
-Gram space on the exponentials' moment table, or by incremental QR where a
-rounding bound hands the run over.  The default selection is the exact
-argmax (valid for every t <= 1, lowest index on ties); an adversarial mode
-picks the lowest-index column that merely clears the t threshold, which
-exercises the weak guarantee.
+Gram space on the exponentials' moment table, or by a fresh least-squares
+solve where a rounding bound hands the run over.  The default selection is
+the exact argmax (valid for every t <= 1, lowest index on ties); an
+adversarial mode picks the lowest-index column that merely clears the t
+threshold, which exercises the weak guarantee.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class WompTrace:
 
     residual_norms has length steps+1 and starts at the norm of the
     target; coefficients are least-squares coefficients of the final
-    selection with respect to the original (unnormalized) columns.
+    selection with respect to the columns of the sampled matrix.
     """
 
     t: float
@@ -94,7 +94,7 @@ def womp(h: SampledSystem, target, t: float = 1.0, steps: int | None = None,
     t : float
         Weakness threshold in (0, 1].
     steps : int
-        Step budget K <= min(m, dictionary size).  Stops early once the
+        Step budget 0 <= K <= min(m, dictionary size).  Stops early once the
         best remaining inner product drops below the stopping tolerance
         relative to the initial norm.
     selection : str
@@ -106,7 +106,8 @@ def womp(h: SampledSystem, target, t: float = 1.0, steps: int | None = None,
     Every column has norm 1 in the discrete norm (its entries have modulus
     1), so selection compares |<residual, column>| / m and the weakness
     comparison is scale-free.  The run is in Gram space (_womp_gram); a run
-    under _womp_gram's rounding bound falls back to _womp_qr.
+    under _womp_gram's rounding bound falls back to _womp_lstsq, which
+    calls project() after every pick.
     """
     if h.m == 0:
         raise ValueError("womp needs m >= 1 samples")
@@ -116,84 +117,41 @@ def womp(h: SampledSystem, target, t: float = 1.0, steps: int | None = None,
         raise ValueError(f"unknown selection rule {selection!r}")
     if steps is None:
         steps = min(h.m, h.size)
+    if steps < 0:
+        raise ValueError(f"step budget {steps} is negative")
     if steps > min(h.m, h.size):
         raise ValueError(f"step budget {steps} exceeds min(m, N) = {min(h.m, h.size)}")
 
     target = np.asarray(target, dtype=complex)
+    if target.shape != (h.m,):
+        raise ValueError(f"target has shape {target.shape}, expected ({h.m},) samples")
     weak = t if selection == "adversarial-weak" else 1.0
     trace = _womp_gram(h, target, t, steps, weak)
-    return _womp_qr(h, target, t, steps, weak) if trace is None else trace
+    return _womp_lstsq(h, target, t, steps, weak) if trace is None else trace
 
 
-def _womp_qr(h, target, t, steps, weak):
-    """womp's fallback: the picks kept as an incremental QR factorisation
-    (Gram-Schmidt with one reorthogonalisation), one product of the residual
-    with the dictionary per step, and R c = Q^H y solved at the end.  A
-    column whose orthogonal part is at or below lstsq's rank cutoff,
-    eps * max(m, k) times its norm, sets rank_deficient and project()'s
-    minimum-norm coefficients.
+def _womp_lstsq(h, target, t, steps, weak):
+    """womp's fallback, step for step the paper's: after each pick project()
+    solves the least-squares problem on every selected column from scratch,
+    and its residual gives the next inner products.  rank_deficient is set
+    if any of these projections is; the coefficients are the last one's.
     """
-    matrix = h.matrix
-    m = h.m
-    eps = np.finfo(float).eps
-
     norm0 = h.norm(target)
-    residual = target.copy()
-    # qh[:rank] holds the conjugated orthonormal basis of the selected
-    # columns as rows, so qh[:rank] @ v is Q^H v; r is the triangular factor
-    qh = np.empty((steps, m), dtype=complex)
-    r = np.zeros((steps, steps), dtype=complex)
-    rank = 0
-    selected = []
-    res_norms = [norm0]
-    chosen_ips = []
-    max_ips = []
-    rank_flag = False
-
+    selected, res_norms, chosen_ips, max_ips = [], [norm0], [], []
+    proj, rank_flag = project(h, target, selected), False
     for _ in range(steps):
-        abs_ips = np.abs(residual.conj() @ matrix) / m
+        abs_ips = np.abs(proj.residual.conj() @ h.matrix) / h.m
         if (found := _select(abs_ips, selected, norm0, weak)) is None:
             break
         pick, max_ip = found
         selected.append(pick)
-        # Gram-Schmidt with one reorthogonalisation; a column whose
-        # orthogonal part falls to lstsq's rank cutoff leaves the span,
-        # and with it the residual, unchanged
-        col = matrix[:, pick]
-        basis = qh[:rank]
-        s1 = basis @ col
-        w = col - (s1.conj() @ basis).conj()
-        s2 = basis @ w
-        w -= (s2.conj() @ basis).conj()
-        w_norm = float(np.linalg.norm(w))
-        cutoff = eps * max(m, len(selected)) * float(np.linalg.norm(col))
-        if w_norm <= cutoff:
-            rank_flag = True
-        else:
-            q = w / w_norm
-            qh[rank] = q.conj()
-            r[:rank, rank] = s1 + s2
-            r[rank, rank] = w_norm
-            residual -= (qh[rank] @ residual) * q
-            rank += 1
-        res_norms.append(h.norm(residual))
+        proj = project(h, target, selected)
+        rank_flag |= proj.rank_deficient
+        res_norms.append(h.norm(proj.residual))
         chosen_ips.append(float(abs_ips[pick]))
         max_ips.append(max_ip)
-
-    if rank_flag:
-        coefficients = project(h, target, selected).coefficients
-    else:
-        # R c = Q^H y by back substitution, row by row from the last: with
-        # r's real diagonal it rounds as LAPACK's triangular solve does
-        coefficients = qh[:rank] @ target
-        for i in range(rank - 1, -1, -1):
-            coefficients[i] -= r[i, i + 1:rank] @ coefficients[i + 1:]
-            coefficients[i] /= r[i, i]
-    return WompTrace(t=t, selected=tuple(selected),
-                     residual_norms=tuple(res_norms),
-                     coefficients=coefficients,
-                     chosen_ips=tuple(chosen_ips), max_ips=tuple(max_ips),
-                     rank_deficient=rank_flag)
+    return WompTrace(t, tuple(selected), tuple(res_norms), proj.coefficients,
+                     tuple(chosen_ips), tuple(max_ips), rank_flag)
 
 
 def _select(abs_ips, selected, norm0, weak):
@@ -230,7 +188,7 @@ def _moment_table(h):
 
 def _womp_gram(h, target, t, steps, weak):
     """womp in Gram space (the batch OMP of Rubinstein, Zibulevsky and Elad,
-    Technion CS-2008-08), or None to hand the run to _womp_qr.  The rows
+    Technion CS-2008-08), or None to hand the run to _womp_lstsq.  The rows
     M[p, :] of M = A^H A are windows of _moment_table, built at the first
     pick; R^H R = M[S, S] grows a column a step, kept as W = R^-1.
     c = W W^H A_S^H y, the inner products y^H A - c^H M[S, :] and the
@@ -243,11 +201,12 @@ def _womp_gram(h, target, t, steps, weak):
     |E|_2 <= phi = n m (g + 4 gamma_(n+1) kappa), kappa = sqrt(n m) |W|_F.
     The run goes on while mu = 1 / |W|_F^2, at most each squared pivot,
     exceeds 4 phi.  Then gamma_(n+1) kappa <= 1/16, |R^-1|_F <= (16/15) |W|_F
-    and lambda_min(M) >= (15/16)^2 mu - phi > mu / 2 > 2 n m g >= 5 n m^2 e:
-    each pick's part orthogonal to the others is at least sqrt(5 n m e) of
-    its norm, far above _womp_qr's rank cutoff eps max(m, k) while
-    m e << 1, so neither route flags rank_deficient; and c is within
-    2 (phi |c| + |d(A^H y)|) / mu of the exact solution.
+    and lambda_min(M) >= (15/16)^2 mu - phi > mu / 2 > 2 n m g >= 5 n m^2 e.
+    With lambda_max(M) <= tr M = n m, A_S's singular values have
+    sigma_min / sigma_max >= sqrt(5 m e), above lstsq's cutoff
+    eps max(m, k) = 2 e m relative to sigma_max while m e < 5/4, so neither
+    route flags rank_deficient; and c is within 2 (phi |c| + |d(A^H y)|) / mu
+    of the exact solution.
     """
     matrix, m, box = h.matrix, h.m, h.system.box
     beta0 = target.conj() @ matrix  # y^H A

@@ -9,13 +9,26 @@ how much.
 
 import pytest
 
+from womplab import acceptance, greedy
 from womplab.acceptance import largest_uncertifiable_m, run_criterion
 from womplab.discretization import build_sampled, check_usd, draw_points
 from womplab.trig import TrigSystem
 
+
 def _check(number):
-    result = run_criterion(number)
+    # no criterion's greedy run leaves Gram space for the least-squares
+    # fallback (criteria 4 and 5 share one cached ensemble, counted once)
+    fallbacks, fallback = [], greedy._womp_lstsq
+
+    def counted(*args):
+        fallbacks.append(args)
+        return fallback(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "_womp_lstsq", counted)
+        result = run_criterion(number)
     assert result.passed, f"[{result.number}] {result.name}: {result.detail}"
+    assert not fallbacks, f"[{result.number}] {len(fallbacks)} womp fallbacks"
     return result
 
 
@@ -80,3 +93,19 @@ def test_criterion_9_sparse_norm_ratio():
 def test_run_criterion_rejects_unknown_number():
     with pytest.raises(ValueError):
         run_criterion(10)
+
+
+def test_exact_cells_are_judged_relative_to_the_target_scale(monkeypatch):
+    # one exact cell at scale 2^40: sigma, residual and errors of about
+    # 2^-10, rounding level relative to the target (2^-50), but far above
+    # an absolute 1e-9
+    scale, tiny = 2.0 ** 40, 2.0 ** -10
+    cell = {"deg": 4, "u": 3, "v": 1, "m": 300, "seed": 0, "holds": True,
+            "scale": scale, "resid_disc": tiny, "sigma_disc": tiny / 2,
+            "error": {2.0: tiny, 4.0: tiny},
+            "sigma_ref": {2.0: tiny / 2, 4.0: tiny / 2}}
+    monkeypatch.setattr(acceptance, "_recovery_ensemble", lambda: [cell])
+    ok, detail = acceptance.criterion_lebesgue()
+    assert ok, detail
+    ok, detail = acceptance.criterion_pipeline()
+    assert ok, detail

@@ -5,7 +5,7 @@ its tracer and compares seed-0 outputs with a recorded reference.  One
 traced pass of each workload, checked the way perfbench/run.py checks it,
 shows a broken signature or a moved seed-0 result here, in the test suite.
 The same pass counts womp's routes: every run stays in Gram space, and none
-falls back to the QR route.
+falls back to the least-squares route.
 """
 
 import json
@@ -21,7 +21,7 @@ import json
 import checks, tracer, workloads
 from womplab import greedy
 
-calls = {"_womp_gram": 0, "_womp_qr": 0}
+calls = {"_womp_gram": 0, "_womp_lstsq": 0}
 
 
 def counted(name, func):
@@ -60,4 +60,4 @@ def test_one_traced_pass_of_each_workload_meets_the_checks():
         assert row["items"] > 0, name
         assert row["problems"] == [], name
     assert out["calls"]["_womp_gram"] > 0
-    assert out["calls"]["_womp_qr"] == 0
+    assert out["calls"]["_womp_lstsq"] == 0

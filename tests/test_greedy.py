@@ -119,6 +119,10 @@ def test_womp_validation():
         womp(h, y, steps=6)
     with pytest.raises(ValueError):
         womp(h, y, selection="greedy-ish")
+    with pytest.raises(ValueError, match="step budget -1 is negative"):
+        womp(h, y, steps=-1)
+    with pytest.raises(ValueError, match=r"target has shape \(4,\), expected \(5,\)"):
+        womp(h, y[:4])
 
 
 def test_coherent_pair_run_matches_hand_gram():

@@ -1,5 +1,5 @@
 """Both routes of the weak greedy (Gram space on a sampled system's moment
-table, and its fallback, incremental QR on the columns) against the
+table, and its fallback, a project() call after every pick) against the
 reference loop that re-solves the least-squares problem from scratch at
 every step, and against each other."""
 
@@ -58,11 +58,12 @@ def womp_lstsq(h, target, t=1.0, steps=None, selection="argmax"):
                 rank_deficient=rank_flag or final.rank_deficient)
 
 
-def womp_qr(h, target, t=1.0, steps=None, selection="argmax"):
-    """womp's QR route, which womp runs only where the Gram route refuses."""
+def womp_fallback(h, target, t=1.0, steps=None, selection="argmax"):
+    """womp's least-squares route, which womp runs only where the Gram
+    route refuses."""
     steps = min(h.m, h.size) if steps is None else steps
     weak = t if selection == "adversarial-weak" else 1.0
-    return greedy._womp_qr(h, np.asarray(target, dtype=complex), t, steps, weak)
+    return greedy._womp_lstsq(h, np.asarray(target, dtype=complex), t, steps, weak)
 
 
 def assert_matches_oracle(h, y, run=womp, **kwargs):
@@ -80,60 +81,6 @@ def assert_matches_oracle(h, y, run=womp, **kwargs):
     np.testing.assert_allclose(got.coefficients, want["coefficients"],
                                rtol=1e-9, atol=1e-9 * coeff_scale)
     return got
-
-
-def triangular_factor(matrix, selected, target):
-    """womp's R and Q^H y for the selected columns: the same Gram-Schmidt
-    with one reorthogonalisation, operation for operation, so the entries
-    are bit for bit womp's."""
-    m, k = matrix.shape[0], len(selected)
-    qh = np.empty((k, m), dtype=complex)
-    r = np.zeros((k, k), dtype=complex)
-    for rank, pick in enumerate(selected):
-        col = matrix[:, pick]
-        basis = qh[:rank]
-        s1 = basis @ col
-        w = col - (s1.conj() @ basis).conj()
-        s2 = basis @ w
-        w -= (s2.conj() @ basis).conj()
-        w_norm = float(np.linalg.norm(w))
-        qh[rank] = (w / w_norm).conj()
-        r[:rank, rank] = s1 + s2
-        r[rank, rank] = w_norm
-    return r, qh @ np.asarray(target, dtype=complex)
-
-
-def assert_solves_as_lapack(h, y, trace):
-    """womp's coefficients are bit for bit LAPACK's triangular solve of
-    R c = Q^H y (scipy.linalg.solve_triangular, a test-only dependency)."""
-    import scipy.linalg
-
-    r, b = triangular_factor(h.matrix, trace.selected, y)
-    want = scipy.linalg.solve_triangular(r, b)
-    assert np.array_equal(trace.coefficients.view(np.uint64), want.view(np.uint64))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 16), st.integers(0, 40), st.integers(0, 8),
-       st.floats(0, 8), st.integers(0, 2 ** 32 - 1))
-def test_back_substitution_is_bitwise_lapack(rank, extra_rows, extra_cols,
-                                             spread, seed):
-    # random points, up to half of them in pairs 10^-spread apart: a pair
-    # leaves the later columns an orthogonal part of about 10^-spread of
-    # their norm, so R's diagonal spans as many orders; the QR route takes
-    # rank steps
-    rng = np.random.default_rng(seed)
-    m = rank + extra_rows
-    x = rng.uniform(0, 2 * np.pi, m)
-    pairs = int(rng.integers(0, m // 2 + 1))
-    x[m - pairs:] = x[:pairs] + 10.0 ** -spread
-    h = build_sampled(TrigSystem(1, ((rank + extra_cols) // 2,)),
-                      PointSet(1, x[:, None]))
-    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    trace = womp_qr(h, y, steps=rank)
-    assert not trace.rank_deficient
-    assert trace.steps == rank
-    assert_solves_as_lapack(h, y, trace)
 
 
 @st.composite
@@ -171,7 +118,12 @@ def greedy_cases(draw):
 def test_womp_matches_lstsq_reference(case):
     h, y, kwargs = case
     assert_matches_oracle(h, y, **kwargs)
-    assert_matches_oracle(h, y, run=womp_qr, **kwargs)
+    got = assert_matches_oracle(h, y, run=womp_fallback, **kwargs)
+    # the fallback's numbers are project()'s on each prefix, bit for bit
+    for k in range(got.steps + 1):
+        proj = project(h, y, got.selected[:k])
+        assert_bitwise(got.residual_norms[k], h.norm(proj.residual))
+    assert_bitwise(got.coefficients, proj.coefficients)
 
 
 def test_womp_matches_reference_at_largest_sweep_cell():
@@ -190,8 +142,8 @@ def test_womp_matches_reference_at_largest_sweep_cell():
     y = sample_target(f0, sampled)
     got = assert_matches_oracle(sampled, y, steps=steps)
     assert got.steps == steps and not got.rank_deficient
-    # womp runs in Gram space, and this cell must not fall back to the QR
-    # route (test_back_substitution_is_bitwise_lapack covers its bits)
+    # womp runs in Gram space, and this cell must not fall back to the
+    # least-squares route
     gram = greedy._womp_gram(sampled, y, 1.0, steps, 1.0)
     assert gram is not None
     assert_same_trace(gram, got)
@@ -200,7 +152,7 @@ def test_womp_matches_reference_at_largest_sweep_cell():
 def test_rank_deficient_run_returns_project_coefficients():
     # two of three points 16 ulps apart: columns 0, 1, 2 of box 300, z^-300
     # times (1, z, z^2), have a smallest singular value of about 2e-16,
-    # below the rank cutoff eps * 3 * sqrt(3) = 1.2e-15, while the high
+    # below lstsq's rank cutoff 3 eps sigma_max = 1.6e-15, while the high
     # frequencies still resolve the pair, so the largest inner product at
     # step 3 clears the stopping tolerance and the weak rule at t = 1e-25
     # takes column 2.  The Gram route refuses the run.
@@ -222,12 +174,9 @@ def test_rank_deficient_run_returns_project_coefficients():
 def test_nearly_parallel_columns_keep_the_residual_norms_accurate():
     # 60 points in an arc of width 0.2 make the six selected columns of
     # box 3 nearly parallel (condition ~5e7), and the Gram route hands the
-    # run to the QR route: one Gram-Schmidt pass loses orthogonality like
-    # eps * cond^2 and the tracked residual norms drift from the reference
-    # by up to ~1e-8; with the reorthogonalisation they agree to ~1e-11.
-    # The residual vectors, and with them the inner products, are
-    # themselves determined only to ~eps * cond here, so only selection and
-    # norms are compared.
+    # run to the least-squares route.  The residual vectors, and with them
+    # the inner products, are determined only to ~eps * cond here, so only
+    # selection and norms are compared.
     m = 60
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -243,14 +192,17 @@ def test_nearly_parallel_columns_keep_the_residual_norms_accurate():
                                    rtol=0, atol=1e-10 * want["residual_norms"][0])
 
 
+def assert_bitwise(got, want):
+    a, b = np.asarray(got), np.asarray(want)
+    assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def assert_same_trace(got, want):
     """Every field of two traces equal, the floats bit for bit."""
     assert got.selected == want.selected
     assert got.rank_deficient == want.rank_deficient
     for field in ("residual_norms", "chosen_ips", "max_ips", "coefficients"):
-        a = np.asarray(getattr(got, field))
-        b = np.asarray(getattr(want, field))
-        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert_bitwise(getattr(got, field), getattr(want, field))
 
 
 @pytest.mark.parametrize("box", [(0,), (1,), (6,), (2, 3), (0, 2), (3, 0),
@@ -277,7 +229,7 @@ def coefficient_gap_bound(h, y, selected):
     2 (phi |c| + |d(A^H y)|) / mu of the exact c, with 1 / mu = |W|_F^2
     <= n / lambda_min(R^H R) <= 2 n / lam, phi = n m (g + 4 gamma_(n+1)
     kappa), kappa = sqrt(n m) |W|_F <= n sqrt(2 m / lam) and |d(A^H y)| <=
-    sqrt(n m) gamma_m |y|.  The QR route is backward stable, so its gap to
+    sqrt(n m) gamma_m |y|.  lstsq is backward stable, so its gap to
     c is at most kappa(A_S) eps |c| + kappa(A_S)^2 eps |r| / |A_S| with
     eps of the order of m n e; with kappa(A_S)^2 <= n m / lam and
     g >= 2 m e both terms fall under the Gram route's bound.  So twice
@@ -299,20 +251,20 @@ def coefficient_gap_bound(h, y, selected):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(greedy_cases())
-def test_gram_route_matches_qr_route(case):
+def test_gram_route_matches_lstsq_route(case):
     h, y, kwargs = case
     weak = kwargs["t"] if kwargs["selection"] == "adversarial-weak" else 1.0
     gram = greedy._womp_gram(h, y, kwargs["t"], kwargs["steps"], weak)
-    qr = womp_qr(h, y, **kwargs)
+    lsq = womp_fallback(h, y, **kwargs)
     got = womp(h, y, **kwargs)
-    if gram is None:  # fell back: womp is the QR route, bit for bit
-        assert_same_trace(got, qr)
+    if gram is None:  # fell back: womp is the least-squares route, bit for bit
+        assert_same_trace(got, lsq)
         return
     assert_same_trace(got, gram)
-    assert gram.selected == qr.selected
-    assert not gram.rank_deficient and not qr.rank_deficient
+    assert gram.selected == lsq.selected
+    assert not gram.rank_deficient and not lsq.rank_deficient
     gap = coefficient_gap_bound(h, y, list(gram.selected))
-    assert np.abs(gram.coefficients - qr.coefficients).max(initial=0) <= gap
+    assert np.abs(gram.coefficients - lsq.coefficients).max(initial=0) <= gap
     # residual norms |y - A_S c| / sqrt(m) of each prefix: the coefficient
     # gap times |A_S| <= sqrt(n m), plus the rounding of two residuals
     e = np.finfo(float).eps / 2
@@ -321,17 +273,17 @@ def test_gram_route_matches_qr_route(case):
         c = project(h, y, prefix).coefficients
         slack = (math.sqrt(k * h.m) * coefficient_gap_bound(h, y, prefix)
                  + 4 * h.m * e * (np.linalg.norm(y) + math.sqrt(k * h.m) * np.linalg.norm(c)))
-        assert abs(gram.residual_norms[k] - qr.residual_norms[k]) <= slack / math.sqrt(h.m)
+        assert abs(gram.residual_norms[k] - lsq.residual_norms[k]) <= slack / math.sqrt(h.m)
 
 
 @pytest.mark.parametrize("selection", ["argmax", "adversarial-weak"])
 @pytest.mark.parametrize("gap", [1e-9, 1e-7])
-def test_near_coincident_points_fall_back_to_the_qr_route_bit_for_bit(selection, gap):
+def test_near_coincident_points_fall_back_to_the_lstsq_route_bit_for_bit(selection, gap):
     # pairs of points gap apart leave the later columns an orthogonal part of
-    # about gap times their norm: the QR route resolves it (no rank
-    # deficiency), the Cholesky factor cannot, so the Gram route hands the run
-    # over; at 1e-9 the pivot rounds to <= 0, at 1e-7 it stays positive and
-    # the bound on 1 / |W|_F^2 decides
+    # about gap times their norm: lstsq resolves it (no rank deficiency), the
+    # Cholesky factor cannot, so the Gram route hands the run over; at 1e-9
+    # the pivot rounds to <= 0, at 1e-7 it stays positive and the bound on
+    # 1 / |W|_F^2 decides
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 2 * np.pi, 4)
     pts = PointSet(1, np.concatenate([x, x[:2] + gap])[:, None])
@@ -340,7 +292,7 @@ def test_near_coincident_points_fall_back_to_the_qr_route_bit_for_bit(selection,
     assert greedy._womp_gram(h, y, 1e-3, 6, 1e-3 if selection != "argmax" else 1.0) is None
     got = womp(h, y, t=1e-3, selection=selection)
     assert got.steps > 4 and not got.rank_deficient
-    assert_same_trace(got, womp_qr(h, y, t=1e-3, selection=selection))
+    assert_same_trace(got, womp_fallback(h, y, t=1e-3, selection=selection))
 
 
 def test_zero_data_builds_no_moment_table(monkeypatch):
