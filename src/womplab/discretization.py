@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .trig import TrigSystem, _as_points, _tensor_grid, lp_norm, reconstruct
 
@@ -38,6 +39,10 @@ class SubsetCapError(ValueError):
 SUPPORT_CHUNK = 1024
 
 _E = np.finfo(float).eps / 2  # unit roundoff, 2^-53
+
+# The exhaustive scan's Cholesky screen solves every _SCREEN_STRIDE-th class
+# representative to place its levels.
+_SCREEN_STRIDE = 100
 
 
 @dataclass(frozen=True)
@@ -182,8 +187,11 @@ class DiscretizationReport:
 
     eigensolves counts the work done: the u x u Gram blocks passed to
     eigvalsh on the p = 2 paths (the trials, for a randomized one), and the
-    supports drawn on the randomized p != 2 path.  It is not part of the
-    CSV row.
+    supports drawn on the randomized p != 2 path.  On the exhaustive path
+    that is the class representatives the Cholesky screen could not rule
+    out, plus the other members of the classes near an extreme (every
+    support, if the screen falls back and no class reduction is possible,
+    as with m < u).  It is not part of the CSV row.
     """
 
     m: int
@@ -353,7 +361,8 @@ def _eig_rounding_bound(sampled, u):
     overestimate only costs eigensolves of classes near an extreme.  At
     m = 600, u = 6, box 10 the returned bound is 5.7e-12; the largest
     spread within a class there is below 3e-15, and on six point sets the
-    scan solved 4 to 12 blocks besides the 7,872 class representatives.
+    scan solved 4 to 12 blocks besides the class representatives that the
+    Cholesky screen (_screened_extremes) could not rule out.
     """
     g = _entry_bound(sampled)
     return 4 * (u * g + 8 * u ** 3 * _E * (1 + g))
@@ -371,6 +380,117 @@ def _entry_bound(sampled):
     eta = _gamma(sampled.system.dim) * x_max * sum(sampled.system.box) + 8 * _E
     return (2 * eta + eta ** 2
             + (math.sqrt(2) * _gamma(2 * sampled.m) + 2 * _E) * (1 + eta) ** 2)
+
+
+def _screen_margin(u, g, tau):
+    """Margin of the Cholesky screen for u x u Gram blocks whose entries are
+    within g of exact (_entry_bound) and levels of modulus at most tau.
+
+    The screen factors C = fl(t I - B) with t = fl(tau_hi - margin), and
+    C = fl(B - t I) with t = fl(tau_lo + margin), for a computed block B
+    (the Hermitian matrix of its lower triangle, which is all that LAPACK's
+    Cholesky and eigvalsh read).  A success bounds the computed extreme
+    eigenvalues of B by tau_hi from above, or by tau_lo from below:
+
+    1. Higham, "Accuracy and Stability of Numerical Algorithms", Thm 10.3:
+       if Cholesky runs to completion on C, then R^H R = C + dC with
+       |dC| <= gamma |R^H| |R|, in any order of the inner products (so for
+       LAPACK's blocked and recursive variants too).  For complex data the
+       inner products' gamma_(u+1) becomes gamma_(u+3) (Higham sec. 3.6).
+       R has a positive diagonal, so C + dC is positive definite.  And
+       ||dC||_2 <= gamma || |R| ||_2^2 <= gamma ||R||_F^2
+       = gamma trace(C + dC) <= gamma / (1 - gamma) trace(C), since each
+       |dC_ii| <= gamma (R^H R)_ii.  B's diagonal is within g of 1, so
+       trace(C) <= u c with c = tau + 1 + g, up to the margin itself.
+    2. Forming t I - B (or B - t I) rounds only the diagonal, by at most
+       e c per entry (e = 2^-53): a perturbation E with ||E||_2 <= e c.
+       So t I - B is positive definite up to ||dC||_2 + ||E||_2, and
+       lambda_max(B) < t + ||dC||_2 + ||E||_2 (likewise for lambda_min).
+    3. eigvalsh returns each eigenvalue of B within 8 u^3 e (1 + g)
+       (step 4 of _eig_rounding_bound).
+
+    The sum of the three terms, doubled, is returned: the factor 2 absorbs
+    the rounding of t = tau -+ margin (at most e c) and of this formula.
+    A block that passes both factorisations has computed extremes in
+    [tau_lo, tau_hi].  At m = 600, u = 6 and levels near 1 the margin is
+    about 4e-13, against the 5.7e-12 of _eig_rounding_bound.
+    """
+    gam = _gamma(u + 3)
+    c = tau + 1 + g
+    return 2 * (gam / (1 - gam) * u * c + _E * c + 8 * u ** 3 * _E * (1 + g))
+
+
+def _screen(blocks, tau_lo, tau_hi, margin):
+    """True for each block of a stack of u x u Gram blocks B that the screen
+    cannot place inside the levels: where LAPACK's Cholesky factorisation
+    breaks down on (tau_hi - margin) I - B or on B - (tau_lo + margin) I.
+
+    np.linalg.cholesky raises if any block of a stack fails.  numpy's
+    gufunc behind it, numpy.linalg._umath_linalg.cholesky_lo, returns NaN
+    blocks instead, under np.errstate(invalid="ignore"), and the factors
+    of the other blocks bit for bit (tests/test_check_usd_screen.py pins
+    that contract).  A batched u-step LDL^H in numpy would use public
+    names only, but it is about 4.5 times slower than the gufunc for
+    6 x 6 blocks, and most of the screen's saving would go with it.  Both
+    shifted stacks and their factors share one buffer: the gufunc copies
+    each block into its own workspace, so it may factor in place.
+    """
+    diag = np.arange(blocks.shape[1])
+    shifted = np.negative(blocks)
+    shifted[:, diag, diag] += tau_hi - margin
+    with np.errstate(invalid="ignore"):
+        fail = np.isnan(_umath_linalg.cholesky_lo(shifted, out=shifted)[:, 0, 0])
+        np.copyto(shifted, blocks)
+        shifted[:, diag, diag] -= tau_lo + margin
+        _umath_linalg.cholesky_lo(shifted, out=shifted)
+    return fail | np.isnan(shifted[:, 0, 0])
+
+
+def _screen_levels(lo, hi):
+    """(tau_lo, tau_hi) of the screen: the 1st percentile of the sampled
+    lowest eigenvalues and the 99th of the sampled highest, interpolated
+    linearly between order statistics as np.percentile does (which would
+    import numpy.ma, 1.9 MB of resident memory, for two numbers)."""
+    rank = np.arange(len(lo))
+    return (float(np.interp(0.01 * rank[-1], rank, np.sort(lo))),
+            float(np.interp(0.99 * rank[-1], rank, np.sort(hi))))
+
+
+def _screened_extremes(gram, reps, solve, u, g, delta):
+    """(solved, ext): which rows of reps were eigensolved, and (lowest,
+    highest) eigenvalue of each row's Gram block, set where solved.
+
+    Every solved extreme is what solve(reps) gives, bit for bit (LAPACK
+    solves each block of a stack on its own).  A row is left unsolved
+    only if its computed extremes provably lie in [tau_lo, tau_hi], where
+    the levels come from a fixed-stride sample (every _SCREEN_STRIDE-th
+    row, solved first), and only if the solved extremes clear the levels
+    by delta: then no unsolved row attains an extreme or comes within
+    delta of one.  A row is proven inside by two Cholesky factorisations
+    of its block B, of (tau_hi - margin) I - B and B - (tau_lo + margin) I
+    (_screen, with the margin of _screen_margin).  If the solved extremes
+    do not clear the levels, every row is solved.
+    """
+    solved = np.zeros(len(reps), dtype=bool)
+    solved[::_SCREEN_STRIDE] = True
+    ext = np.empty((2, len(reps)))
+    ext[:, solved] = solve(reps[solved])
+    tau_lo, tau_hi = _screen_levels(*ext[:, solved])
+    margin = _screen_margin(u, g, max(abs(tau_lo), abs(tau_hi)))
+    start = 0
+    for rows in _chunks(reps):
+        blocks = gram[rows[:, :, None], rows[:, None, :]]
+        fail = _screen(blocks, tau_lo, tau_hi, margin)
+        fail &= ~solved[start:start + len(rows)]
+        i = start + np.flatnonzero(fail)
+        ext[:, i] = np.linalg.eigvalsh(blocks[fail])[:, [0, -1]].T
+        solved[i] = True
+        start += len(rows)
+    lo, hi = ext[:, solved]
+    if not (lo.min() + delta < tau_lo and tau_hi < hi.max() - delta):
+        ext[:, ~solved] = solve(reps[~solved])
+        solved[:] = True
+    return solved, ext
 
 
 def _holds(mode: str, c_low: float, c_high: float, p: float) -> bool:
@@ -424,13 +544,22 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     The exhaustive p = 2 scan returns exactly what one eigensolve per
     support returns, bit for bit.  It enumerates only the supports whose
     first column lies in the box's first slab along axis 0 (15,504 of
-    54,264 for box 10, u = 6), keeps the class representatives among them
-    (7,872), solves those, and then generates and solves the other members
-    of each class whose representative came within a rounding bound of the
-    representatives' extremes (see _eig_rounding_bound).  This needs
-    sampled.matrix = system.evaluate_at(points), as build_sampled makes
-    it.  With m < u every block is singular, all classes tie at c_low ~ 0
-    and every support is solved once: no saving there.
+    54,264 for box 10, u = 6) and keeps the class representatives among
+    them (7,872).  A Cholesky screen then rules out most of those: it
+    solves every 100th representative, sets levels at the 1st and 99th
+    percentiles of their extremes, and solves only the representatives
+    whose blocks two Cholesky factorisations cannot place strictly inside
+    the levels, minus a margin (see _screened_extremes).  If the solved
+    extremes do not clear the levels by the rounding bound, it solves the
+    rest too.  Last it generates and solves the other members of each
+    class whose representative came within a rounding bound of the
+    representatives' extremes (see _eig_rounding_bound).  On six box-10
+    point sets with m = 600, u = 6 the scan solves 175 to 761 blocks
+    (7,874 to 7,884 without the screen).
+    This needs sampled.matrix = system.evaluate_at(points), as
+    build_sampled makes it.  With m < u every block is singular, all
+    classes tie at c_low ~ 0, the screen falls back and every support is
+    solved once: no saving there.
 
     The representatives depend on the box and u alone, so they are built
     once and kept, read-only, until a call with another (box, u):
@@ -479,14 +608,18 @@ def _check_usd_l2(sampled, u, method, trials, seed):
             for b in _chunks(idx)]).T
 
     if method == "exhaustive":
-        # One eigensolve per symmetry class, plus the other members of each
-        # class whose representative came within the rounding bound of the
+        # One eigensolve per symmetry class that the Cholesky screen cannot
+        # rule out, plus the other members of each class whose
+        # representative came within the rounding bound of the
         # representatives' extremes: every support attaining an extreme is
         # solved.
         box = sampled.system.box
         reps = _box_representatives(box, u)
-        lo, hi = ext = solve(reps)
         delta = _eig_rounding_bound(sampled, u)
+        solved, ext = _screened_extremes(gram, reps, solve, u,
+                                         _entry_bound(sampled), delta)
+        reps, ext = reps[solved], ext[:, solved]
+        lo, hi = ext
         near = reps[(lo <= lo.min() + delta) | (hi >= hi.max() - delta)]
         members = np.concatenate([_class_members(c, box)
                                   for c in _chunks(near, SUPPORT_CHUNK // n + 1)])

@@ -34,6 +34,14 @@ class ProjectionResult:
     rank_deficient: bool
 
 
+def _samples(h, target):
+    """target as a complex array of h.m samples; refuses any other shape."""
+    target = np.asarray(target, dtype=complex)
+    if target.shape != (h.m,):
+        raise ValueError(f"target has shape {target.shape}, expected ({h.m},) samples")
+    return target
+
+
 def project(h: SampledSystem, target, support) -> ProjectionResult:
     """Orthogonal projection of target onto the span of support columns.
 
@@ -43,7 +51,7 @@ def project(h: SampledSystem, target, support) -> ProjectionResult:
     support = list(support)
     if len(set(support)) != len(support):
         raise ValueError("support indices must be distinct")
-    target = np.asarray(target, dtype=complex)
+    target = _samples(h, target)
     if not support:
         return ProjectionResult(np.zeros(0, dtype=complex), target.copy(), False)
     cols = h.matrix[:, support]
@@ -122,9 +130,7 @@ def womp(h: SampledSystem, target, t: float = 1.0, steps: int | None = None,
     if steps > min(h.m, h.size):
         raise ValueError(f"step budget {steps} exceeds min(m, N) = {min(h.m, h.size)}")
 
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (h.m,):
-        raise ValueError(f"target has shape {target.shape}, expected ({h.m},) samples")
+    target = _samples(h, target)
     weak = t if selection == "adversarial-weak" else 1.0
     trace = _womp_gram(h, target, t, steps, weak)
     return _womp_lstsq(h, target, t, steps, weak) if trace is None else trace
@@ -333,7 +339,7 @@ def best_vterm(h: SampledSystem, target, v: int) -> BestTermResult:
     """
     if v < 1:
         raise ValueError("v must be >= 1")
-    target = np.asarray(target, dtype=complex)
+    target = _samples(h, target)
     supports = _supports(h.size, v)
     rhs = (target.conj() @ h.matrix).conj() / h.m
     norm_sq = float(np.vdot(target, target).real) / h.m

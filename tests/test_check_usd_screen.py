@@ -1,0 +1,185 @@
+"""The Cholesky screen in front of the exhaustive certificate's eigensolves:
+the factorisation contract it relies on, its margin against exact
+eigenvalues, and the screened scan against the scan that solves every
+class representative."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
+
+from womplab import discretization
+from womplab.discretization import (PointSet, _entry_bound, _screen,
+                                    _screen_margin, build_sampled, check_usd,
+                                    draw_points)
+from womplab.trig import TrigSystem
+
+
+def test_cholesky_gufunc_returns_nan_for_exactly_the_failing_blocks():
+    # the screen reads a NaN block as "not positive definite" and factors in
+    # place; a numpy that raises, returns partial factors, changes the good
+    # factors or reads a block it has overwritten would silently change
+    # which blocks get solved
+    rng = np.random.default_rng(5)
+    for u in (1, 2, 4, 6):
+        a = rng.standard_normal((40, u, u)) + 1j * rng.standard_normal((40, u, u))
+        shift = rng.uniform(-0.5, 2.5, size=40)
+        stack = a @ a.conj().transpose(0, 2, 1) / u - shift[:, None, None] * np.eye(u)
+        with np.errstate(invalid="ignore"):
+            factors = _umath_linalg.cholesky_lo(stack)
+            in_place = stack.copy()
+            _umath_linalg.cholesky_lo(in_place, out=in_place)
+        assert np.array_equal(in_place, factors, equal_nan=True)
+        raises = []
+        for block, factor in zip(stack, factors):
+            try:
+                expect = np.linalg.cholesky(block)
+            except np.linalg.LinAlgError:
+                raises.append(True)
+                assert np.isnan(factor).all()
+            else:
+                raises.append(False)
+                assert np.array_equal(factor, expect)
+        assert 0 < sum(raises) < len(raises)
+
+
+def _exact_extremes(mpmath, block):
+    """Exact lowest and highest eigenvalue of the Hermitian matrix of the
+    block's lower triangle (all that LAPACK reads), at the working
+    precision."""
+    n = block.shape[0]
+    a = mpmath.matrix(n, n)
+    for j in range(n):
+        a[j, j] = mpmath.mpf(float(block[j, j].real))
+        for k in range(j):
+            entry = mpmath.mpc(float(block[j, k].real), float(block[j, k].imag))
+            a[j, k], a[k, j] = entry, mpmath.conj(entry)
+    eigs = mpmath.eighe(a, eigvals_only=True)
+    return min(eigs), max(eigs)
+
+
+@pytest.mark.parametrize("box, m, u, seed", [
+    ((3,), 2, 3, 1), ((3,), 40, 3, 2), ((5,), 9, 4, 3), ((8,), 600, 4, 4),
+    ((1, 1), 5, 3, 5), ((2, 1), 40, 4, 6), ((2, 1), 600, 4, 7)])
+def test_screen_margin_against_exact_eigenvalues(box, m, u, seed):
+    mpmath = pytest.importorskip(
+        "mpmath", reason="the margin oracle needs 120-bit eigenvalues")
+    system = TrigSystem(len(box), box)
+    sampled = build_sampled(system, draw_points(m, system.dim, seed))
+    g = _entry_bound(sampled)
+    rng = np.random.default_rng(seed)
+    offsets = (-4, -1, -0.5, -0.1, 0.1, 0.5, 1, 1.5, 2, 4)  # in margins
+    passed = 0
+    for _ in range(6):
+        idx = np.sort(rng.choice(system.size, size=u, replace=False))
+        block = sampled.gram[np.ix_(idx, idx)]
+        computed = np.linalg.eigvalsh(block)
+        with mpmath.workprec(120):
+            lam_lo, lam_hi = _exact_extremes(mpmath, block)
+        unit = _screen_margin(u, g, max(abs(float(lam_lo)), abs(float(lam_hi))))
+        for k_lo in offsets:
+            for k_hi in offsets:
+                tau_lo = float(lam_lo) - k_lo * unit
+                tau_hi = float(lam_hi) + k_hi * unit
+                margin = _screen_margin(u, g, max(abs(tau_lo), abs(tau_hi)))
+                if _screen(block[None], tau_lo, tau_hi, margin)[0]:
+                    continue
+                passed += 1
+                # a block passing the screen has exact and computed
+                # extremes strictly inside the levels
+                assert tau_lo < lam_lo and lam_hi < tau_hi
+                assert tau_lo <= computed[0] and computed[-1] <= tau_hi
+    # the oracle is not vacuous: levels two margins clear let blocks pass
+    assert passed >= 6 * 9
+
+
+def _near_classes(sampled, u, **patches):
+    """check_usd's report and the representatives whose classes it
+    expanded, with the given discretization names patched."""
+    near = []
+    members = discretization._class_members
+
+    def record(reps, box):
+        near.extend(map(tuple, reps.tolist()))
+        return members(reps, box)
+
+    with mock.patch.multiple(discretization, _class_members=record, **patches):
+        reports = [check_usd(sampled, u, mode=mode)
+                   for mode in ("two-sided", "one-sided-lower")]
+    return reports, sorted(set(near))
+
+
+def _solve_everything(blocks, tau_lo, tau_hi, margin):
+    return np.ones(len(blocks), dtype=bool)
+
+
+def assert_screen_changes_nothing(sampled, u, **patches):
+    """The screened scan (with the given patches) against the scan whose
+    screen rules out no block; returns both reports."""
+    got, got_near = _near_classes(sampled, u, **patches)
+    want, want_near = _near_classes(sampled, u, _screen=_solve_everything)
+    assert got_near == want_near
+    for a, b in zip(got, want):
+        assert (a.c_low.hex(), a.c_high.hex()) == (b.c_low.hex(), b.c_high.hex())
+        assert (a.worst_support, a.holds) == (b.worst_support, b.holds)
+        assert a.eigensolves <= b.eigensolves
+    return got[0], want[0]
+
+
+@st.composite
+def screened_instances(draw):
+    d = draw(st.sampled_from([1, 2]))
+    box = ((draw(st.integers(2, 10)),) if d == 1 else
+           (draw(st.integers(1, 3)), draw(st.integers(0, 2))))
+    system = TrigSystem(d, box)
+    n = system.size
+    u_max = max(k for k in range(1, min(6, n) + 1) if math.comb(n, k) <= 60_000)
+    # enough classes for the screen to rule some out, and a few m < u
+    u = draw(st.integers(max(1, u_max - 2), u_max))
+    m = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # q > 0 puts the points on a q-point grid per axis, where classes tie
+    q = draw(st.sampled_from([0, 0, 0, 2, 5]))
+    if q:
+        pts = 2 * np.pi * rng.integers(0, q, size=(m, d)) / q
+    else:
+        pts = rng.uniform(0, 2 * np.pi, size=(m, d))
+    return build_sampled(system, PointSet(d, pts)), u
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(screened_instances())
+def test_screened_scan_equals_the_unscreened_scan(instance):
+    assert_screen_changes_nothing(*instance)
+
+
+@pytest.mark.parametrize("box, m, seed", [
+    ((10,), 600, 3964924996), ((10,), 600, 7), ((2, 1), 600, 3)])
+def test_screen_skips_most_representatives_at_benchmark_sizes(box, m, seed):
+    system = TrigSystem(len(box), box)
+    sampled = build_sampled(system, draw_points(m, system.dim, seed))
+    screened, unscreened = assert_screen_changes_nothing(sampled, 6)
+    assert screened.eigensolves < unscreened.eigensolves // 5
+
+
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("box, seed", [((10,), 3964924996), ((2, 1), 11)])
+def test_levels_past_an_extreme_fall_back_to_solving_every_block(box, seed, side):
+    system = TrigSystem(len(box), box)
+    sampled = build_sampled(system, draw_points(600, system.dim, seed))
+    levels = discretization._screen_levels
+    calls = []
+
+    def past(lo, hi):
+        tau_lo, tau_hi = levels(lo, hi)
+        calls.append(1)
+        return (-1.0, tau_hi) if side == "low" else (tau_lo, 10.0)
+
+    screened, unscreened = assert_screen_changes_nothing(
+        sampled, 6, _screen_levels=past)
+    assert calls == [1, 1]
+    assert screened.eigensolves == unscreened.eigensolves

@@ -167,6 +167,14 @@ def test_project_rejects_duplicate_support():
         project(h, np.zeros(5, dtype=complex), [1, 1])
 
 
+def test_project_refuses_a_target_of_the_wrong_length():
+    _, _, h = _grid_hilbert(2)
+    with pytest.raises(ValueError, match=r"target has shape \(4,\), expected \(5,\)"):
+        project(h, np.zeros(4, dtype=complex), [0, 1])
+    with pytest.raises(ValueError, match=r"target has shape \(5, 1\), expected \(5,\)"):
+        project(h, np.zeros((5, 1), dtype=complex), [0, 1])
+
+
 def test_project_flags_rank_deficiency():
     # one sample point cannot separate two columns
     system = TrigSystem(1, (2,))
@@ -235,6 +243,8 @@ def test_best_vterm_validation():
         best_vterm(h, y, -1)
     with pytest.raises(ValueError):
         best_vterm(h, y, 6)
+    with pytest.raises(ValueError, match=r"target has shape \(4,\), expected \(5,\)"):
+        best_vterm(h, y[:4], 2)
     # C(2001, 2) = 2,001,000 supports exceed the cap of 2,000,000
     wide = build_sampled(TrigSystem(1, (1000,)), PointSet(1, np.zeros((1, 1))))
     with pytest.raises(ValueError, match="2001000 supports exceed cap 2000000"):
