@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 import time
 from copy import deepcopy
 from dataclasses import dataclass
@@ -313,7 +314,7 @@ def criterion_fooling():
             if inst.norm_p < inst.norm_q * (1 - 1e-12):
                 return False, f"box={box} seed={s}: ||f||_4 < ||f||_2"
             ratios.append(inst.norm_p / inst.norm_q)
-        medians.append(float(np.median(ratios)))
+        medians.append(statistics.median(ratios))
     if any(medians[i + 1] < medians[i] - 1e-12 for i in range(len(medians) - 1)):
         return False, f"median ||f||_4/||f||_2 not nondecreasing: {medians}"
     meds = ", ".join(f"{x:.3f}" for x in medians)

@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when the experiment ran but its target
 condition did not hold (no certifiable point set, failed verification),
-2 on configuration or usage errors.
+2 on configuration or usage errors and on unusable input or output paths.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -190,8 +190,8 @@ class DiscretizationReport:
     supports drawn on the randomized p != 2 path.  On the exhaustive path
     that is the class representatives the Cholesky screen could not rule
     out, plus the other members of the classes near an extreme (every
-    support, if the screen falls back and no class reduction is possible,
-    as with m < u).  It is not part of the CSV row.
+    support when all classes tie, as with m < u).  It is not part of the
+    CSV row.
     """
 
     m: int
@@ -358,11 +358,12 @@ def _eig_rounding_bound(sampled, u):
     beta = u g + 8 u^3 e (1 + g) of the exact one the class shares, and
     delta = 2 beta bounds the spread within a class.  The factor 2 in the
     returned 2 delta absorbs the rounding of this formula.  An
-    overestimate only costs eigensolves of classes near an extreme.  At
-    m = 600, u = 6, box 10 the returned bound is 5.7e-12; the largest
-    spread within a class there is below 3e-15, and on six point sets the
-    scan solved 4 to 12 blocks besides the class representatives that the
-    Cholesky screen (_screened_extremes) could not rule out.
+    overestimate only costs eigensolves: of the classes near an extreme,
+    and of the representatives between the screen's levels and the
+    sampled extremes (_screened_extremes).  At m = 600, u = 6, box 10 the
+    returned bound is 5.7e-12; the largest spread within a class there is
+    below 3e-15, and on six point sets the scan solved 4 to 12 blocks
+    besides the class representatives.
     """
     g = _entry_bound(sampled)
     return 4 * (u * g + 8 * u ** 3 * _E * (1 + g))
@@ -410,10 +411,10 @@ def _screen_margin(u, g, tau):
        (step 4 of _eig_rounding_bound).
 
     The sum of the three terms, doubled, is returned: the factor 2 absorbs
-    the rounding of t = tau -+ margin (at most e c) and of this formula.
-    A block that passes both factorisations has computed extremes in
-    [tau_lo, tau_hi].  At m = 600, u = 6 and levels near 1 the margin is
-    about 4e-13, against the 5.7e-12 of _eig_rounding_bound.
+    the rounding of t = tau -+ margin (at most e c) and of this formula, so
+    a block that passes both factorisations has computed extremes strictly
+    inside (tau_lo, tau_hi).  At m = 600, u = 6 and levels near 1 the
+    margin is about 4e-13, against the 5.7e-12 of _eig_rounding_bound.
     """
     gam = _gamma(u + 3)
     c = tau + 1 + g
@@ -446,51 +447,44 @@ def _screen(blocks, tau_lo, tau_hi, margin):
     return fail | np.isnan(shifted[:, 0, 0])
 
 
-def _screen_levels(lo, hi):
-    """(tau_lo, tau_hi) of the screen: the 1st percentile of the sampled
-    lowest eigenvalues and the 99th of the sampled highest, interpolated
-    linearly between order statistics as np.percentile does (which would
-    import numpy.ma, 1.9 MB of resident memory, for two numbers)."""
-    rank = np.arange(len(lo))
-    return (float(np.interp(0.01 * rank[-1], rank, np.sort(lo))),
-            float(np.interp(0.99 * rank[-1], rank, np.sort(hi))))
+def _extremes(gram, rows):
+    """(lowest, highest) eigenvalue of each row's Gram block, as two rows."""
+    return np.concatenate([
+        np.linalg.eigvalsh(gram[b[:, :, None], b[:, None, :]])[:, [0, -1]]
+        for b in _chunks(rows)]).T
 
 
-def _screened_extremes(gram, reps, solve, u, g, delta):
-    """(solved, ext): which rows of reps were eigensolved, and (lowest,
-    highest) eigenvalue of each row's Gram block, set where solved.
+def _screened_extremes(gram, reps, u, g, delta):
+    """The rows of reps that the scan eigensolves, and the (lowest,
+    highest) eigenvalue of each one's Gram block, bit for bit what
+    _extremes gives (LAPACK solves each block of a stack on its own).
 
-    Every solved extreme is what solve(reps) gives, bit for bit (LAPACK
-    solves each block of a stack on its own).  A row is left unsolved
-    only if its computed extremes provably lie in [tau_lo, tau_hi], where
-    the levels come from a fixed-stride sample (every _SCREEN_STRIDE-th
-    row, solved first), and only if the solved extremes clear the levels
-    by delta: then no unsolved row attains an extreme or comes within
-    delta of one.  A row is proven inside by two Cholesky factorisations
-    of its block B, of (tau_hi - margin) I - B and B - (tau_lo + margin) I
-    (_screen, with the margin of _screen_margin).  If the solved extremes
-    do not clear the levels, every row is solved.
+    Every _SCREEN_STRIDE-th row is solved first; tau_lo = (their lowest)
+    + delta and tau_hi = (their highest) - delta.  Any other row is solved
+    unless _screen's two Cholesky factorisations put its computed extremes
+    strictly inside (tau_lo, tau_hi).  No row left out can matter: the
+    sampled extremes lie inside the global ones and rounding is monotone,
+    so its extremes lie more than delta above the lowest and below the
+    highest, and it fails _check_usd_l2's near-class test.  Where classes
+    tie within delta every row is solved, on the same path: with m < u
+    every lowest eigenvalue is ~0, below tau_lo, and on an exact grid
+    every block is ~I, so tau_lo > tau_hi.
     """
     solved = np.zeros(len(reps), dtype=bool)
     solved[::_SCREEN_STRIDE] = True
     ext = np.empty((2, len(reps)))
-    ext[:, solved] = solve(reps[solved])
-    tau_lo, tau_hi = _screen_levels(*ext[:, solved])
+    ext[:, solved] = _extremes(gram, reps[solved])
+    tau_lo, tau_hi = ext[0, solved].min() + delta, ext[1, solved].max() - delta
     margin = _screen_margin(u, g, max(abs(tau_lo), abs(tau_hi)))
-    start = 0
-    for rows in _chunks(reps):
+    for start in range(0, len(reps), SUPPORT_CHUNK):
+        rows = reps[start:start + SUPPORT_CHUNK]
         blocks = gram[rows[:, :, None], rows[:, None, :]]
         fail = _screen(blocks, tau_lo, tau_hi, margin)
         fail &= ~solved[start:start + len(rows)]
         i = start + np.flatnonzero(fail)
         ext[:, i] = np.linalg.eigvalsh(blocks[fail])[:, [0, -1]].T
         solved[i] = True
-        start += len(rows)
-    lo, hi = ext[:, solved]
-    if not (lo.min() + delta < tau_lo and tau_hi < hi.max() - delta):
-        ext[:, ~solved] = solve(reps[~solved])
-        solved[:] = True
-    return solved, ext
+    return reps[solved], ext[:, solved]
 
 
 def _holds(mode: str, c_low: float, c_high: float, p: float) -> bool:
@@ -546,20 +540,19 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     first column lies in the box's first slab along axis 0 (15,504 of
     54,264 for box 10, u = 6) and keeps the class representatives among
     them (7,872).  A Cholesky screen then rules out most of those: it
-    solves every 100th representative, sets levels at the 1st and 99th
-    percentiles of their extremes, and solves only the representatives
+    solves every 100th representative, sets levels a rounding bound
+    inside the extremes of those, and solves only the representatives
     whose blocks two Cholesky factorisations cannot place strictly inside
-    the levels, minus a margin (see _screened_extremes).  If the solved
-    extremes do not clear the levels by the rounding bound, it solves the
-    rest too.  Last it generates and solves the other members of each
-    class whose representative came within a rounding bound of the
-    representatives' extremes (see _eig_rounding_bound).  On six box-10
-    point sets with m = 600, u = 6 the scan solves 175 to 761 blocks
-    (7,874 to 7,884 without the screen).
+    the levels (see _screened_extremes).  Last it generates and solves
+    the other members of each class whose representative came within the
+    rounding bound of the representatives' extremes (see
+    _eig_rounding_bound).  On six box-10 point sets with m = 600, u = 6
+    (seeds 0 to 5) the scan solves 150 to 531 blocks (7,874 to 7,884
+    without the screen).
     This needs sampled.matrix = system.evaluate_at(points), as
     build_sampled makes it.  With m < u every block is singular, all
-    classes tie at c_low ~ 0, the screen falls back and every support is
-    solved once: no saving there.
+    classes tie at c_low ~ 0, no block passes the screen and every
+    support is solved once: no saving there.
 
     The representatives depend on the box and u alone, so they are built
     once and kept, read-only, until a call with another (box, u):
@@ -599,26 +592,14 @@ def _check_usd_l2(sampled, u, method, trials, seed):
         raise SubsetCapError(f"C({n},{u}) = {count} supports exceed the "
                              f"subset cap {DEFAULT_SUBSET_CAP}")
     gram = sampled.gram if sampled.m else np.zeros((n, n), dtype=complex)
-    rng = np.random.default_rng(seed)
-
-    def solve(idx):
-        """(lowest, highest) eigenvalue of each row's Gram block."""
-        return np.concatenate([
-            np.linalg.eigvalsh(gram[b[:, :, None], b[:, None, :]])[:, [0, -1]]
-            for b in _chunks(idx)]).T
-
     if method == "exhaustive":
         # One eigensolve per symmetry class that the Cholesky screen cannot
-        # rule out, plus the other members of each class whose
-        # representative came within the rounding bound of the
-        # representatives' extremes: every support attaining an extreme is
-        # solved.
+        # rule out, plus the other members of each class near an extreme:
+        # every support attaining an extreme is solved.
         box = sampled.system.box
-        reps = _box_representatives(box, u)
         delta = _eig_rounding_bound(sampled, u)
-        solved, ext = _screened_extremes(gram, reps, solve, u,
-                                         _entry_bound(sampled), delta)
-        reps, ext = reps[solved], ext[:, solved]
+        reps, ext = _screened_extremes(gram, _box_representatives(box, u), u,
+                                       _entry_bound(sampled), delta)
         lo, hi = ext
         near = reps[(lo <= lo.min() + delta) | (hi >= hi.max() - delta)]
         members = np.concatenate([_class_members(c, box)
@@ -626,11 +607,12 @@ def _check_usd_l2(sampled, u, method, trials, seed):
         idx = np.concatenate([reps, members])
         order = np.lexsort(idx.T[::-1])
         idx = idx[order]
-        lo, hi = np.concatenate([ext, solve(members)], axis=1)[:, order]
+        lo, hi = np.concatenate([ext, _extremes(gram, members)], axis=1)[:, order]
     else:
+        rng = np.random.default_rng(seed)
         idx = np.array([sorted(rng.choice(n, size=u, replace=False))
                         for _ in range(trials)], dtype=np.intp).reshape(-1, u)
-        lo, hi = solve(idx)
+        lo, hi = _extremes(gram, idx)
     # the first row, in lexicographic or draw order, attaining each extreme
     i_low, i_high = int(np.argmin(lo)), int(np.argmax(hi))
     return (float(lo[i_low]), tuple(idx[i_low].tolist()),

@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import os
+import statistics
 from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, replace
@@ -250,7 +251,11 @@ def _pointset_from(sec, section, system, seed):
         raise ConfigError(f"[{section}] grid: expected false when "
                           "points_file is set, got true")
     if sec.get("points_file"):
-        pts = read_pointset(sec["points_file"])
+        try:
+            pts = read_pointset(sec["points_file"])
+        except OSError as exc:
+            raise ConfigError(f"[{section}] points_file: cannot read "
+                              f"{sec['points_file']}: {exc.strerror}") from None
         if pts.dim != system.dim:
             raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
                               f"holds points of dimension {pts.dim}, the "
@@ -498,7 +503,7 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
 
     fits = {}
     for p in p_list:
-        medians = [float(np.median([c["errors"][p] for c in cells if c["v"] == v]))
+        medians = [statistics.median(c["errors"][p] for c in cells if c["v"] == v)
                    for v in kept]
         fits[p] = fit_rate(kept, medians, p,
                            target_exponent(p, sec["beta"], sec["r"], sec["d"]),

@@ -210,9 +210,9 @@ def test_eigensolves_count_the_blocks_solved():
     assert 0 < rep.eigensolves < 7_872
     assert "eigensolves" not in rep.CSV_HEADER
     assert len(rep.csv_row().split(",")) == len(rep.CSV_HEADER.split(","))
-    # with m < u every class ties at c_low ~ 0: the solved extremes cannot
-    # clear the screen's levels, the scan falls back to solving every
-    # representative, and every support is solved once
+    # with m < u every class ties at c_low ~ 0: the screen's lower level
+    # sits above every block's lowest eigenvalue, so every block fails it,
+    # every class is near the extreme, and every support is solved once
     small = check_usd(build_sampled(system, draw_points(3, 1, 5)), 4)
     assert small.eigensolves == math.comb(21, 4)
     rand = check_usd(build_sampled(system, draw_points(30, 1, 5)), 4,

@@ -166,20 +166,32 @@ def test_screen_skips_most_representatives_at_benchmark_sizes(box, m, seed):
     assert screened.eigensolves < unscreened.eigensolves // 5
 
 
-@pytest.mark.parametrize("side", ["low", "high"])
 @pytest.mark.parametrize("box, seed", [((10,), 3964924996), ((2, 1), 11)])
-def test_levels_past_an_extreme_fall_back_to_solving_every_block(box, seed, side):
+def test_every_sample_stride_changes_nothing(box, seed):
+    # the levels sit delta inside the sampled extremes, wherever those
+    # fall: a sample of every row leaves the screen nothing to rule out,
+    # and a one-row sample that misses both extremes still rules out only
+    # rows that cannot matter
     system = TrigSystem(len(box), box)
     sampled = build_sampled(system, draw_points(600, system.dim, seed))
-    levels = discretization._screen_levels
-    calls = []
-
-    def past(lo, hi):
-        tau_lo, tau_hi = levels(lo, hi)
-        calls.append(1)
-        return (-1.0, tau_hi) if side == "low" else (tau_lo, 10.0)
-
     screened, unscreened = assert_screen_changes_nothing(
-        sampled, 6, _screen_levels=past)
-    assert calls == [1, 1]
+        sampled, 6, _SCREEN_STRIDE=1)
     assert screened.eigensolves == unscreened.eigensolves
+    reps = discretization._box_representatives(box, 6)
+    lo, hi = discretization._extremes(sampled.gram, reps[:1])
+    assert screened.c_low < lo[0] and hi[0] < screened.c_high
+    assert_screen_changes_nothing(sampled, 6, _SCREEN_STRIDE=len(reps))
+
+
+@pytest.mark.parametrize("box, seed", [((10,), 3964924996), ((2, 1), 11)])
+def test_levels_sit_the_rounding_bound_inside_the_sampled_extremes(box, seed):
+    # a wide delta puts a thousand classes near the extremes; levels at the
+    # sampled extremes themselves would let the screen rule most out
+    system = TrigSystem(len(box), box)
+    sampled = build_sampled(system, draw_points(600, system.dim, seed))
+    with mock.patch.object(discretization, "_eig_rounding_bound",
+                           lambda sampled, u: 0.05):
+        _, near = _near_classes(sampled, 6)
+        screened, unscreened = assert_screen_changes_nothing(sampled, 6)
+    assert len(near) > 1000
+    assert screened.eigensolves < unscreened.eigensolves

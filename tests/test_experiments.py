@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import womplab
 from womplab import acceptance, discretization
 from womplab.cli import main
 from womplab.experiments import (DEFAULTS, VALID, ConfigError, _cell_shape,
@@ -290,6 +295,21 @@ def test_rate_sweep_single_spike_collapses_to_exact_recovery():
         rate_sweep_compute(sec, base_seed=0)
 
 
+def test_rate_sweep_compute_leaves_numpy_ma_unloaded():
+    # np.median imported numpy.ma, about 2 MB resident, for one median per v
+    code = ("import sys; from womplab.experiments import default_config, "
+            "rate_sweep_compute; sec = default_config()['rate-sweep']; "
+            "sec.update({'v_list': '1,2,3,4', 'seeds': 2, 'a': 8.0}); "
+            "rate_sweep_compute(sec); print('numpy.ma' in sys.modules)")
+    path = os.pathsep.join(filter(None, [str(Path(womplab.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_rate_sweep_threads_match_serial():
     sec = default_config()["rate-sweep"]
     sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0})
@@ -472,6 +492,15 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
      "points_file: {plane} holds points of dimension 2, the system has d = 1"),
     ("check-disc", "[check-disc]\npoints_file = {three}\ngrid = true\n",
      "[check-disc] grid: expected false when points_file is set, got true"),
+    # a missing file or a directory once exited 1 with a raw traceback
+    ("check-disc", "[check-disc]\npoints_file = {missing}\n", "[check-disc] "
+     "points_file: cannot read {missing}: No such file or directory"),
+    ("recover", "[recover]\npoints_file = {missing}\n", "[recover] "
+     "points_file: cannot read {missing}: No such file or directory"),
+    ("check-disc", "[check-disc]\npoints_file = {folder}\n", "[check-disc] "
+     "points_file: cannot read {folder}: Is a directory"),
+    ("recover", "[recover]\npoints_file = {folder}\n", "[recover] "
+     "points_file: cannot read {folder}: Is a directory"),
     # m0 above m_cap once made no attempt and exited 1 with an empty trail
     ("find-points", "[find-points]\nm0 = 5000\n",
      "[find-points] m0: expected <= m_cap = 4096, got 5000"),
@@ -485,6 +514,8 @@ def test_cli_value_refused_by_a_library_check_names_its_key(
     files["plane"].write_text("dim 2 1\n0.5 1.5\n")
     # grid = true with this file once ran on its 3 points and echoed grid=True
     files["three"].write_text("dim 1 3\n0.1\n0.5\n1.0\n")
+    files["missing"] = tmp_path / "missing.txt"
+    files["folder"] = tmp_path
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(ini.format(**files))
     code = main([command, "--config", str(cfgfile),
@@ -493,6 +524,21 @@ def test_cli_value_refused_by_a_library_check_names_its_key(
     assert capsys.readouterr().err == (
         f"config error: {message.format(**files)}\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("ini, out", [("", "--out"),
+                                      ("[common]\nout = {taken}\n", None)])
+def test_cli_output_path_naming_a_file_exits_2(tmp_path, capsys, ini, out):
+    # os.makedirs on an existing file once exited 1 with a raw
+    # FileExistsError traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(ini.format(taken=taken))
+    args = [out, str(taken)] if out else []
+    code = main(["check-disc", "--config", str(cfgfile), *args])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{taken}'\n"
 
 
 @pytest.mark.parametrize("section, ini", [

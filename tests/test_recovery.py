@@ -500,6 +500,23 @@ def test_adversary_gap_bounds_any_recovery():
     assert lo == pytest.approx(hi, rel=1e-12)  # zero map errs equally on +-f
 
 
+@pytest.mark.parametrize("box, p", [((8,), 4.0), ((8,), math.inf), ((3, 2), 3.0)])
+def test_adversary_gap_errs_on_minus_f_as_the_negated_difference(box, p):
+    # the error on -f is ||f + candidate||_p, bit for bit the former
+    # ||-f - candidate||_p, with two fewer polynomials built
+    system = TrigSystem(len(box), box)
+    xi = draw_points(system.size // 4, system.dim, seed=21)
+    rng = np.random.default_rng(21)
+    candidate = reconstruct(system, range(system.size),
+                            rng.standard_normal(system.size)
+                            + 1j * rng.standard_normal(system.size))
+    gap = adversary_gap(xi, box, p=p, recovery=lambda samples: candidate)
+    f = gap.instance.f
+    assert gap.recovery_errors == (lp_norm(f - candidate, p),
+                                   lp_norm(-f - candidate, p))
+    assert gap.recovery_errors[0] != gap.recovery_errors[1]
+
+
 def test_adversary_gap_rejects_too_many_points():
     xi = draw_points(10, 1, seed=14)
     with pytest.raises(ValueError):
