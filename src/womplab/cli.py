@@ -153,6 +153,13 @@ def main(argv=None) -> int:
         if args.dump_config:
             print(dump_config(cfg))
             return 0
+        # refuse an output path that is empty, a file or below a file before
+        # anything runs: os.mkdir fails on it as os.makedirs would, creating nothing
+        head = out = cfg["common"]["out"]
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if not out or (head and not os.path.isdir(head)):
+            os.mkdir(out)
         return COMMANDS[args.command][1](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

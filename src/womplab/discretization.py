@@ -466,9 +466,9 @@ def _screened_extremes(gram, reps, u, g, delta):
     sampled extremes lie inside the global ones and rounding is monotone,
     so its extremes lie more than delta above the lowest and below the
     highest, and it fails _check_usd_l2's near-class test.  Where classes
-    tie within delta every row is solved, on the same path: with m < u
-    every lowest eigenvalue is ~0, below tau_lo, and on an exact grid
-    every block is ~I, so tau_lo > tau_hi.
+    tie within delta every row is solved: with m < u every lowest
+    eigenvalue is ~0, below tau_lo, and on an exact grid every block is
+    ~I, so tau_lo > tau_hi, where no block can pass and _screen is skipped.
     """
     solved = np.zeros(len(reps), dtype=bool)
     solved[::_SCREEN_STRIDE] = True
@@ -479,7 +479,7 @@ def _screened_extremes(gram, reps, u, g, delta):
     for start in range(0, len(reps), SUPPORT_CHUNK):
         rows = reps[start:start + SUPPORT_CHUNK]
         blocks = gram[rows[:, :, None], rows[:, None, :]]
-        fail = _screen(blocks, tau_lo, tau_hi, margin)
+        fail = tau_lo >= tau_hi or _screen(blocks, tau_lo, tau_hi, margin)
         fail &= ~solved[start:start + len(rows)]
         i = start + np.flatnonzero(fail)
         ext[:, i] = np.linalg.eigvalsh(blocks[fail])[:, [0, -1]].T

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from copy import deepcopy
 from dataclasses import dataclass, replace
 
@@ -496,6 +495,7 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
     jobs = [(sec, base_seed, v, s) for v in kept for s in range(n_seeds)]
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             cells = list(pool.map(_sweep_cell, jobs))
     else:

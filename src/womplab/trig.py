@@ -19,6 +19,7 @@ import numpy as np
 
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
+_EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's cache-sized row blocks
 
 # Grid refinement of lp_norms' quadrature and of make_fooling's sup search.
 OVERSAMPLE = 8
@@ -244,7 +245,12 @@ class TrigSystem:
         conj(exp(1j * t)) up to the sign of a zero imaginary part, so only
         the columns from k = 0 on are exponentiated and the others are
         filled by conjugation; the result is bit for bit that of
-        exponentiating every phase.
+        exponentiating every phase.  No full-size temporary is made: one
+        product (another shape may round otherwise in d >= 2) puts a chunk's
+        phases, L rows of n, in the upper half of its own 2nL floats, row r
+        at float n(L + r).  Rows are exponentiated forward, R at a time, and
+        complex rows below r + R end at float 2n(r + R) <= n(L + r + R),
+        where phase row r + R starts: no phase is overwritten unread.
         """
         pts = _as_points(points, self.dim)
         K = np.array(self.indices(), dtype=float)
@@ -252,16 +258,18 @@ class TrigSystem:
         zero = n // 2  # column of k = 0
         out = np.empty((pts.shape[0], n), dtype=complex)
         chunk = max(1, _EVAL_CHUNK_ENTRIES // n)
+        rows = max(1, _EXP_BLOCK_ENTRIES // n)
         for lo in range(0, pts.shape[0], chunk):
             block = out[lo:lo + chunk]
-            # phases of all columns from one product: a product of another
-            # shape may round differently in d >= 2
-            phase = pts[lo:lo + chunk] @ K.T
-            np.exp(1j * phase[:, zero:], out=block[:, zero:])
-            # 0 - im, not -im: exp(1j * -0.0) has imaginary part +0.0
-            mirror, left = block[:, :zero:-1], block[:, :zero]
-            left.real = mirror.real
-            np.subtract(0.0, mirror.imag, out=left.imag)
+            phase = block.reshape(-1).view(np.float64)[block.size:].reshape(block.shape)
+            np.matmul(pts[lo:lo + chunk], K.T, out=phase)
+            for r in range(0, len(block), rows):
+                part = block[r:r + rows]
+                part[:, zero:] = np.exp(1j * phase[r:r + rows, zero:])
+                # 0 - im, not -im: exp(1j * -0.0) has imaginary part +0.0
+                mirror, left = part[:, :zero:-1], part[:, :zero]
+                left.real = mirror.real
+                np.subtract(0.0, mirror.imag, out=left.imag)
         return out
 
 

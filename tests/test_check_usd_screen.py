@@ -15,7 +15,7 @@ from numpy.linalg import _umath_linalg
 from womplab import discretization
 from womplab.discretization import (PointSet, _entry_bound, _screen,
                                     _screen_margin, build_sampled, check_usd,
-                                    draw_points)
+                                    draw_points, uniform_grid_points)
 from womplab.trig import TrigSystem
 
 
@@ -195,3 +195,25 @@ def test_levels_sit_the_rounding_bound_inside_the_sampled_extremes(box, seed):
         screened, unscreened = assert_screen_changes_nothing(sampled, 6)
     assert len(near) > 1000
     assert screened.eigensolves < unscreened.eigensolves
+
+
+def test_crossed_levels_leave_the_screen_out():
+    # on the exact 11-point grid every Gram block of box 5 is ~I, so the
+    # levels cross (tau_lo > tau_hi): no block could pass, and factoring
+    # the stacks would be wasted
+    sampled = build_sampled(TrigSystem(1, (5,)), uniform_grid_points(11, 1))
+    modes = ("two-sided", "one-sided-lower")
+
+    def spy(*args):
+        raise AssertionError("_screen called with crossed levels")
+
+    def unscreened(gram, reps, u, g, delta):
+        return reps, discretization._extremes(gram, reps)
+
+    with mock.patch.object(discretization, "_screen", spy):
+        got = [check_usd(sampled, 4, mode=mode) for mode in modes]
+    with mock.patch.object(discretization, "_screened_extremes", unscreened):
+        want = [check_usd(sampled, 4, mode=mode) for mode in modes]
+    for a, b in zip(got, want):
+        assert a == b
+        assert (a.c_low.hex(), a.c_high.hex()) == (b.c_low.hex(), b.c_high.hex())

@@ -310,6 +310,19 @@ def test_rate_sweep_compute_leaves_numpy_ma_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+
+def test_import_leaves_concurrent_futures_unloaded():
+    # the sweep's thread pool is the only user, and importing it costs
+    # about 8 ms in every process
+    code = "import sys, womplab; print('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(Path(womplab.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
 def test_rate_sweep_threads_match_serial():
     sec = default_config()["rate-sweep"]
     sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0})
@@ -539,6 +552,29 @@ def test_cli_output_path_naming_a_file_exits_2(tmp_path, capsys, ini, out):
     code = main(["check-disc", "--config", str(cfgfile), *args])
     assert code == 2
     assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{taken}'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "find-points", "check-disc",
+                                     "recover", "rate-sweep", "fooling"])
+@pytest.mark.parametrize("path, reason", [
+    ("taken", "[Errno 17] File exists"),
+    ("taken/sub", "[Errno 20] Not a directory"),
+    ("", "[Errno 2] No such file or directory")])
+def test_cli_unusable_output_path_is_refused_before_any_run(
+        tmp_path, capsys, monkeypatch, command, path, reason):
+    # verify once ran all nine criteria (about 5 s), and each driver its
+    # whole run, before os.makedirs refused the path
+    def reached(*args, **kwargs):
+        raise AssertionError("the run started")
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(
+        (num, name, reached) for num, name, _ in acceptance.CRITERIA))
+    monkeypatch.setattr(TrigSystem, "evaluate_at", reached)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = str(tmp_path / path) if path else ""
+    assert main([command, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {reason}: '{out}'\n"
+    assert sorted(tmp_path.iterdir()) == [taken] and taken.read_text() == ""
 
 
 @pytest.mark.parametrize("section, ini", [

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, kernels, blocks, norms, and serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,64 @@ def test_evaluate_at_is_bitwise_the_direct_exponential(box, chunk_entries,
         if m <= chunk:
             assert (got == np.exp(1j * (x @ K.T))).all()
 
+
+
+def _evaluate_at_reference(system, x):
+    """evaluate_at as it was before it wrote its phases into its own
+    result: a full-size phase array per chunk, then the k >= 0 half
+    exponentiated from 1j * phase."""
+    K = np.array(system.indices(), dtype=float)
+    n, zero = system.size, system.size // 2
+    out = np.empty((x.shape[0], n), dtype=complex)
+    chunk = max(1, trig._EVAL_CHUNK_ENTRIES // n)
+    for lo in range(0, x.shape[0], chunk):
+        block = out[lo:lo + chunk]
+        phase = x[lo:lo + chunk] @ K.T
+        np.exp(1j * phase[:, zero:], out=block[:, zero:])
+        mirror, left = block[:, :zero:-1], block[:, :zero]
+        left.real = mirror.real
+        np.subtract(0.0, mirror.imag, out=left.imag)
+    return out
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, 64, trig._EXP_BLOCK_ENTRIES])
+@pytest.mark.parametrize("chunk_entries", [_EVAL_CHUNK_ENTRIES, 500])
+def test_evaluate_at_is_bitwise_the_reference(block_entries, chunk_entries,
+                                              monkeypatch):
+    # block entries 1 give one row per block, 7 and 64 partial last blocks
+    # and many blocks per chunk; 500 chunk entries put several chunks in
+    # every matrix, each with its phases in its own upper half
+    monkeypatch.setattr(trig, "_EXP_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(trig, "_EVAL_CHUNK_ENTRIES", chunk_entries)
+    rng = np.random.default_rng(block_entries + chunk_entries)
+    for box in [(0,), (1,), (5,), (31,), (0, 0), (2, 3), (3, 0), (0, 0, 0),
+                (1, 2, 1), (2, 2, 2)]:
+        system = TrigSystem(len(box), box)
+        d = system.dim
+        point_sets = [rng.uniform(0, 2 * np.pi, size=(m, d)) for m in (1, 2, 97)]
+        point_sets += [300 * rng.standard_normal((41, d)),
+                       uniform_grid_points(2 * max(box) + 1, d).points,
+                       uniform_grid_points(7, d).points[::-1]]
+        for x in point_sets:
+            got = system.evaluate_at(x)
+            want = _evaluate_at_reference(system, x)
+            assert got.shape == want.shape
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def test_evaluate_at_allocates_only_its_result():
+    # the largest default rate-sweep cell: m = 14,183 points of N = 63
+    # columns, a 14.3 MB result; the phase array and 1j * phase beside
+    # it once took 14.5 MB more
+    system = TrigSystem(1, (31,))
+    x = np.random.default_rng(0).uniform(0, 2 * np.pi, size=(14_183, 1))
+    tracemalloc.start()
+    try:
+        result = system.evaluate_at(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.nbytes + 2 ** 20
 
 # ------------------------------------------------------------------- norms
 
