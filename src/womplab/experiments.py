@@ -27,7 +27,7 @@ from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
                              write_pointset)
 from .recovery import (EXACT_RECOVERY_REL_TOL, RecoveryReport, adversary_gap,
                        recover, write_fooling)
-from .greedy import SELECTIONS, womp
+from .greedy import SELECTIONS, _samples, womp
 from .trig import TrigPolynomial, TrigSystem, lp_norms, reconstruct
 
 
@@ -547,12 +547,17 @@ def run_rate_sweep(cfg: dict):
 
 def zero_data_recovery(system: TrigSystem, pts):
     """Sample-based recovery map used against the adversary: greedy on the
-    box dictionary.  On all-zero samples it returns the zero polynomial."""
-    if pts.m == 0:
-        return lambda samples: TrigPolynomial(system.dim, {})
-    sampled = build_sampled(system, pts)
+    box dictionary.  All-zero samples (m = 0 included) return the zero
+    polynomial and build no sampled matrix, since the greedy would stop
+    before its first pick; the first other samples build it, once."""
+    sampled = None
 
     def recover_map(samples):
+        nonlocal sampled
+        if not _samples(pts, samples).any():
+            return TrigPolynomial(system.dim, {})
+        if sampled is None:
+            sampled = build_sampled(system, pts)
         trace = womp(sampled, samples, steps=min(sampled.m, sampled.size))
         return reconstruct(system, trace.selected, trace.coefficients)
 

@@ -343,7 +343,9 @@ def adversary_gap(xi: PointSet, box: tuple, p: float = 4.0, q: float = 2.0,
         raise ValueError(f"adversary argument needs m <= theta/2 = {theta / 2}")
     inst = make_fooling(xi, box, p=p, q=q)
     candidate = recovery(np.zeros(xi.m, dtype=complex))
-    errors = (lp_norm(inst.f - candidate, p), lp_norm(inst.f + candidate, p))
+    inst.f._check_same_dim(candidate)
+    errors = ((lp_norm(inst.f - candidate, p), lp_norm(inst.f + candidate, p))
+              if candidate._box.size else (lp_norm(inst.f, p),) * 2)  # f -+ 0 is f
     fooled = max(errors) >= inst.norm_p * (1 - 1e-12)
     return GapRecord(inst, inst.norm_p, errors, fooled)
 

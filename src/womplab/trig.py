@@ -19,7 +19,7 @@ import numpy as np
 
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
-_EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's cache-sized row blocks
+_EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's and _root_tables' row blocks
 
 # Grid refinement of lp_norms' quadrature and of make_fooling's sup search.
 OVERSAMPLE = 8
@@ -162,7 +162,9 @@ def _window(start, shape) -> tuple:
 
 def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     """Pointwise product: a direct dense convolution of the coefficients,
-    one shifted copy of f's box per nonzero coefficient of g."""
+    one shifted copy of f's box per nonzero coefficient of g.  The loop
+    stays: one broadcast product of all of them rounds otherwise than
+    b[k] * a does when both boxes hold one element."""
     f._check_same_dim(g)
     if not f._box.size or not g._box.size:
         return TrigPolynomial(f.dim)
@@ -314,17 +316,23 @@ def _tensor_grid(n: int, d: int) -> np.ndarray:
 def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
     """Read-only tables exp(2 pi i t k / n) = roots[(t * k) % n], one per axis,
     for k from lo[axis] to lo[axis] + shape[axis] - 1; axes with the same
-    range share one table.  Only the last bounding box's tables are kept."""
+    range share one table, gathered in row blocks without an index matrix of
+    its size.  Only the last bounding box's tables are kept."""
     _root_tables.cache_clear()  # free the last box's tables before building these
     t = np.arange(n)
     roots = np.exp(2j * np.pi * t / n)
     built = {}
     for span in zip(lo, shape):
         if span not in built:
-            phase = np.outer(t, np.arange(span[0], span[0] + span[1]))
-            phase %= n
-            built[span] = roots[phase]
-            built[span].flags.writeable = False
+            k = np.arange(span[0], span[0] + span[1])
+            table = built[span] = np.empty((n, span[1]), dtype=complex)
+            rows = max(1, _EXP_BLOCK_ENTRIES // span[1])
+            for r in range(0, n, rows):
+                phase = np.multiply.outer(t[r:r + rows], k)
+                phase %= n
+                # phase < n, so "clip" clips nothing; "raise" would buffer out
+                np.take(roots, phase, out=table[r:r + rows], mode="clip")
+            table.flags.writeable = False
     return tuple(built[span] for span in zip(lo, shape))
 
 

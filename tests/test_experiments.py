@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import womplab
-from womplab import acceptance, discretization
+from womplab import acceptance, discretization, experiments
 from womplab.cli import main
 from womplab.experiments import (DEFAULTS, VALID, ConfigError, _cell_shape,
                                  _make_target, _sweep_cell,
@@ -21,8 +21,9 @@ from womplab.experiments import (DEFAULTS, VALID, ConfigError, _cell_shape,
                                  run_find_points, run_fooling, run_rate_sweep,
                                  run_recover, schedule_m, target_exponent,
                                  zero_data_recovery)
-from womplab.discretization import PointSet, draw_points
-from womplab.trig import TrigSystem
+from womplab.discretization import PointSet, build_sampled, draw_points
+from womplab.greedy import womp
+from womplab.trig import TrigSystem, reconstruct
 
 
 # ------------------------------------------------------------------ config
@@ -414,6 +415,64 @@ def test_zero_data_recovery_map():
     pts = draw_points(10, 1, seed=0)
     rec = zero_data_recovery(system, pts)
     assert rec(np.zeros(10, dtype=complex)).coeffs == {}
+
+
+@pytest.fixture
+def build_spy(monkeypatch):
+    """Counts the sampled matrices zero_data_recovery builds and the
+    evaluation matrices made while it runs."""
+    calls = {"build_sampled": 0, "evaluate_at": 0}
+    build, evaluate = experiments.build_sampled, TrigSystem.evaluate_at
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(experiments, "build_sampled", counted("build_sampled", build))
+    monkeypatch.setattr(TrigSystem, "evaluate_at", counted("evaluate_at", evaluate))
+    return calls
+
+
+@pytest.mark.parametrize("d, box, m", [(1, (3,), 0), (1, (8,), 4), (2, (2, 3), 0), (2, (2, 3), 8)])
+def test_zero_data_recovery_builds_nothing_for_zero_samples(build_spy, d, box, m):
+    pts = draw_points(m, d, seed=1) if m else PointSet(d, np.zeros((0, d)))
+    rec = zero_data_recovery(TrigSystem(d, box), pts)
+    for samples in (np.zeros(m, dtype=complex), np.zeros(m), [-0.0] * m):
+        zero = rec(samples)
+        assert zero.dim == d and zero.coeffs == {} and zero._box.size == 0
+    assert build_spy == {"build_sampled": 0, "evaluate_at": 0}
+
+
+@pytest.mark.parametrize("d, box, m", [(1, (8,), 9), (2, (2, 3), 12)])
+def test_zero_data_recovery_runs_womp_on_nonzero_samples(build_spy, d, box, m):
+    # bit for bit the greedy on a sampled matrix built up front; the map
+    # builds its own once, on the first nonzero samples
+    system, pts = TrigSystem(d, box), draw_points(m, d, seed=2)
+    rng = np.random.default_rng(2)
+    rec = zero_data_recovery(system, pts)
+    rec(np.zeros(m))
+    sampled = build_sampled(system, pts)
+    build_spy["build_sampled"] = 0
+    for _ in range(2):
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        got = rec(y)
+        trace = womp(sampled, y, steps=min(m, system.size))
+        expect = reconstruct(system, trace.selected, trace.coefficients)
+        assert got.coeffs and np.array_equal(got._lo, expect._lo)
+        assert got._box.tobytes() == expect._box.tobytes()
+    assert build_spy["build_sampled"] == 1
+
+
+@pytest.mark.parametrize("m, samples", [(10, np.zeros(9)), (10, np.ones(11)),
+                                        (10, np.zeros((10, 1))), (0, np.zeros(1))])
+def test_zero_data_recovery_refuses_samples_of_another_shape(build_spy, m, samples):
+    pts = draw_points(m, 1, seed=3) if m else PointSet(1, np.zeros((0, 1)))
+    rec = zero_data_recovery(TrigSystem(1, (3,)), pts)
+    with pytest.raises(ValueError, match=rf"expected \({m},\) samples"):
+        rec(samples)
+    assert build_spy["build_sampled"] == 0
 
 
 # --------------------------------------------------------------------- cli

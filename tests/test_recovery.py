@@ -12,7 +12,8 @@ import pytest
 from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import (PointSet, SampledSystem, build_sampled,
                                     check_usd, draw_points, uniform_grid_points)
-from womplab import greedy
+from womplab.experiments import zero_data_recovery
+from womplab import greedy, trig
 from womplab.greedy import womp
 from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
                               adversary_gap, best_vterm_l2_muxi, make_fooling,
@@ -390,9 +391,13 @@ def test_a_fooling_grid_miss_frees_the_last_box_before_building():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the new table and its int64 phases (1.5 times the table); the last
-    # box's table, kept through the build, would add one more
-    assert peak < 1.9 * table.nbytes
+    # the new table and one row block's work: two int64 row blocks, numpy's
+    # two input buffers of the broadcast product, the arange and roots of
+    # length n and 16 KB of slack.  An index matrix of the table's size
+    # would add half a table, the last box's table one more
+    n = table.shape[0]
+    work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
+    assert peak < table.nbytes + work
 
 
 def test_the_fooling_grid_of_the_top_box_is_small():
@@ -515,6 +520,26 @@ def test_adversary_gap_errs_on_minus_f_as_the_negated_difference(box, p):
     assert gap.recovery_errors == (lp_norm(f - candidate, p),
                                    lp_norm(-f - candidate, p))
     assert gap.recovery_errors[0] != gap.recovery_errors[1]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, math.inf])
+@pytest.mark.parametrize("box", [(8,), (13,), (3, 2), (4, 4)])
+def test_adversary_gap_measures_f_once_for_a_zero_candidate(box, p):
+    # f -+ 0 is f: both errors are bit for bit the norms of f - 0 and f + 0
+    system = TrigSystem(len(box), box)
+    xi = draw_points(system.size // 4, system.dim, seed=22)
+    gap = adversary_gap(xi, box, p=p, recovery=zero_data_recovery(system, xi))
+    f, zero = gap.instance.f, TrigPolynomial(len(box), {})
+    expect = (lp_norm(f - zero, p), lp_norm(f + zero, p))
+    assert np.array_equal(np.array(gap.recovery_errors).view(np.uint64),
+                          np.array(expect).view(np.uint64))
+    assert gap.recovery_fooled
+
+
+def test_adversary_gap_refuses_a_zero_candidate_of_another_dimension():
+    xi = draw_points(4, 1, seed=23)
+    with pytest.raises(ValueError, match="equal dimension"):
+        adversary_gap(xi, (8,), recovery=lambda samples: TrigPolynomial(2, {}))
 
 
 def test_adversary_gap_rejects_too_many_points():

@@ -3,7 +3,8 @@
 `_poly_grid_values` builds its tables through `_root_tables`, which keeps
 the last bounding box's tables for the next call.  Each result is compared at
 the byte level (signed zeros included) with the former code, kept here as
-oracles: a table built per call, `degree` as a generator over the keys,
+oracles: a table built per call, tables gathered through one index matrix
+of their size, `degree` as a generator over the keys,
 `eval` rebuilding integer keys from the float frequency array, and
 `multiply` filling its dict with a comprehension.
 """
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from womplab import trig
 from womplab.experiments import default_config, rate_sweep_compute
 from womplab.trig import (TrigPolynomial, _poly_grid_values, _root_tables,
                           lp_norms, multiply, quadrature_grid_size)
@@ -187,6 +189,33 @@ def test_cached_tables_are_read_only_and_one_box_is_kept():
     assert _root_tables.cache_info().currsize == 1
 
 
+def root_tables_with_index_matrix(n, lo, shape):
+    """The former `_root_tables`: each table gathered through one int64
+    index matrix of its own size."""
+    t = np.arange(n)
+    roots = np.exp(2j * np.pi * t / n)
+    return tuple(roots[np.outer(t, np.arange(a, a + w)) % n] for a, w in zip(lo, shape))
+
+
+@pytest.mark.parametrize("block_entries", [1, 7, trig._EXP_BLOCK_ENTRIES])
+def test_row_blocks_gather_the_index_matrix_tables(monkeypatch, block_entries):
+    # d = 1-3, axes that share a span, n that no block size divides, a span
+    # wider than a block and one-column spans
+    monkeypatch.setattr(trig, "_EXP_BLOCK_ENTRIES", block_entries)
+    cases = [(13, (-4,), (9,)), (1, (0,), (1,)), (7, (3,), (1,)),
+             (1001, (-120, 5), (250, 3)), (97, (-9, -9), (19, 19)),
+             (41, (-4, 2, -4), (9, 5, 9)), (8195, (-2, -2, -2), (5, 5, 5))]
+    for n, lo, shape in cases:
+        got = _root_tables(n, lo, shape)
+        for table, expect in zip(got, root_tables_with_index_matrix(n, lo, shape)):
+            assert table.shape == expect.shape
+            assert np.array_equal(bits(table), bits(expect))
+            assert not table.flags.writeable
+        for a in range(len(lo)):
+            for b in range(a):
+                assert (got[a] is got[b]) == ((lo[a], shape[a]) == (lo[b], shape[b]))
+
+
 def test_a_miss_frees_the_last_tables_before_building():
     # at most one box's tables are alive, also while the next are built
     n, width = 1001, 250
@@ -198,8 +227,13 @@ def test_a_miss_frees_the_last_tables_before_building():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = n * width * 16
-    assert peak < 1.75 * table  # the new table and its int64 phases
+    # the new table and one row block's work: two int64 row blocks (the
+    # last one lives until the next is bound), the two input buffers of
+    # numpy's broadcast product, the arange and roots of length n and 16 KB
+    # of slack.  An index matrix of the table's size would add 2 MB, the
+    # last box's table 4 MB
+    work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
+    assert peak < n * width * 16 + work
 
 
 def test_rate_sweep_two_threads_give_the_serial_cells():
