@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .trig import TrigSystem, _as_points, _tensor_grid, lp_norm, reconstruct
 
@@ -389,15 +388,16 @@ def _screen_margin(u, g, tau):
 
     The screen factors C = fl(t I - B) with t = fl(tau_hi - margin), and
     C = fl(B - t I) with t = fl(tau_lo + margin), for a computed block B
-    (the Hermitian matrix of its lower triangle, which is all that LAPACK's
-    Cholesky and eigvalsh read).  A success bounds the computed extreme
-    eigenvalues of B by tau_hi from above, or by tau_lo from below:
+    (the Hermitian matrix of its lower triangle, which is all that
+    _cholesky_fails and eigvalsh read).  A success bounds the computed
+    extreme eigenvalues of B by tau_hi from above, or by tau_lo from below:
 
     1. Higham, "Accuracy and Stability of Numerical Algorithms", Thm 10.3:
        if Cholesky runs to completion on C, then R^H R = C + dC with
-       |dC| <= gamma |R^H| |R|, in any order of the inner products (so for
-       LAPACK's blocked and recursive variants too).  For complex data the
-       inner products' gamma_(u+1) becomes gamma_(u+3) (Higham sec. 3.6).
+       |dC| <= gamma |R^H| |R|, in any order of the inner products, for the
+       standard recurrences that _cholesky_fails runs (one rounding per
+       division by the real pivot).  For complex data the inner products'
+       gamma_(u+1) becomes gamma_(u+3) (Higham sec. 3.6).
        R has a positive diagonal, so C + dC is positive definite.  And
        ||dC||_2 <= gamma || |R| ||_2^2 <= gamma ||R||_F^2
        = gamma trace(C + dC) <= gamma / (1 - gamma) trace(C), since each
@@ -421,30 +421,49 @@ def _screen_margin(u, g, tau):
     return 2 * (gam / (1 - gam) * u * c + _E * c + 8 * u ** 3 * _E * (1 + g))
 
 
-def _screen(blocks, tau_lo, tau_hi, margin):
-    """True for each block of a stack of u x u Gram blocks B that the screen
-    cannot place inside the levels: where LAPACK's Cholesky factorisation
-    breaks down on (tau_hi - margin) I - B or on B - (tau_lo + margin) I.
+def _cholesky_fails(lower, u):
+    """True where Cholesky breaks down on a stack of u x u Hermitian
+    matrices: a pivot is not > 0 (NaN included).  lower[i, j], i >= j, is
+    one contiguous complex vector holding that entry of every matrix (the
+    diagonal's imaginary part is not read); it is overwritten.  Whole-stack
+    vector operations walk the standard recurrences: c_ij - r_ik conj(r_jk)
+    for k = 0, 1, .., then r_jj = sqrt(Re) and each part of r_ij divided by
+    r_jj (numpy's complex / real division multiplies by a reciprocal)."""
+    pivots, conj = np.empty((u, len(lower[0, 0]), 2)), {}
+    with np.errstate(all="ignore"):  # a failed pivot spreads NaN and inf
+        for j in range(u):
+            for i in range(j, u):
+                acc = lower[i, j]
+                for k in range(j):
+                    acc -= lower[i, k] * conj[j, k]
+                if i == j:
+                    np.sqrt(acc.real, out=pivots[j, :, 0])
+                    pivots[j, :, 1] = pivots[j, :, 0]
+                else:
+                    parts = acc.view(float).reshape(-1, 2)
+                    np.divide(parts, pivots[j], out=parts)
+                    conj[i, j] = acc.conj()
+    return ~(pivots[:, :, 0] > 0).all(axis=0)
 
-    np.linalg.cholesky raises if any block of a stack fails.  numpy's
-    gufunc behind it, numpy.linalg._umath_linalg.cholesky_lo, returns NaN
-    blocks instead, under np.errstate(invalid="ignore"), and the factors
-    of the other blocks bit for bit (tests/test_check_usd_screen.py pins
-    that contract).  A batched u-step LDL^H in numpy would use public
-    names only, but it is about 4.5 times slower than the gufunc for
-    6 x 6 blocks, and most of the screen's saving would go with it.  Both
-    shifted stacks and their factors share one buffer: the gufunc copies
-    each block into its own workspace, so it may factor in place.
-    """
-    diag = np.arange(blocks.shape[1])
-    shifted = np.negative(blocks)
-    shifted[:, diag, diag] += tau_hi - margin
-    with np.errstate(invalid="ignore"):
-        fail = np.isnan(_umath_linalg.cholesky_lo(shifted, out=shifted)[:, 0, 0])
-        np.copyto(shifted, blocks)
-        shifted[:, diag, diag] -= tau_lo + margin
-        _umath_linalg.cholesky_lo(shifted, out=shifted)
-    return fail | np.isnan(shifted[:, 0, 0])
+
+def _screen(gram, rows, tau_lo, tau_hi, margin):
+    """True for each row (a support) whose Gram block B _cholesky_fails
+    on (tau_hi - margin) I - B or on B - (tau_lo + margin) I.  Each lower
+    entry of a chunk's blocks is gathered once and stacked after its
+    negation, so one factorisation covers both shifted stacks."""
+    u, fail, flat = rows.shape[1], [], gram.reshape(-1)
+    for c in _chunks(rows):
+        n, lower, base = len(c), {}, c * len(gram)
+        for i in range(u):
+            for j in range(i + 1):
+                vec = lower[i, j] = np.empty(2 * n, dtype=complex)
+                # in range: "clip" clips nothing, where "raise" would buffer
+                np.take(flat, base[:, i] + c[:, j], out=vec[n:], mode="clip")
+                np.negative(vec[n:], out=vec[:n])
+            lower[i, i] += np.repeat([tau_hi - margin, -(tau_lo + margin)], n)
+        both = _cholesky_fails(lower, u)
+        fail.append(both[:n] | both[n:])
+    return np.concatenate(fail)
 
 
 def _extremes(gram, rows):
@@ -476,15 +495,10 @@ def _screened_extremes(gram, reps, u, g, delta):
     ext[:, solved] = _extremes(gram, reps[solved])
     tau_lo, tau_hi = ext[0, solved].min() + delta, ext[1, solved].max() - delta
     margin = _screen_margin(u, g, max(abs(tau_lo), abs(tau_hi)))
-    for start in range(0, len(reps), SUPPORT_CHUNK):
-        rows = reps[start:start + SUPPORT_CHUNK]
-        blocks = gram[rows[:, :, None], rows[:, None, :]]
-        fail = tau_lo >= tau_hi or _screen(blocks, tau_lo, tau_hi, margin)
-        fail &= ~solved[start:start + len(rows)]
-        i = start + np.flatnonzero(fail)
-        ext[:, i] = np.linalg.eigvalsh(blocks[fail])[:, [0, -1]].T
-        solved[i] = True
-    return reps[solved], ext[:, solved]
+    rest = ~solved
+    rest[rest] = tau_lo >= tau_hi or _screen(gram, reps[rest], tau_lo, tau_hi, margin)
+    ext[:, rest] = _extremes(gram, reps[rest])
+    return reps[solved | rest], ext[:, solved | rest]
 
 
 def _holds(mode: str, c_low: float, c_high: float, p: float) -> bool:
@@ -539,26 +553,18 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     support returns, bit for bit.  It enumerates only the supports whose
     first column lies in the box's first slab along axis 0 (15,504 of
     54,264 for box 10, u = 6) and keeps the class representatives among
-    them (7,872).  A Cholesky screen then rules out most of those: it
-    solves every 100th representative, sets levels a rounding bound
-    inside the extremes of those, and solves only the representatives
-    whose blocks two Cholesky factorisations cannot place strictly inside
-    the levels (see _screened_extremes).  Last it generates and solves
-    the other members of each class whose representative came within the
-    rounding bound of the representatives' extremes (see
-    _eig_rounding_bound).  On six box-10 point sets with m = 600, u = 6
-    (seeds 0 to 5) the scan solves 150 to 531 blocks (7,874 to 7,884
-    without the screen).
-    This needs sampled.matrix = system.evaluate_at(points), as
-    build_sampled makes it.  With m < u every block is singular, all
-    classes tie at c_low ~ 0, no block passes the screen and every
-    support is solved once: no saving there.
+    them (7,872).  It solves those that a Cholesky screen cannot place
+    inside levels set from every 100th one (_screened_extremes), then the
+    other members of each class whose representative came within the
+    rounding bound of the extremes (_eig_rounding_bound).  On six box-10
+    point sets with m = 600, u = 6 (seeds 0 to 5) the scan solves 150 to
+    531 blocks (7,874 to 7,884 without the screen).  This needs
+    sampled.matrix = system.evaluate_at(points), as build_sampled makes
+    it.  With m < u all classes tie at c_low ~ 0 and every support is
+    solved once.
 
-    The representatives depend on the box and u alone, so they are built
-    once and kept, read-only, until a call with another (box, u):
-    consecutive certificates on one box share them.  They take u integers
-    per class: 378 KB for box 10, u = 6, and less than 16 u MB at the
-    subset cap.
+    The representatives (_box_representatives) are kept until a call with
+    another (box, u): 378 KB for box 10, u = 6, under 16 u MB at the cap.
     """
     n = sampled.size
     if not 1 <= u <= n:

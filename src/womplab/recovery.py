@@ -59,7 +59,11 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
     """
     if v < 1:
         raise ValueError("v must be >= 1")
-    y = sample_target(f0, sampled)
+    return _best_vterm_l2_muxi(f0, sampled, v, sample_target(f0, sampled))
+
+
+def _best_vterm_l2_muxi(f0, sampled, v, y):
+    """best_vterm_l2_muxi on the samples y = sample_target(f0, sampled)."""
     a_box = _box_coefficients(f0, sampled.system)
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     supports = _supports(sampled.size, v)
@@ -184,7 +188,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     if compute_sigma:
         try:
             sigma_disc = best_vterm(sampled, y, v).sigma
-            _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v)
+            _, _, ref_poly = _best_vterm_l2_muxi(f0, sampled, v, y)
         except SubsetCapError as exc:
             sigma_warning = f"sigma references skipped: {exc}"
         else:

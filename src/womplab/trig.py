@@ -329,7 +329,7 @@ def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
             rows = max(1, _EXP_BLOCK_ENTRIES // span[1])
             for r in range(0, n, rows):
                 phase = np.multiply.outer(t[r:r + rows], k)
-                phase %= n
+                phase -= phase // n * n  # t k mod n; // by a scalar is faster than %
                 # phase < n, so "clip" clips nothing; "raise" would buffer out
                 np.take(roots, phase, out=table[r:r + rows], mode="clip")
             table.flags.writeable = False

@@ -1,5 +1,5 @@
 """The Cholesky screen in front of the exhaustive certificate's eigensolves:
-the factorisation contract it relies on, its margin against exact
+its batched factorisation against LAPACK's, its margin against exact
 eigenvalues, and the screened scan against the scan that solves every
 class representative."""
 
@@ -10,41 +10,83 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.linalg import _umath_linalg
 
 from womplab import discretization
-from womplab.discretization import (PointSet, _entry_bound, _screen,
-                                    _screen_margin, build_sampled, check_usd,
+from womplab.discretization import (PointSet, _cholesky_fails, _entry_bound,
+                                    _screen, _screen_margin, build_sampled, check_usd,
                                     draw_points, uniform_grid_points)
 from womplab.trig import TrigSystem
 
 
-def test_cholesky_gufunc_returns_nan_for_exactly_the_failing_blocks():
-    # the screen reads a NaN block as "not positive definite" and factors in
-    # place; a numpy that raises, returns partial factors, changes the good
-    # factors or reads a block it has overwritten would silently change
-    # which blocks get solved
-    rng = np.random.default_rng(5)
-    for u in (1, 2, 4, 6):
-        a = rng.standard_normal((40, u, u)) + 1j * rng.standard_normal((40, u, u))
-        shift = rng.uniform(-0.5, 2.5, size=40)
-        stack = a @ a.conj().transpose(0, 2, 1) / u - shift[:, None, None] * np.eye(u)
-        with np.errstate(invalid="ignore"):
-            factors = _umath_linalg.cholesky_lo(stack)
-            in_place = stack.copy()
-            _umath_linalg.cholesky_lo(in_place, out=in_place)
-        assert np.array_equal(in_place, factors, equal_nan=True)
-        raises = []
-        for block, factor in zip(stack, factors):
-            try:
-                expect = np.linalg.cholesky(block)
-            except np.linalg.LinAlgError:
-                raises.append(True)
-                assert np.isnan(factor).all()
-            else:
-                raises.append(False)
-                assert np.array_equal(factor, expect)
-        assert 0 < sum(raises) < len(raises)
+def _stack_fails(stack):
+    """_cholesky_fails on a stack of u x u matrices."""
+    u = stack.shape[1]
+    lower = {(i, j): np.ascontiguousarray(stack[:, i, j])
+             for i in range(u) for j in range(i + 1)}
+    return _cholesky_fails(lower, u)
+
+
+def _lapack_fails(block):
+    try:
+        np.linalg.cholesky(block)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("u", range(1, 9))
+def test_cholesky_kernel_fails_exactly_where_lapack_does(u):
+    # shifts at least 1e-6 from every eigenvalue, so that rounding cannot
+    # decide a block; only the lower triangle and the real diagonal are read
+    rng = np.random.default_rng(u)
+    a = rng.standard_normal((60, u, u)) + 1j * rng.standard_normal((60, u, u))
+    herm = a @ a.conj().transpose(0, 2, 1) / u
+    eigs = np.linalg.eigvalsh(herm)
+    shift = rng.uniform(-0.5, eigs.max(axis=1) + 0.5)
+    near = np.abs(eigs - shift[:, None]).min(axis=1) < 1e-6
+    stack = (herm - shift[:, None, None] * np.eye(u))[~near]
+    noise = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+    junk = np.triu(noise, 1) + 1j * np.eye(u) * rng.standard_normal(stack.shape)
+    want = [_lapack_fails(block) for block in stack]
+    assert 0 < sum(want) < len(want)
+    assert _stack_fails(stack + junk).tolist() == want
+
+
+def test_cholesky_kernel_fails_on_a_zero_or_nan_pivot():
+    # LAPACK raises on the zero pivots; OpenBLAS's factorisation lets a NaN
+    # pivot through, the kernel does not
+    ones = np.ones((1, 2, 2), dtype=complex)  # second pivot exactly 0
+    zero = np.diag([1.0, 0.0, 1.0]).astype(complex)
+    nan = np.eye(3, dtype=complex)
+    nan[2, 1] = np.nan  # third pivot NaN
+    nan_diag = np.diag([1.0, np.nan, 1.0]).astype(complex)
+    assert _lapack_fails(ones[0]) and _lapack_fails(zero)
+    assert _stack_fails(ones).tolist() == [True]
+    assert _stack_fails(np.stack([zero, nan, nan_diag, np.eye(3)])).tolist() == [
+        True, True, True, False]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_screen_fails_exactly_where_lapack_does_at_benchmark_sizes(seed):
+    # every box-10 representative at m = 600, u = 6, both shifted blocks
+    # factored by LAPACK one at a time, at the levels check_usd screens with
+    sampled = build_sampled(TrigSystem(1, (10,)), draw_points(600, 1, seed))
+    calls = []
+
+    def spy(gram, rows, tau_lo, tau_hi, margin):
+        calls.append((rows, tau_lo, tau_hi, margin,
+                      _screen(gram, rows, tau_lo, tau_hi, margin)))
+        return calls[-1][-1]
+
+    with mock.patch.object(discretization, "_screen", spy):
+        check_usd(sampled, 6)
+    (rows, tau_lo, tau_hi, margin, fail), = calls
+    assert len(rows) == 7872 - 79 and 0 < fail.sum() < 500
+    eye = np.eye(6)
+    want = [_lapack_fails((tau_hi - margin) * eye - block)
+            or _lapack_fails(block - (tau_lo + margin) * eye)
+            for block in sampled.gram[rows[:, :, None], rows[:, None, :]]]
+    assert fail.tolist() == want
 
 
 def _exact_extremes(mpmath, block):
@@ -86,7 +128,7 @@ def test_screen_margin_against_exact_eigenvalues(box, m, u, seed):
                 tau_lo = float(lam_lo) - k_lo * unit
                 tau_hi = float(lam_hi) + k_hi * unit
                 margin = _screen_margin(u, g, max(abs(tau_lo), abs(tau_hi)))
-                if _screen(block[None], tau_lo, tau_hi, margin)[0]:
+                if _screen(sampled.gram, idx[None], tau_lo, tau_hi, margin)[0]:
                     continue
                 passed += 1
                 # a block passing the screen has exact and computed
@@ -113,8 +155,8 @@ def _near_classes(sampled, u, **patches):
     return reports, sorted(set(near))
 
 
-def _solve_everything(blocks, tau_lo, tau_hi, margin):
-    return np.ones(len(blocks), dtype=bool)
+def _solve_everything(gram, rows, tau_lo, tau_hi, margin):
+    return np.ones(len(rows), dtype=bool)
 
 
 def assert_screen_changes_nothing(sampled, u, **patches):
