@@ -66,6 +66,16 @@ def test_cholesky_kernel_fails_on_a_zero_or_nan_pivot():
         True, True, True, False]
 
 
+def test_cholesky_kernel_divides_each_part_by_the_pivot():
+    # r_10 = c_10 / r_00 with r_00 = 3: a true division of each part, as
+    # Higham's analysis (and so _screen_margin) assumes; numpy's complex /
+    # real division multiplies by fl(1/3) and gives 2.333333333333333
+    lower = {(0, 0): np.array([9 + 0j]), (1, 0): np.array([1 + 7j]),
+             (1, 1): np.array([10 + 0j])}
+    assert not _cholesky_fails(lower, 2)[0]
+    assert lower[1, 0][0] == complex(1 / 3, 7 / 3) != (np.array([1 + 7j]) / 3.0)[0]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_screen_fails_exactly_where_lapack_does_at_benchmark_sizes(seed):
     # every box-10 representative at m = 600, u = 6, both shifted blocks
