@@ -245,9 +245,8 @@ NULL_SPACE_TOL = 1e-10
 @functools.lru_cache(maxsize=1)
 def _fooling_grid(box: tuple) -> tuple:
     """make_fooling's point-independent work on a box: the oversampled
-    grid, the box's _root_tables on it (held here, so lp_norms' next box
-    cannot free them) and the Fejer kernel of order box.  The arrays are
-    read-only; only the last box is kept."""
+    grid, the box's full _root_tables on it and the Fejer kernel of order
+    box.  The arrays are read-only; only the last box is kept."""
     _fooling_grid.cache_clear()  # free the last box's tables before building these
     n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
     tables = _root_tables(n, tuple(-b for b in box), tuple(2 * b + 1 for b in box))
@@ -266,7 +265,9 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     and its value at the center is exactly the product of the box orders.
 
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
-    + 1) + 1, by lp_norms' sum factorisation (_grid_values), one batch
+    + 1) + 1, by the sum factorisation _grid_values on the box's full
+    per-axis root tables (split ones would not pay: the batch multiplies
+    the split's partial sums, as rest does in _split_tables), one batch
     entry per null vector and at most _EVAL_CHUNK_ENTRIES grid values per
     chunk of the batch.  The grid, the box's per-axis root tables and the
     Fejer kernel depend on the box alone; they are built once and kept
@@ -301,9 +302,9 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     sups, l2s, peaks = [], [], []
     for lo in range(0, null_dim, chunk):
         grid_abs = np.abs(_grid_values(batch[lo:lo + chunk], tables))
-        sups.append(grid_abs.max(axis=0))
-        l2s.append(np.sqrt(np.mean(grid_abs ** 2, axis=0)))
-        peaks.append(grid_abs.argmax(axis=0))
+        peaks.append(peak := grid_abs.argmax(axis=0))
+        sups.append(grid_abs[peak, np.arange(peak.size)])  # the max, exactly
+        l2s.append(np.sqrt(np.mean(np.square(grid_abs, out=grid_abs), axis=0)))
     sups, l2s, peaks = map(np.concatenate, (sups, l2s, peaks))
     best = int(np.argmax(sups / l2s))
     column = null_basis[:, best]

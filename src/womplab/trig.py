@@ -19,7 +19,7 @@ import numpy as np
 
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
-_EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's and _root_tables' row blocks
+_EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's and _roots' row blocks
 
 # Grid refinement of lp_norms' quadrature and of make_fooling's sup search.
 OVERSAMPLE = 8
@@ -162,16 +162,18 @@ def _window(start, shape) -> tuple:
 
 def multiply(f: TrigPolynomial, g: TrigPolynomial) -> TrigPolynomial:
     """Pointwise product: a direct dense convolution of the coefficients,
-    one shifted copy of f's box per nonzero coefficient of g.  The loop
+    one shifted copy of f's box per nonzero coefficient c of g.  The loop
     stays: one broadcast product of all of them rounds otherwise than
-    b[k] * a does when both boxes hold one element."""
+    c * a does when both boxes hold one element."""
     f._check_same_dim(g)
     if not f._box.size or not g._box.size:
         return TrigPolynomial(f.dim)
     a, b = f._box, g._box
     out = np.zeros(tuple(np.add(a.shape, b.shape) - 1), dtype=complex)
-    for k in np.argwhere(b):
-        out[_window(k, a.shape)] += b[tuple(k)] * a
+    nz = np.nonzero(b)
+    windows = zip(*([slice(s, s + w) for s in i.tolist()] for i, w in zip(nz, a.shape)))
+    for window, c in zip(windows, b[nz].tolist()):
+        out[window] += c * a
     return TrigPolynomial._from_box(f.dim, f._lo + g._lo, out)
 
 
@@ -312,27 +314,33 @@ def _tensor_grid(n: int, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@functools.lru_cache(maxsize=1)
-def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
-    """Read-only tables exp(2 pi i t k / n) = roots[(t * k) % n], one per axis,
-    for k from lo[axis] to lo[axis] + shape[axis] - 1; axes with the same
-    range share one table, gathered in row blocks without an index matrix of
-    its size.  Only the last bounding box's tables are kept."""
-    _root_tables.cache_clear()  # free the last box's tables before building these
+def _roots(roots: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Read-only table of roots[(t * k) % n], n = roots.size, t = 0..n-1
+    down the rows, one column per frequency in k, gathered in row blocks
+    without an index matrix of its size."""
+    n = roots.size
     t = np.arange(n)
-    roots = np.exp(2j * np.pi * t / n)
+    table = np.empty((n, k.size), dtype=complex)
+    rows = max(1, _EXP_BLOCK_ENTRIES // max(1, k.size))
+    for r in range(0, n, rows):
+        phase = np.multiply.outer(t[r:r + rows], k)
+        phase -= phase // n * n  # t k mod n; // by a scalar is faster than %
+        # phase < n, so "clip" clips nothing; "raise" would buffer out
+        np.take(roots, phase, out=table[r:r + rows], mode="clip")
+    table.flags.writeable = False
+    return table
+
+
+def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
+    """Full tables exp(2 pi i t k / n), one per axis, for k from lo[axis]
+    to lo[axis] + shape[axis] - 1, gathered (_roots) from the n-th roots of
+    unity at the phases 2 pi r / n, r = 0..n-1; axes with the same range
+    share one table."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
     built = {}
     for span in zip(lo, shape):
         if span not in built:
-            k = np.arange(span[0], span[0] + span[1])
-            table = built[span] = np.empty((n, span[1]), dtype=complex)
-            rows = max(1, _EXP_BLOCK_ENTRIES // span[1])
-            for r in range(0, n, rows):
-                phase = np.multiply.outer(t[r:r + rows], k)
-                phase -= phase // n * n  # t k mod n; // by a scalar is faster than %
-                # phase < n, so "clip" clips nothing; "raise" would buffer out
-                np.take(roots, phase, out=table[r:r + rows], mode="clip")
-            table.flags.writeable = False
+            built[span] = _roots(roots, np.arange(span[0], span[0] + span[1]))
     return tuple(built[span] for span in zip(lo, shape))
 
 
@@ -346,12 +354,79 @@ def _grid_values(vals: np.ndarray, tables: tuple) -> np.ndarray:
     return vals.reshape(-1, *vals.shape[len(tables):])
 
 
+@functools.lru_cache(maxsize=1)
+def _split_tables(n: int, lo: tuple, shape: tuple) -> tuple:
+    """_poly_grid_values' tables for a box of the given shape from corner lo:
+    per axis a pair (low, high) of _roots tables.  An axis of width w is
+    split as k = lo + k1 + K1 k2, K1 = ceil(sqrt(w)), K2 = ceil(w / K1):
+    low holds k = lo .. lo + K1 - 1 and high k = K1 k2.  Its step then holds
+    the two tables and n x rest x K2 partial sums, rest = prod(shape[:axis])
+    n^(d - 1 - axis) being the step's other values, so an axis is split
+    only where these hold fewer entries than its full n x w table, by more
+    than one _EXP_BLOCK_ENTRIES row block.  On lp_norms' grids that is
+    every d = 1 box from a width of 45 (one-sided) to 58 (centred on 0) up
+    and, in d >= 2, at most the last axis, summed first, where it is much
+    wider than the others together.  An axis not split keeps its full
+    table as low, with high None.  The roots are taken at phases in
+    (-pi, pi]: a split term multiplies two entries, and a phase's rounding
+    error grows with its size.  Equal pairs are shared; only the last
+    box's tables are kept.
+    """
+    _split_tables.cache_clear()  # free the last box's tables before building these
+    t = np.arange(n)
+    roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)  # phases in (-pi, pi]
+    built, pairs = {}, []
+    for axis, (a, w) in enumerate(zip(lo, shape)):
+        rest = math.prod(shape[:axis]) * n ** (len(shape) - 1 - axis)
+        k1 = math.isqrt(w - 1) + 1
+        k2 = -(-w // k1)
+        if n * (w - k1 - k2 - rest * k2) <= _EXP_BLOCK_ENTRIES:
+            k1 = w
+        if (a, w, k1) not in built:
+            high = _roots(roots, k1 * np.arange(k2)) if k1 < w else None
+            built[a, w, k1] = (_roots(roots, np.arange(a, a + k1)), high)
+        pairs.append(built[a, w, k1])
+    return tuple(pairs)
+
+
 def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
-    """poly on _tensor_grid(n, poly.dim), in the same row order."""
+    """poly on _tensor_grid(n, poly.dim), in the same row order: the sum
+    factorisation of _grid_values on _split_tables.  A split axis pads its
+    coefficients with zeros to K1 K2, contracts k1 against low (n x K1) and
+    then k2 against high (n x K2), in one product batched over the grid
+    rows t: the flops stay O(n w), and the tables hold n (K1 + K2) entries
+    instead of n w.
+
+    Rounding.  With u = 2^-53, gamma_k = k u / (1 - k u) and
+    beta(m) = sqrt(2) gamma_(m+1), the bound of a length-m complex dot
+    product (sqrt(2) gamma_2 per product, Higham Lemma 3.5, and gamma_(m-1)
+    on each part of the sum): a table entry's phase 2 pi r / n, |r| <= n / 2,
+    takes a product by 2 fl(pi) and a quotient, so it is off by pi gamma_3,
+    and numpy's exponential adds at most 4 ulp <= 8 u per component
+    (tests/test_exp_oracle.py), so each entry is within
+    e_T = pi gamma_3 + 8 sqrt(2) u of its root of unity.  An axis then
+    adds, relative to the sum of |input| along it, e_a = 2 e_T + beta(K1)
+    + beta(K2) when split and e_T + beta(w) when not.  Every table entry
+    has modulus at most 1 + e_T, so errors carry through later axes at
+    most by the l1 sum, and the computed values are within
+    (e_1 + .. + e_d) |c|_1 of the exact sum_k c_k exp(2 pi i <k, t> / n),
+    to first order in u.
+    """
     if not poly._box.size:
         return np.zeros(n ** poly.dim, dtype=complex)
-    return _grid_values(poly._box, _root_tables(n, tuple(poly._lo.tolist()),
-                                                poly._box.shape))
+    vals = poly._box
+    for low, high in reversed(_split_tables(n, tuple(poly._lo.tolist()),
+                                            poly._box.shape)):
+        if high is None:
+            vals = np.tensordot(low, vals, axes=([1], [-1]))
+            continue
+        k1, k2 = low.shape[1], high.shape[1]
+        padded = np.zeros((*vals.shape[:-1], k2, k1), dtype=complex)
+        padded.reshape(*vals.shape[:-1], -1)[..., :vals.shape[-1]] = vals
+        part = np.tensordot(low, padded, axes=([1], [-1]))  # (n, *rest, k2)
+        vals = np.matmul(part.reshape(n, -1, k2), high[:, :, None])
+        vals = vals.reshape(part.shape[:-1])
+    return vals.reshape(-1)
 
 
 def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
@@ -360,7 +435,7 @@ def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
     Without samples the measure is mu, the normalized Lebesgue measure:
     quadrature on the tensor grid {2 pi t / n}^d with n =
     quadrature_grid_size(degree, p, OVERSAMPLE), summed one axis at a time
-    (_grid_values), exact to roundoff for even integer p.  samples, the
+    (_poly_grid_values), exact to roundoff for even integer p.  samples, the
     values of poly at m >= 1 points xi, select mu_xi, the half/half mixture
     of mu and the empirical measure of xi.  p = inf returns the grid (and
     sample) maximum, a lower estimate of the true sup norm.  Exponents that

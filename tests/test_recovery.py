@@ -19,8 +19,8 @@ from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
                               adversary_gap, best_vterm_l2_muxi, make_fooling,
                               reconstruct, recover, sample_target,
                               write_fooling)
-from womplab.trig import (TrigPolynomial, TrigSystem, _root_tables, fejer_kernel,
-                          lp_norm, lp_norms, multiply)
+from womplab.trig import (TrigPolynomial, TrigSystem, _root_tables, _split_tables,
+                          fejer_kernel, lp_norm, lp_norms, multiply)
 
 
 def _sparse_target(system, cols, coeffs):
@@ -373,10 +373,10 @@ def test_make_fooling_box_work_is_read_only_and_kept_for_one_box():
     assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
     assert _fooling_grid((2, 1))[1] is tables
     assert _fooling_grid.cache_info().currsize == 1
-    # lp_norm's next box replaces the tables in _root_tables' cache, but
-    # the fooling grid still holds them, unchanged
+    # lp_norm keeps its own tables of the next box; the fooling grid still
+    # holds its tables, unchanged
     lp_norm(inst.f, 4.0)
-    assert _root_tables.cache_info().currsize == 1
+    assert _split_tables.cache_info().currsize == 1
     assert _fooling_grid((2, 1))[1] is tables
     assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
 

@@ -1,12 +1,14 @@
-"""Shared root-of-unity tables and the array forms of the per-key loops.
+"""Root-of-unity tables and the array forms of the per-key loops.
 
-`_poly_grid_values` builds its tables through `_root_tables`, which keeps
-the last bounding box's tables for the next call.  Each result is compared at
-the byte level (signed zeros included) with the former code, kept here as
-oracles: a table built per call, tables gathered through one index matrix
-of their size, `degree` as a generator over the keys,
-`eval` rebuilding integer keys from the float frequency array, and
-`multiply` filling its dict with a comprehension.
+`_poly_grid_values` builds its tables through `_split_tables`, which keeps
+the last bounding box's tables for the next call; every result from kept
+tables is compared at the byte level with the one from a cold cache.  The
+tables themselves, and the former code kept here as oracles (tables
+gathered through one index matrix of their size, `degree` as a generator
+over the keys, `eval` rebuilding integer keys from the float frequency
+array, and `multiply` filling its dict with a comprehension), are compared
+at the byte level, signed zeros included.  The kernel's accuracy is
+checked against exact values in tests/test_grid_oracle.py.
 """
 
 import math
@@ -20,41 +22,13 @@ from hypothesis import strategies as st
 from womplab import trig
 from womplab.experiments import default_config, rate_sweep_compute
 from womplab.trig import (TrigPolynomial, _poly_grid_values, _root_tables,
-                          lp_norms, multiply, quadrature_grid_size)
-
-
-def grid_values_per_call(poly, n):
-    """The former `_grid_values(poly, n)`: one table per axis, built on
-    every call."""
-    if not poly.coeffs:
-        return np.zeros(n ** poly.dim, dtype=complex)
-    vals, lo = poly._box, poly._lo
-    t = np.arange(n)
-    roots = np.exp(2j * np.pi * t / n)
-    for axis in reversed(range(poly.dim)):
-        phase = np.outer(t, np.arange(lo[axis], lo[axis] + vals.shape[-1]))
-        phase %= n
-        vals = np.tensordot(roots[phase], vals, axes=([1], [-1]))
-    return vals.reshape(-1)
+                          _split_tables, lp_norm, lp_norms, multiply)
 
 
 def degree_loop(poly):
     if not poly.coeffs:
         return 0
     return max(max(abs(ki) for ki in k) for k in poly.coeffs)
-
-
-def lp_norms_per_call(poly, ps, oversample=8):
-    """The norms on per-call tables; exponents of one grid size share its
-    evaluation, as in lp_norms."""
-    degree, grids, norms = degree_loop(poly), {}, []
-    for p in ps:
-        n = quadrature_grid_size(degree, p, oversample)
-        if n not in grids:
-            grids[n] = np.abs(grid_values_per_call(poly, n))
-        norms.append(float(grids[n].max() if p == math.inf
-                           else np.mean(grids[n] ** p) ** (1.0 / p)))
-    return norms
 
 
 def eval_loop(poly, pts):
@@ -125,19 +99,18 @@ def shape_sequences(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(shape_sequences())
-def test_shared_tables_match_per_call_tables(seq):
-    for poly, n in seq:
-        assert np.array_equal(bits(_poly_grid_values(poly, n)),
-                              bits(grid_values_per_call(poly, n)))
-    assert _root_tables.cache_info().currsize <= 1
-    for poly, _ in seq:
+def test_kept_split_tables_give_the_cold_cache_values(seq):
+    ps = (2, 10, math.inf)  # p = 10 has a finer grid once the degree is 5
+    warm = [(_poly_grid_values(poly, n), lp_norms(poly, ps)) for poly, n in seq]
+    assert _split_tables.cache_info().currsize <= 1
+    for (poly, n), (values, norms) in zip(seq, warm):
         assert poly.degree == degree_loop(poly)
-        # p = 10 has a finer grid than the others once the degree is 5
-        got = lp_norms(poly, (2, 10, math.inf))
-        assert np.array_equal(np.array(got).view(np.uint64),
-                              np.array(lp_norms_per_call(poly, (2, 10, math.inf)))
-                              .view(np.uint64))
-    assert _root_tables.cache_info().currsize <= 1
+        _split_tables.cache_clear()
+        assert np.array_equal(bits(values), bits(_poly_grid_values(poly, n)))
+        _split_tables.cache_clear()
+        assert np.array_equal(np.array(norms).view(np.uint64),
+                              np.array(lp_norms(poly, ps)).view(np.uint64))
+    assert _split_tables.cache_info().currsize <= 1
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -155,10 +128,14 @@ def test_eval_degree_multiply_match_key_loops(seq, seed):
 def test_same_width_at_another_offset_is_a_new_table():
     # equal n and shape, different lowest corner: the tables must differ
     rng = np.random.default_rng(4)
-    for lo in ([-3, 2], [1, 2], [-3, 2], [1, -5]):
-        poly = in_window(rng, lo, [3, 3], terms=4)
-        assert np.array_equal(bits(_poly_grid_values(poly, 7)),
-                              bits(grid_values_per_call(poly, 7)))
+    # 1-D windows of width 100 split at n = 201
+    for lo in ([-3, 2], [1, 2], [-3, 2], [1, -5], [-30], [1], [-30], [6]):
+        d = len(lo)
+        poly = in_window(rng, lo, [3, 3] if d == 2 else [100], terms=4)
+        n = 7 if d == 2 else 201
+        warm = _poly_grid_values(poly, n)
+        _split_tables.cache_clear()
+        assert np.array_equal(bits(warm), bits(_poly_grid_values(poly, n)))
 
 
 def test_degree_and_products_on_negative_frequencies():
@@ -171,22 +148,27 @@ def test_degree_and_products_on_negative_frequencies():
 
 
 def test_cached_tables_are_read_only_and_one_box_is_kept():
-    poly = TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j})
-    _poly_grid_values(poly, 11)
-    tables = _root_tables(11, (-2, 1), (6, 4))
-    assert _root_tables.cache_info().currsize == 1
-    assert [t.shape for t in tables] == [(11, 6), (11, 4)]
-    for table in tables:
+    # d = 2: neither axis splits, as each full table is smaller than its
+    # step's partial sums would be; d = 1: width 100 splits as K1 = K2 = 10
+    _poly_grid_values(TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j}), 11)
+    pairs = _split_tables(11, (-2, 1), (6, 4))
+    assert _split_tables.cache_info().currsize == 1
+    assert [(low.shape, high) for low, high in pairs] == [((11, 6), None),
+                                                          ((11, 4), None)]
+    _poly_grid_values(TrigPolynomial(1, {(-50,): 1.0, (49,): 2.0}), 201)
+    ((low, high),) = _split_tables(201, (-50,), (100,))
+    assert _split_tables.cache_info().currsize == 1
+    assert low.shape == high.shape == (201, 10)
+    for table in (*pairs[0][:1], *pairs[1][:1], low, high):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
         with pytest.raises(ValueError):
             table *= 2.0
-    # axes with the same frequency range share one table
-    square = _root_tables(5, (-1, -1), (3, 3))
+    # axes with the same frequency range and split share one pair
+    square = _split_tables(5, (-1, -1), (3, 3))
     assert square[0] is square[1]
-    _poly_grid_values(TrigPolynomial(1, {(4,): 1.0}), 9)
-    assert _root_tables.cache_info().currsize == 1
+    assert _split_tables.cache_info().currsize == 1
 
 
 def root_tables_with_index_matrix(n, lo, shape):
@@ -214,6 +196,20 @@ def test_row_blocks_gather_the_index_matrix_tables(monkeypatch, block_entries):
         for a in range(len(lo)):
             for b in range(a):
                 assert (got[a] is got[b]) == ((lo[a], shape[a]) == (lo[b], shape[b]))
+        # the split tables hold the columns lo + k1 and K1 k2 of the roots at
+        # phases in (-pi, pi]
+        t = np.arange(n)
+        roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)
+        for (low, high), a, w in zip(_split_tables(n, lo, shape), lo, shape):
+            k1 = low.shape[1]
+            ks = [np.arange(a, a + k1)]
+            if high is not None:
+                ks.append(k1 * np.arange(high.shape[1]))
+                assert k1 == math.isqrt(w - 1) + 1 and k1 * high.shape[1] >= w
+            for table, k in zip((low, high), ks):
+                expect = roots[np.outer(t, k) % n]
+                assert np.array_equal(bits(table), bits(expect))
+                assert not table.flags.writeable
 
 
 def test_a_miss_frees_the_last_tables_before_building():
@@ -221,19 +217,36 @@ def test_a_miss_frees_the_last_tables_before_building():
     n, width = 1001, 250
     tracemalloc.start()
     try:
-        _root_tables(n, (0,), (width,))
+        _split_tables(n, (0,), (width,))
         tracemalloc.reset_peak()
-        _root_tables(n, (1,), (width,))
+        pairs = _split_tables(n, (1,), (width,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the new table and one row block's work: two int64 row blocks (the
-    # last one lives until the next is bound), the two input buffers of
-    # numpy's broadcast product, the arange and roots of length n and 16 KB
-    # of slack.  An index matrix of the table's size would add 2 MB, the
-    # last box's table 4 MB
+    # the new tables (n x 16 and n x 16) and one row block's work: two
+    # int64 row blocks (the last one lives until the next is bound), the two
+    # input buffers of numpy's broadcast product, the arange and roots of
+    # length n and 16 KB of slack.  The last box's tables would add 512 KB
+    tables = sum(t.nbytes for t in pairs[0])
     work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
-    assert peak < n * width * 16 + work
+    assert peak < tables + work < 2 * tables
+
+
+def test_a_degree_400_norm_stays_small():
+    # a dense degree-400 polynomial on its 3,209-point grid: a full table
+    # would be 3,209 x 801 complex, 41 MB; the split tables are 3,209 x 57
+    rng = np.random.default_rng(6)
+    coeff = rng.standard_normal(801) + 1j * rng.standard_normal(801)
+    poly = TrigPolynomial(1, dict(zip(((k,) for k in range(-400, 401)), coeff)))
+    _split_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        norm = lp_norm(poly, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert norm == pytest.approx(poly.l2_norm(), rel=1e-13)
 
 
 def test_rate_sweep_two_threads_give_the_serial_cells():
