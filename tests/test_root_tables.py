@@ -113,6 +113,29 @@ def test_kept_split_tables_give_the_cold_cache_values(seq):
     assert _split_tables.cache_info().currsize <= 1
 
 
+@st.composite
+def wide_sequences(draw):
+    """shape_sequences for d = 1 windows of width 50-150 on grids of 401 or
+    more points, where every axis splits."""
+    windows = [(draw(st.integers(-90, 60)), draw(st.integers(50, 150))) for _ in range(2)]
+    order = draw(st.lists(st.integers(0, 1), min_size=2, max_size=5))
+    two_sizes = [draw(st.sampled_from([401, 603, 1201])) for _ in range(2)]
+    sizes = [two_sizes[draw(st.integers(0, 1))] for _ in order]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return [(in_window(rng, [windows[w][0]], [windows[w][1]], terms=40), n)
+            for w, n in zip(order, sizes)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wide_sequences())
+def test_kept_split_tables_of_wide_windows_give_the_cold_cache_values(seq):
+    warm = [_poly_grid_values(poly, n) for poly, n in seq]
+    for (poly, n), values in zip(seq, warm):
+        assert _split_tables(n, tuple(poly._lo.tolist()), poly._box.shape)[0][1] is not None
+        _split_tables.cache_clear()
+        assert np.array_equal(bits(values), bits(_poly_grid_values(poly, n)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(shape_sequences(), st.integers(0, 2 ** 32 - 1))
 def test_eval_degree_multiply_match_key_loops(seq, seed):
