@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from womplab import trig
 from womplab.experiments import default_config, rate_sweep_compute
-from womplab.trig import (TrigPolynomial, _poly_grid_values, _root_tables,
-                          _split_tables, lp_norm, lp_norms, multiply)
+from womplab.trig import (TrigPolynomial, _grid_values, _poly_grid_values,
+                          _root_tables, _split_tables, lp_norm, lp_norms, multiply)
 
 
 def degree_loop(poly):
@@ -97,20 +97,34 @@ def shape_sequences(draw):
             for w, n in zip(order, sizes)]
 
 
+def kept_and_cold(calls):
+    """Each call's result and, when it read tables kept from an earlier
+    call, the result of the same call on a cold cache (else None)."""
+    out = []
+    for fn, *args in calls:
+        hits = _split_tables.cache_info().hits
+        got = fn(*args)
+        out.append((got, _split_tables.cache_info().hits > hits))
+    cold = []
+    for (fn, *args), (got, hit) in zip(calls, out):
+        if hit:
+            _split_tables.cache_clear()
+        cold.append(fn(*args) if hit else None)
+    return [(got, again) for (got, _), again in zip(out, cold)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(shape_sequences())
 def test_kept_split_tables_give_the_cold_cache_values(seq):
     ps = (2, 10, math.inf)  # p = 10 has a finer grid once the degree is 5
-    warm = [(_poly_grid_values(poly, n), lp_norms(poly, ps)) for poly, n in seq]
-    assert _split_tables.cache_info().currsize <= 1
-    for (poly, n), (values, norms) in zip(seq, warm):
+    calls = [(_poly_grid_values, poly, n) for poly, n in seq]
+    calls += [(lp_norms, poly, ps) for poly, _ in seq]
+    for got, cold in kept_and_cold(calls):
+        assert _split_tables.cache_info().currsize <= 1
+        if cold is not None:
+            assert np.array_equal(bits(np.array(got)), bits(np.array(cold)))
+    for poly, _ in seq:
         assert poly.degree == degree_loop(poly)
-        _split_tables.cache_clear()
-        assert np.array_equal(bits(values), bits(_poly_grid_values(poly, n)))
-        _split_tables.cache_clear()
-        assert np.array_equal(np.array(norms).view(np.uint64),
-                              np.array(lp_norms(poly, ps)).view(np.uint64))
-    assert _split_tables.cache_info().currsize <= 1
 
 
 @st.composite
@@ -129,11 +143,15 @@ def wide_sequences(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(wide_sequences())
 def test_kept_split_tables_of_wide_windows_give_the_cold_cache_values(seq):
-    warm = [_poly_grid_values(poly, n) for poly, n in seq]
-    for (poly, n), values in zip(seq, warm):
-        assert _split_tables(n, tuple(poly._lo.tolist()), poly._box.shape)[0][1] is not None
-        _split_tables.cache_clear()
-        assert np.array_equal(bits(values), bits(_poly_grid_values(poly, n)))
+    results = kept_and_cold([(_poly_grid_values, poly, n) for poly, n in seq])
+    for (poly, n), (got, cold) in zip(seq, results):
+        lo, shape = tuple(poly._lo.tolist()), poly._box.shape
+        assert _split_tables(n, lo, shape)[0][1] is not None  # the window splits
+        # and its values are the full tables' up to rounding
+        full = _grid_values(poly._box, _root_tables(n, lo, shape))
+        assert np.all(np.abs(got - full) <= 1e-12 * np.abs(poly._box).sum())
+        if cold is not None:
+            assert np.array_equal(bits(got), bits(cold))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
