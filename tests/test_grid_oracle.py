@@ -20,9 +20,10 @@ from womplab.trig import (OVERSAMPLE, TrigPolynomial, _grid_values,
 U = np.finfo(float).eps / 2
 POINTS = 64  # random grid points per case, besides t = 0
 
-# (shape, p): the d = 1 widths from 64 on split on these grids, and so does
-# the last axis of (3, 120), much wider than the other; the other axes keep
-# their full tables, gathered from roots at phases in (-pi, pi]
+# (shape, p): the d = 1 widths from 64 on split on these grids (from about
+# 50, depending on the corner), and so does the last axis of (3, 120), much
+# wider than the other; the other axes keep their full tables, gathered
+# from roots at phases in (-pi, pi]
 CASES = [((w,), p) for w, p in zip((2, 5, 11, 17, 33, 50, 64, 99, 128, 200, 257, 333, 401),
                                    (2, 4, math.inf) * 5)]
 CASES += [((20, 20), 2), ((7, 31), 4), ((31, 7), 2), ((3, 120), math.inf),
@@ -70,7 +71,8 @@ def exact_values(mpmath, box, lo, n, points):
 
 def worst_errors(mpmath, shape, p, rng):
     """Worst error of the kernel and of the full-table path over the case's
-    points, in units of eps |c|_1, and the kernel's bound in those units."""
+    points, in units of eps |c|_1, the kernel's bound in those units and
+    the number of axes it split."""
     d = len(shape)
     lo = tuple(int(rng.integers(-w, 1)) for w in shape)
     box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -86,7 +88,8 @@ def worst_errors(mpmath, shape, p, rng):
         exact = exact_values(mpmath, box, lo, n, points)
         errors = [max(float(abs(mpmath.mpc(complex(z)) - x)) for z, x in zip(got, exact))
                   / scale for got in (split, full)]
-    return errors, kernel_bound(n, lo, shape) / np.finfo(float).eps
+    splits = sum(high is not None for _, high in _split_tables(n, lo, shape))
+    return errors, kernel_bound(n, lo, shape) / np.finfo(float).eps, splits
 
 
 def test_split_kernel_is_within_its_bound_and_the_full_tables_error():
@@ -94,9 +97,12 @@ def test_split_kernel_is_within_its_bound_and_the_full_tables_error():
         "mpmath", reason="the oracle needs 120-bit roots of unity")
     rng = np.random.default_rng(29)
     worst_split = worst_full = 0.0
+    splits = 0
     for shape, p in CASES:
-        (split, full), bound = worst_errors(mpmath, shape, p, rng)
+        (split, full), bound, axes = worst_errors(mpmath, shape, p, rng)
         # second-order terms are below 1e-10 of the first-order bound here
         assert split <= 1.01 * bound, (shape, split, bound)
         worst_split, worst_full = max(worst_split, split), max(worst_full, full)
+        splits += axes
+    assert splits >= 8
     assert 0 < worst_split <= 2 * worst_full
