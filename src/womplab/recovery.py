@@ -10,20 +10,17 @@ budget, so no sample-based method can distinguish it from its negative.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretization import (DiscretizationReport, PointSet, SampledSystem,
-                             SubsetCapError, build_sampled, check_usd,
-                             uniform_grid_points)
+                             SubsetCapError, build_sampled, check_usd)
 from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
 from .trig import (_EVAL_CHUNK_ENTRIES, OVERSAMPLE, TrigPolynomial, TrigSystem,
-                   _box_coefficients, _grid_values, _root_tables, fejer_kernel,
-                   lp_norm, lp_norms, quadrature_grid_size, reconstruct,
-                   write_polynomial)
+                   _box_coefficients, _grid_values, fejer_kernel, lp_norm,
+                   lp_norms, quadrature_grid_size, reconstruct, write_polynomial)
 
 # A sigma_v reference below this multiple of the target's sample norm is at
 # rounding level: no ratio is reported against it, and at sigma_ref it
@@ -242,17 +239,6 @@ class FoolingInstance:
 NULL_SPACE_TOL = 1e-10
 
 
-@functools.lru_cache(maxsize=1)
-def _fooling_grid(box: tuple) -> tuple:
-    """make_fooling's point-independent work on a box: the oversampled
-    grid, the box's full _root_tables on it and the Fejer kernel of order
-    box.  The arrays are read-only; only the last box is kept."""
-    _fooling_grid.cache_clear()  # free the last box's tables before building these
-    n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
-    tables = _root_tables(n, tuple(-b for b in box), tuple(2 * b + 1 for b in box))
-    return uniform_grid_points(n, len(box)).points, tables, fejer_kernel(box)
-
-
 def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
                  q: float = 2.0) -> FoolingInstance:
     """Build the fooling polynomial for a point set and frequency box.
@@ -265,15 +251,12 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     and its value at the center is exactly the product of the box orders.
 
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
-    + 1) + 1, by the sum factorisation _grid_values on the box's full
-    per-axis root tables (split ones would not pay: the batch multiplies
-    the split's partial sums, as rest does in _split_tables), one batch
-    entry per null vector and at most _EVAL_CHUNK_ENTRIES grid values per
-    chunk of the batch.  The grid, the box's per-axis root tables and the
-    Fejer kernel depend on the box alone; they are built once and kept
-    until a call on another box.  On box (15, 15) they hold 129^2 grid
-    points and one 129 x 31 table, under 1 MB.  x_star is a read-only row
-    of the grid.
+    + 1) + 1, by the sum factorisation _grid_values, one batch entry per
+    null vector and at most _EVAL_CHUNK_ENTRIES grid values per chunk of
+    the batch; no grid matrix is built.  The kernel keeps the box's tables
+    beside those of the norms of f, so repeated calls on one box rebuild
+    neither.  x_star is read-only, the grid point 2 pi t / n of the winning
+    vector's first grid maximum.
     """
     box = tuple(int(b) for b in box)
     dim = len(box)
@@ -296,12 +279,13 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
 
     # evaluate the null basis on an oversampled grid, a chunk of null
     # vectors at a time, keeping each one's grid sup, L2 norm and argmax
-    grid, tables, kernel = _fooling_grid(box)
+    n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
+    lo = tuple(-b for b in box)
     batch = null_basis.T.reshape(-1, *(2 * b + 1 for b in box))
-    chunk = max(1, _EVAL_CHUNK_ENTRIES // len(grid))
+    chunk = max(1, _EVAL_CHUNK_ENTRIES // n ** dim)
     sups, l2s, peaks = [], [], []
-    for lo in range(0, null_dim, chunk):
-        grid_abs = np.abs(_grid_values(batch[lo:lo + chunk], tables))
+    for start in range(0, null_dim, chunk):
+        grid_abs = np.abs(_grid_values(batch[start:start + chunk], lo, n))
         peaks.append(peak := grid_abs.argmax(axis=0))
         sups.append(grid_abs[peak, np.arange(peak.size)])  # the max, exactly
         l2s.append(np.sqrt(np.mean(np.square(grid_abs, out=grid_abs), axis=0)))
@@ -309,15 +293,16 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     best = int(np.argmax(sups / l2s))
     column = null_basis[:, best]
     sup = float(sups[best])
-    x_star = grid[peaks[best]]
+    x_star = 2 * np.pi * np.array(np.unravel_index(peaks[best], (n,) * dim)) / n
+    x_star.flags.writeable = False
 
     g_xi = reconstruct(system, range(theta), column / sup)
-    f = g_xi * kernel.translate(x_star)
+    f = g_xi * fejer_kernel(box).translate(x_star)
 
     samples_max = float(np.abs(f.eval(xi.points)).max()) if xi.m else 0.0
     norm_q, norm_p, sup_grid = lp_norms(f, (q, p, math.inf))
     return FoolingInstance(
-        pointset=xi, box=box, g_xi=g_xi, x_star=np.asarray(x_star, float),
+        pointset=xi, box=box, g_xi=g_xi, x_star=x_star,
         f=f, q=float(q), p=float(p), norm_q=norm_q, norm_p=norm_p,
         value_at_xstar=float(abs(f.eval(x_star.reshape(1, -1))[0])),
         sup_grid=sup_grid, samples_max=samples_max, null_dim=null_dim)

@@ -9,9 +9,11 @@ an orthonormal system and l2 norms come straight from Parseval.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import threading
 import types
 from dataclasses import dataclass
 
@@ -331,71 +333,69 @@ def _roots(roots: np.ndarray, k: np.ndarray) -> np.ndarray:
     return table
 
 
-def _root_tables(n: int, lo: tuple, shape: tuple) -> tuple:
-    """Full tables exp(2 pi i t k / n), one per axis, for k from lo[axis]
-    to lo[axis] + shape[axis] - 1, gathered (_roots) from the n-th roots of
-    unity at the phases 2 pi r / n, r = 0..n-1; axes with the same range
-    share one table."""
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    built = {}
-    for span in zip(lo, shape):
-        if span not in built:
-            built[span] = _roots(roots, np.arange(span[0], span[0] + span[1]))
-    return tuple(built[span] for span in zip(lo, shape))
+# Entries of _tables' cache: make_fooling's batch and the norms of its
+# polynomial alternate on one box, and each keeps its tables.
+_KEPT = 2
+_kept_tables = collections.OrderedDict()  # least recently used first
+_kept_lock = threading.Lock()
 
 
-def _grid_values(vals: np.ndarray, tables: tuple) -> np.ndarray:
-    """Dense coefficient arrays vals[..., w_1, .., w_d] on the tensor grid of
-    their per-axis _root_tables, in _tensor_grid's row order: summed one
-    axis at a time (sum factorisation, not an FFT).  Leading axes of vals
-    are a batch, kept last: the result has shape (n^d, *batch)."""
-    for table in reversed(tables):  # each product puts its grid axis first
-        vals = np.tensordot(table, vals, axes=([1], [-1]))
-    return vals.reshape(-1, *vals.shape[len(tables):])
-
-
-@functools.lru_cache(maxsize=1)
-def _split_tables(n: int, lo: tuple, shape: tuple) -> tuple:
-    """_poly_grid_values' tables for a box of the given shape from corner lo:
-    per axis a pair (low, high) of _roots tables.  An axis of width w is
-    split as k = lo + k1 + K1 k2, K1 = ceil(sqrt(w)), K2 = ceil(w / K1):
-    low holds k = lo .. lo + K1 - 1 and high k = K1 k2.  Its step then holds
-    the two tables and n x rest x K2 partial sums, rest = prod(shape[:axis])
-    n^(d - 1 - axis) being the step's other values, so an axis is split
-    only where these hold fewer entries than its full n x w table, by more
-    than one _EXP_BLOCK_ENTRIES row block.  On lp_norms' grids that is
-    every d = 1 box from a width of 45 (one-sided) to 58 (centred on 0) up
-    and, in d >= 2, at most the last axis, summed first, where it is much
-    wider than the others together.  An axis not split keeps its full
-    table as low, with high None.  The roots are taken at phases in
-    (-pi, pi]: a split term multiplies two entries, and a phase's rounding
-    error grows with its size.  Equal pairs are shared; only the last
-    box's tables are kept.
+def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
+    """_grid_values' tables for a box of the given shape from corner lo:
+    per axis a pair (low, high) of _roots tables, low holding k = lo .. lo
+    + K1 - 1 and high k = K1 k2, k2 = 0 .. ceil(w / K1) - 1, with K1 from
+    k1s; an axis with K1 = w keeps its full table as low, with high None.
+    The roots are taken at phases in (-pi, pi]: a split term multiplies
+    two entries, and a phase's rounding error grows with its size.  Equal
+    pairs are shared.  The tables are read-only and cached by the
+    arguments; _KEPT entries are kept, and a miss drops the least recently
+    used one before it builds, so that no more than _KEPT - 1 other
+    entries are alive while tables are built.
     """
-    _split_tables.cache_clear()  # free the last box's tables before building these
+    key = (n, lo, shape, k1s)
+    with _kept_lock:
+        if key in _kept_tables:
+            _kept_tables.move_to_end(key)
+            return _kept_tables[key]
+        while len(_kept_tables) >= _KEPT:
+            _kept_tables.popitem(last=False)
     t = np.arange(n)
     roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)  # phases in (-pi, pi]
     built, pairs = {}, []
-    for axis, (a, w) in enumerate(zip(lo, shape)):
-        rest = math.prod(shape[:axis]) * n ** (len(shape) - 1 - axis)
-        k1 = math.isqrt(w - 1) + 1
-        k2 = -(-w // k1)
-        if n * (w - k1 - k2 - rest * k2) <= _EXP_BLOCK_ENTRIES:
-            k1 = w
+    for a, w, k1 in zip(lo, shape, k1s):
         if (a, w, k1) not in built:
-            high = _roots(roots, k1 * np.arange(k2)) if k1 < w else None
+            high = _roots(roots, k1 * np.arange(-(-w // k1))) if k1 < w else None
             built[a, w, k1] = (_roots(roots, np.arange(a, a + k1)), high)
         pairs.append(built[a, w, k1])
-    return tuple(pairs)
+    with _kept_lock:
+        _kept_tables[key] = tables = tuple(pairs)
+        while len(_kept_tables) > _KEPT:
+            _kept_tables.popitem(last=False)
+    return tables
 
 
-def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
-    """poly on _tensor_grid(n, poly.dim), in the same row order: the sum
-    factorisation of _grid_values on _split_tables.  A split axis pads its
-    coefficients with zeros to K1 K2, contracts k1 against low (n x K1) and
-    then k2 against high (n x K2), in one product batched over the grid
-    rows t: the flops stay O(n w), and the tables hold n (K1 + K2) entries
-    instead of n w.
+def _grid_values(vals: np.ndarray, lo, n: int) -> np.ndarray:
+    """Dense coefficient boxes vals[..., w_1, .., w_d] from corner lo on
+    _tensor_grid(n, d), d = len(lo), in the same row order: summed one axis
+    at a time (sum factorisation, not an FFT).  Leading axes of vals are a
+    batch, kept last: the result has shape (n^d, *batch).
+
+    An axis of width w may be split as k = lo + k1 + K1 k2, K1 =
+    ceil(sqrt(w)), K2 = ceil(w / K1): its coefficients are padded with
+    zeros to K1 K2, k1 is contracted against an n x K1 table and then k2
+    against an n x K2 table, in one product batched over the grid rows t.
+    The flops stay O(n w), and the tables hold n (K1 + K2) entries instead
+    of n w, but the step also holds n x rest x K2 partial sums, rest =
+    batch size x prod(w_1 .. w_(axis-1)) x n^(d - axis) being the step's
+    other values.  So an axis is split only where the two tables and the
+    partial sums hold fewer entries than its full n x w table, by more than
+    one _EXP_BLOCK_ENTRIES row block.  For lp_norms' one polynomial that is
+    every d = 1 box from a width of 45 (one-sided) to 58 (centred on 0) up
+    and, in d >= 2, at most the last axis, summed first, where it is much
+    wider than the others together; make_fooling's null-basis batches keep
+    full tables on every box of the defaults and of the benchmark.  The
+    tables come from _tables, keyed by the split (K1 per axis), not by the
+    batch size, so that all chunks of one batch share them.
 
     Rounding.  With u = 2^-53, gamma_k = k u / (1 - k u) and
     beta(m) = sqrt(2) gamma_(m+1), the bound of a length-m complex dot
@@ -408,15 +408,21 @@ def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
     adds, relative to the sum of |input| along it, e_a = 2 e_T + beta(K1)
     + beta(K2) when split and e_T + beta(w) when not.  Every table entry
     has modulus at most 1 + e_T, so errors carry through later axes at
-    most by the l1 sum, and the computed values are within
+    most by the l1 sum, and each batch entry's computed values are within
     (e_1 + .. + e_d) |c|_1 of the exact sum_k c_k exp(2 pi i <k, t> / n),
     to first order in u.
     """
-    if not poly._box.size:
-        return np.zeros(n ** poly.dim, dtype=complex)
-    vals = poly._box
-    for low, high in reversed(_split_tables(n, tuple(poly._lo.tolist()),
-                                            poly._box.shape)):
+    lo, d = tuple(int(a) for a in lo), len(lo)
+    batch, shape = vals.shape[:-d], vals.shape[-d:]
+    if not vals.size:
+        return np.zeros((n ** d, *batch), dtype=complex)
+    k1s = []
+    for axis, w in enumerate(shape):
+        rest = math.prod(batch) * math.prod(shape[:axis]) * n ** (d - 1 - axis)
+        k1 = math.isqrt(w - 1) + 1
+        k2 = -(-w // k1)
+        k1s.append(w if n * (w - k1 - k2 - rest * k2) <= _EXP_BLOCK_ENTRIES else k1)
+    for low, high in reversed(_tables(n, lo, shape, tuple(k1s))):
         if high is None:
             vals = np.tensordot(low, vals, axes=([1], [-1]))
             continue
@@ -426,7 +432,7 @@ def _poly_grid_values(poly: TrigPolynomial, n: int) -> np.ndarray:
         part = np.tensordot(low, padded, axes=([1], [-1]))  # (n, *rest, k2)
         vals = np.matmul(part.reshape(n, -1, k2), high[:, :, None])
         vals = vals.reshape(part.shape[:-1])
-    return vals.reshape(-1)
+    return vals.reshape(-1, *batch)
 
 
 def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
@@ -435,7 +441,7 @@ def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
     Without samples the measure is mu, the normalized Lebesgue measure:
     quadrature on the tensor grid {2 pi t / n}^d with n =
     quadrature_grid_size(degree, p, OVERSAMPLE), summed one axis at a time
-    (_poly_grid_values), exact to roundoff for even integer p.  samples, the
+    (_grid_values), exact to roundoff for even integer p.  samples, the
     values of poly at m >= 1 points xi, select mu_xi, the half/half mixture
     of mu and the empirical measure of xi.  p = inf returns the grid (and
     sample) maximum, a lower estimate of the true sup norm.  Exponents that
@@ -451,7 +457,7 @@ def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:
             raise ValueError("p must be >= 1 or inf")
         n = quadrature_grid_size(degree, p, OVERSAMPLE)
         if n not in grid_abs:
-            grid_abs[n] = np.abs(_poly_grid_values(poly, n))
+            grid_abs[n] = np.abs(_grid_values(poly._box, poly._lo, n))
         if p == math.inf:
             val = grid_abs[n].max()
             if samples is not None:

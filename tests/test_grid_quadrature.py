@@ -2,11 +2,11 @@
 product and the shared norms.
 
 The dense-box `TrigPolynomial` is checked bit for bit against the dict
-implementation it replaced, `_poly_grid_values`, the sum-factorised kernel
-`_grid_values` on one polynomial, against the direct evaluation
-`poly.eval` on the same tensor grid, `multiply` against the dict
-convolution before it, and the norms `make_fooling` and `lp_norms` take
-from one grid evaluation against `lp_norm` bit for bit.
+implementation it replaced, the sum-factorised kernel `_grid_values`, on
+one polynomial and on a batch of null vectors, against direct evaluation
+on the same tensor grid, `multiply` against the dict convolution before
+it, and the norms `make_fooling` and `lp_norms` take from one grid
+evaluation against `lp_norm` bit for bit.
 """
 
 import math
@@ -20,12 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from womplab import trig
 from womplab.discretization import draw_points
 from womplab.recovery import make_fooling
-from womplab.trig import (TrigPolynomial, TrigSystem,
-                          _grid_values, _poly_grid_values, _root_tables,
-                          _tensor_grid, fejer_kernel, lp_norm, lp_norms,
-                          multiply)
+from womplab.trig import (TrigPolynomial, TrigSystem, _grid_values, _tensor_grid,
+                          fejer_kernel, lp_norm, lp_norms, multiply)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,7 +191,7 @@ def test_dense_box_matches_the_dict_polynomial(pair, seed):
 def test_grid_values_match_direct_evaluation(poly, n):
     # n may be smaller than the support's width: the table then folds
     # frequencies mod n, as the exponentials themselves do on that grid
-    got = _poly_grid_values(poly, n)
+    got = _grid_values(poly._box, poly._lo, n)
     expect = poly.eval(_tensor_grid(n, poly.dim))
     assert got.shape == expect.shape == (n ** poly.dim,)
     scale = sum(abs(c) for c in poly.coeffs.values())
@@ -201,12 +200,12 @@ def test_grid_values_match_direct_evaluation(poly, n):
 
 def test_grid_values_edge_cases():
     zero = TrigPolynomial(2, {})
-    assert np.array_equal(_poly_grid_values(zero, 5), np.zeros(25, dtype=complex))
+    assert np.array_equal(_grid_values(zero._box, zero._lo, 5), np.zeros(25, dtype=complex))
     f = TrigPolynomial(3, {(-4, 2, 7): 2.0 - 1.0j, (1, -3, 0): 0.5j})
-    assert _poly_grid_values(f, 1) == pytest.approx([2.0 - 0.5j], abs=1e-15)
+    assert _grid_values(f._box, f._lo, 1) == pytest.approx([2.0 - 0.5j], abs=1e-15)
     # row order: the last axis runs fastest, as in _tensor_grid
     g = TrigPolynomial(2, {(0, 1): 1.0})
-    vals = _poly_grid_values(g, 4).reshape(4, 4)
+    vals = _grid_values(g._box, g._lo, 4).reshape(4, 4)
     assert np.allclose(vals, np.tile(np.exp(2j * np.pi * np.arange(4) / 4), (4, 1)),
                        atol=1e-15)
 
@@ -221,10 +220,13 @@ def batch_entry_bound(box, n, batch):
       phase <k, x> adds gamma_d B X, and exp adds at most 8 u, so each
       entry is within (gamma_3 + gamma_d) B X + 8 u; the product with c
       adds (sqrt(2) gamma_2 + gamma_2N) |c|_1, N the number of columns;
-    - _root_tables: the phase 2 pi r / n takes a product and a quotient,
-      gamma_3 X, and exp 8 u, so a product of d table entries is within
-      d (gamma_3 X + 8 u); each axis of the sum factorisation adds
-      (sqrt(2) gamma_2 + gamma_2w) |c|_1 for its width w.
+    - _grid_values: a table's phase 2 pi r / n, r the signed residue of
+      t k mod n (|r| <= n / 2, so the phase is at most pi), takes a product
+      and a quotient, gamma_3 pi, and exp 8 u, so a product of d table
+      entries is within d (gamma_3 pi + 8 u); each axis of the sum
+      factorisation adds (sqrt(2) gamma_2 + gamma_2w) |c|_1 for its width
+      w.  The batches here keep full tables; a split axis would add a
+      second table entry and a second sum.
     The factor 2 absorbs the second-order terms.
     """
     u = np.finfo(float).eps / 2
@@ -233,7 +235,7 @@ def batch_entry_bound(box, n, batch):
         return k * u / (1 - k * u)
 
     d, widths, x = len(box), [2 * b + 1 for b in box], 2 * np.pi
-    entry = (gamma(3) + gamma(d)) * sum(box) * x + (d + 1) * 8 * u + d * gamma(3) * x
+    entry = (gamma(3) + gamma(d)) * sum(box) * x + (d + 1) * 8 * u + d * gamma(3) * np.pi
     sums = (d + 1) * math.sqrt(2) * gamma(2) + gamma(2 * math.prod(widths))
     sums += sum(gamma(2 * w) for w in widths)
     return 2 * (entry + sums) * np.abs(batch).sum(axis=0)
@@ -252,8 +254,10 @@ def test_batched_grid_values_match_the_evaluation_matrix(box, m, seed):
     else:
         batch = np.eye(system.size, dtype=complex)
     n = 8 * (max(box) + 1) + 1
-    tables = _root_tables(n, tuple(-b for b in box), tuple(2 * b + 1 for b in box))
-    got = _grid_values(batch.T.reshape(-1, *(2 * b + 1 for b in box)), tables)
+    lo = tuple(-b for b in box)
+    got = _grid_values(batch.T.reshape(-1, *(2 * b + 1 for b in box)), lo, n)
+    *_, shape, k1s = next(reversed(trig._kept_tables))  # the tables it read
+    assert k1s == shape  # are full
     expect = system.evaluate_at(_tensor_grid(n, len(box))) @ batch
     assert got.shape == expect.shape == (n ** len(box), system.size - m)
     assert np.all(np.abs(got - expect) <= batch_entry_bound(box, n, batch))

@@ -15,12 +15,11 @@ from womplab.discretization import (PointSet, SampledSystem, build_sampled,
 from womplab.experiments import zero_data_recovery
 from womplab import greedy, trig
 from womplab.greedy import womp
-from womplab.recovery import (FoolingInstance, RecoveryReport, _fooling_grid,
-                              adversary_gap, best_vterm_l2_muxi, make_fooling,
-                              reconstruct, recover, sample_target,
+from womplab.recovery import (RecoveryReport, adversary_gap, best_vterm_l2_muxi,
+                              make_fooling, reconstruct, recover, sample_target,
                               write_fooling)
-from womplab.trig import (TrigPolynomial, TrigSystem, _root_tables, _split_tables,
-                          fejer_kernel, lp_norm, lp_norms, multiply)
+from womplab.trig import (TrigPolynomial, TrigSystem, fejer_kernel, lp_norm,
+                          lp_norms, multiply)
 
 
 def _sparse_target(system, cols, coeffs):
@@ -347,9 +346,9 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
     pts = [draw_points(m, len(box), seed) if m
            else PointSet(len(box), np.zeros((0, len(box)))) for box, m, seed in calls]
     warm = [make_fooling(xi, box) for (box, _, _), xi in zip(calls, pts)]
-    assert _fooling_grid.cache_info().currsize == 1
+    assert len(trig._kept_tables) == trig._KEPT
     for (box, _, _), xi, inst in zip(calls, pts, warm):
-        _fooling_grid.cache_clear()
+        trig._kept_tables.clear()
         cold = make_fooling(xi, box)
         for name in ("g_xi", "f"):
             got, expect = getattr(inst, name), getattr(cold, name)
@@ -361,51 +360,58 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
         assert inst.null_dim == cold.null_dim
 
 
-def test_make_fooling_box_work_is_read_only_and_kept_for_one_box():
+def test_make_fooling_keeps_its_batch_and_norm_tables_read_only():
+    trig._kept_tables.clear()
     inst = make_fooling(draw_points(3, 2, 5), (2, 1))
-    grid, tables, kernel = _fooling_grid((2, 1))
-    assert not grid.flags.writeable and not inst.x_star.flags.writeable
-    assert all(not t.flags.writeable for t in tables)
-    # the box's own root tables on the grid of n = 25 points per axis
-    assert grid.shape == (25 ** 2, 2)
-    fresh = _root_tables(25, (-2, -1), (5, 3))
-    assert [t.shape for t in tables] == [(25, 5), (25, 3)]
-    assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
-    assert _fooling_grid((2, 1))[1] is tables
-    assert _fooling_grid.cache_info().currsize == 1
-    # lp_norm keeps its own tables of the next box; the fooling grid still
-    # holds its tables, unchanged
-    lp_norm(inst.f, 4.0)
-    assert _split_tables.cache_info().currsize == 1
-    assert _fooling_grid((2, 1))[1] is tables
-    assert all(np.array_equal(a, b) for a, b in zip(tables, fresh))
+    assert not inst.x_star.flags.writeable
+    with pytest.raises(ValueError):
+        inst.x_star[0] = 0.0
+    # the null basis's full tables on the grid of n = 25 points per axis,
+    # then those of f's norms, f on the box (-3 .. 3, -1 .. 1), n = 33
+    batch, norms = (25, (-2, -1), (5, 3), (5, 3)), (33, (-3, -1), (7, 3), (7, 3))
+    assert list(trig._kept_tables) == [batch, norms]
+    tables = trig._kept_tables[batch]
+    assert [(low.shape, high) for low, high in tables] == [((25, 5), None),
+                                                           ((25, 3), None)]
+    assert all(not low.flags.writeable for low, _ in tables)
+    # another point set on the box, with another null dimension, reads both
+    make_fooling(draw_points(5, 2, 6), (2, 1))
+    assert list(trig._kept_tables) == [batch, norms]
+    assert trig._kept_tables[batch] is tables
 
 
-def test_a_fooling_grid_miss_frees_the_last_box_before_building():
-    # at most one box's tables are alive, also while the next are built
-    tracemalloc.start()
-    try:
-        _fooling_grid((99,))
-        tracemalloc.reset_peak()
-        table = _fooling_grid((100,))[1][0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the new table and one row block's work: two int64 row blocks, numpy's
-    # two input buffers of the broadcast product, the arange and roots of
-    # length n and 16 KB of slack.  An index matrix of the table's size
-    # would add half a table, the last box's table one more
-    n = table.shape[0]
-    work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
-    assert peak < table.nbytes + work
+def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
+    # as in the adversary workload: the greedy fed zero data, here on box 16
+    # with 8 and then 6 new points, whose null bases of 25 and 27 vectors
+    # share the batch's full table; f's width-63 norm axis splits
+    builds, real = [], trig._roots
+    monkeypatch.setattr(trig, "_roots", lambda roots, k: builds.append(k.size)
+                        or real(roots, k))
+    box, system = (16,), TrigSystem(1, (16,))
+    trig._kept_tables.clear()
+    for m, seed in ((8, 1), (6, 2)):
+        builds.clear()
+        xi = draw_points(m, 1, seed)
+        adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
+    assert builds == []
+    # on a cold cache the pass builds the batch's 257 x 33 table and the
+    # norms' 257 x 8 and 257 x 8
+    trig._kept_tables.clear()
+    adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
+    assert builds == [33, 8, 8]
 
 
-def test_the_fooling_grid_of_the_top_box_is_small():
-    # box (15, 15) at the top of the scope: 129^2 grid points and one
-    # 129 x 31 table, no grid matrix (16,641 x 961 complex, 256 MB)
-    grid, tables, kernel = _fooling_grid((15, 15))
-    assert not isinstance(kernel, np.ndarray)
-    assert grid.nbytes + sum(t.nbytes for t in tables) < 2 ** 20
+def test_the_tables_kept_for_the_top_box_are_small():
+    # box (15, 15) at the top of the scope: the batch's one 129 x 31 table
+    # and the norms' one 241 x 29 table (with no points the winning null
+    # vector is one exponential, so f has the Fejer kernel's width), no
+    # grid matrix (16,641 x 961 complex, 256 MB)
+    trig._kept_tables.clear()
+    make_fooling(PointSet(2, np.zeros((0, 2))), (15, 15))
+    kept = {id(t): t.nbytes for tables in trig._kept_tables.values()
+            for pair in tables for t in pair if t is not None}
+    assert sorted(kept.values()) == [129 * 31 * 16, 241 * 29 * 16]
+    assert sum(kept.values()) < 2 ** 20
 
 
 def old_fooling_choice(xi, box):

@@ -1,14 +1,15 @@
 """Root-of-unity tables and the array forms of the per-key loops.
 
-`_poly_grid_values` builds its tables through `_split_tables`, which keeps
-the last bounding box's tables for the next call; every result from kept
-tables is compared at the byte level with the one from a cold cache.  The
-tables themselves, and the former code kept here as oracles (tables
-gathered through one index matrix of their size, `degree` as a generator
-over the keys, `eval` rebuilding integer keys from the float frequency
-array, and `multiply` filling its dict with a comprehension), are compared
-at the byte level, signed zeros included.  The kernel's accuracy is
-checked against exact values in tests/test_grid_oracle.py.
+`_grid_values` builds its tables through `_tables`, which keeps the two
+most recently used table sets for later calls; every result from kept
+tables, of one polynomial or of a batch, is compared at the byte level
+with the one from a cold cache.  The tables themselves, and the former
+code kept here as oracles (tables gathered through one index matrix of
+their size, `degree` as a generator over the keys, `eval` rebuilding
+integer keys from the float frequency array, and `multiply` filling its
+dict with a comprehension), are compared at the byte level, signed zeros
+included.  The kernel's accuracy is checked against exact values in
+tests/test_grid_oracle.py.
 """
 
 import math
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 
 from womplab import trig
 from womplab.experiments import default_config, rate_sweep_compute
-from womplab.trig import (TrigPolynomial, _grid_values, _poly_grid_values,
-                          _root_tables, _split_tables, lp_norm, lp_norms, multiply)
+from womplab.trig import (OVERSAMPLE, TrigPolynomial, _grid_values, _tensor_grid,
+                          lp_norm, multiply, quadrature_grid_size)
 
 
 def degree_loop(poly):
@@ -64,6 +65,11 @@ def assert_same_poly(got, expect):
                           bits(list(expect.coeffs.values())))
 
 
+def window_keys(lo, width):
+    """The frequencies of the window lo .. lo + width - 1, lexicographic."""
+    return np.stack(np.unravel_index(np.arange(math.prod(width)), width), axis=-1) + lo
+
+
 def in_window(rng, lo, width, terms):
     """A polynomial whose bounding box is exactly lo .. lo + width - 1:
     both corners are set, plus up to `terms` random entries inside."""
@@ -74,12 +80,24 @@ def in_window(rng, lo, width, terms):
     return TrigPolynomial(len(lo), dict(zip(sorted(keys), coeff)))
 
 
+def null_batch(rng, lo, width, null_dim):
+    """The batch make_fooling passes, on the window lo .. lo + width - 1:
+    a null basis of the window's exponentials at random points, of
+    dimension null_dim, one coefficient box per null vector."""
+    keys = window_keys(lo, width)
+    m = len(keys) - null_dim
+    pts = rng.uniform(0, 2 * np.pi, (m, len(width)))
+    vh = np.linalg.svd(np.exp(1j * (pts @ keys.T)))[2]
+    return vh[m:].conj().reshape(-1, *width)
+
+
 @st.composite
 def shape_sequences(draw):
     """Polynomials on two windows of one dimension, in a drawn order, with
     two grid sizes that repeat: consecutive evaluations hit the cache on the
     same window and size and miss it on a change of window or size.  The
-    second window often has the first one's width at another offset."""
+    second window often has the first one's width at another offset.  Each
+    call may also pass a null basis of its window as a batch."""
     d = draw(st.sampled_from([1, 2, 3]))
     windows = []
     for _ in range(2):
@@ -93,63 +111,98 @@ def shape_sequences(draw):
     two_sizes = [draw(st.integers(1, 12)) for _ in range(2)]
     sizes = [two_sizes[draw(st.integers(0, 1))] for _ in order]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return [(in_window(rng, *windows[w], terms=draw(st.integers(0, 8))), n)
-            for w, n in zip(order, sizes)]
+    seq = []
+    for w, n in zip(order, sizes):
+        lo, width = windows[w]
+        poly = in_window(rng, lo, width, terms=draw(st.integers(0, 8)))
+        batch = None
+        if draw(st.booleans()):
+            batch = null_batch(rng, lo, width, draw(st.integers(1, math.prod(width))))
+        seq.append((poly, n, batch))
+    return seq
+
+
+def grid_calls(seq):
+    """The kernel call of each entry: its batch if it has one, else its
+    polynomial's box."""
+    return [(_grid_values, poly._box if batch is None else batch, poly._lo, n)
+            for poly, n, batch in seq]
 
 
 def kept_and_cold(calls):
     """Each call's result and, when it read tables kept from an earlier
-    call, the result of the same call on a cold cache (else None)."""
-    out = []
-    for fn, *args in calls:
-        hits = _split_tables.cache_info().hits
-        got = fn(*args)
-        out.append((got, _split_tables.cache_info().hits > hits))
+    call, the result of the same call on a cold cache (else None); and the
+    cache keys each call read."""
+    keys, out, real = [], [], trig._tables
+
+    def spy(*key):
+        keys[-1].append((key, key in trig._kept_tables))
+        return real(*key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trig, "_tables", spy)
+        for fn, *args in calls:
+            keys.append([])
+            out.append(fn(*args))
+            assert len(trig._kept_tables) <= trig._KEPT
     cold = []
-    for (fn, *args), (got, hit) in zip(calls, out):
+    for (fn, *args), read in zip(calls, keys):
+        hit = any(kept for _, kept in read)
         if hit:
-            _split_tables.cache_clear()
+            trig._kept_tables.clear()
         cold.append(fn(*args) if hit else None)
-    return [(got, again) for (got, _), again in zip(out, cold)]
+    return [(got, again, [key for key, _ in read])
+            for got, again, read in zip(out, cold, keys)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(shape_sequences())
-def test_kept_split_tables_give_the_cold_cache_values(seq):
-    ps = (2, 10, math.inf)  # p = 10 has a finer grid once the degree is 5
-    calls = [(_poly_grid_values, poly, n) for poly, n in seq]
-    calls += [(lp_norms, poly, ps) for poly, _ in seq]
-    for got, cold in kept_and_cold(calls):
-        assert _split_tables.cache_info().currsize <= 1
+def test_kept_tables_give_the_cold_cache_values(seq):
+    # then each polynomial on its lp_norms grid
+    calls = grid_calls(seq) + [
+        (_grid_values, poly._box, poly._lo, quadrature_grid_size(poly.degree, 2, OVERSAMPLE))
+        for poly, _, _ in seq]
+    for got, cold, _ in kept_and_cold(calls):
         if cold is not None:
-            assert np.array_equal(bits(np.array(got)), bits(np.array(cold)))
-    for poly, _ in seq:
+            assert np.array_equal(bits(got), bits(cold))
+    for poly, _, _ in seq:
         assert poly.degree == degree_loop(poly)
 
 
 @st.composite
 def wide_sequences(draw):
     """shape_sequences for d = 1 windows of width 50-150 on grids of 401 or
-    more points, where every axis splits."""
+    more points, where one polynomial splits its axis and a null basis of
+    12-16 vectors, which multiplies the split's partial sums, does not."""
     windows = [(draw(st.integers(-90, 60)), draw(st.integers(50, 150))) for _ in range(2)]
     order = draw(st.lists(st.integers(0, 1), min_size=2, max_size=5))
     two_sizes = [draw(st.sampled_from([401, 603, 1201])) for _ in range(2)]
     sizes = [two_sizes[draw(st.integers(0, 1))] for _ in order]
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return [(in_window(rng, [windows[w][0]], [windows[w][1]], terms=40), n)
-            for w, n in zip(order, sizes)]
+    seq = []
+    for w, n in zip(order, sizes):
+        lo, width = [windows[w][0]], [windows[w][1]]
+        poly, batch = in_window(rng, lo, width, terms=40), None
+        if draw(st.booleans()):
+            batch = null_batch(rng, lo, width, draw(st.integers(12, 16)))
+        seq.append((poly, n, batch))
+    return seq
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(wide_sequences())
-def test_kept_split_tables_of_wide_windows_give_the_cold_cache_values(seq):
-    results = kept_and_cold([(_poly_grid_values, poly, n) for poly, n in seq])
-    for (poly, n), (got, cold) in zip(seq, results):
-        lo, shape = tuple(poly._lo.tolist()), poly._box.shape
-        assert _split_tables(n, lo, shape)[0][1] is not None  # the window splits
-        # and its values are the full tables' up to rounding
-        full = _grid_values(poly._box, _root_tables(n, lo, shape))
-        assert np.all(np.abs(got - full) <= 1e-12 * np.abs(poly._box).sum())
+def test_kept_tables_of_wide_windows_give_the_cold_cache_values(seq):
+    # one cache key per (n, window) would hand a batch the split tables of
+    # a polynomial on its window, or the other way round
+    for (poly, n, batch), (got, cold, read) in zip(seq, kept_and_cold(grid_calls(seq))):
+        ((_, lo, (w,), (k1,)),) = read
+        assert (k1 < w) == (batch is None)  # only the polynomial splits
+        # and its values are the exponentials' up to rounding
+        vals = poly._box[None] if batch is None else batch
+        expect = np.exp(1j * np.outer(_tensor_grid(n, 1), window_keys(lo, [w]))) \
+            @ vals.reshape(len(vals), -1).T
+        scale = np.abs(vals).reshape(len(vals), -1).sum(axis=1)
+        assert np.all(np.abs(got.reshape(n, -1) - expect) <= 1e-12 * scale)
         if cold is not None:
             assert np.array_equal(bits(got), bits(cold))
 
@@ -158,7 +211,7 @@ def test_kept_split_tables_of_wide_windows_give_the_cold_cache_values(seq):
 @given(shape_sequences(), st.integers(0, 2 ** 32 - 1))
 def test_eval_degree_multiply_match_key_loops(seq, seed):
     rng = np.random.default_rng(seed)
-    for (f, _), (g, _) in zip(seq, seq[1:] + seq[:1]):
+    for (f, _, _), (g, _, _) in zip(seq, seq[1:] + seq[:1]):
         assert f.degree == degree_loop(f)
         pts = rng.uniform(-7.0, 7.0, size=(9, f.dim))
         pts[0] = 0.0
@@ -174,9 +227,9 @@ def test_same_width_at_another_offset_is_a_new_table():
         d = len(lo)
         poly = in_window(rng, lo, [3, 3] if d == 2 else [100], terms=4)
         n = 7 if d == 2 else 201
-        warm = _poly_grid_values(poly, n)
-        _split_tables.cache_clear()
-        assert np.array_equal(bits(warm), bits(_poly_grid_values(poly, n)))
+        warm = _grid_values(poly._box, poly._lo, n)
+        trig._kept_tables.clear()
+        assert np.array_equal(bits(warm), bits(_grid_values(poly._box, poly._lo, n)))
 
 
 def test_degree_and_products_on_negative_frequencies():
@@ -188,17 +241,18 @@ def test_degree_and_products_on_negative_frequencies():
     assert_same_poly(multiply(f, zero), multiply_comprehension(f, zero))
 
 
-def test_cached_tables_are_read_only_and_one_box_is_kept():
+def test_cached_tables_are_read_only_and_two_entries_are_kept():
     # d = 2: neither axis splits, as each full table is smaller than its
     # step's partial sums would be; d = 1: width 100 splits as K1 = K2 = 10
-    _poly_grid_values(TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j}), 11)
-    pairs = _split_tables(11, (-2, 1), (6, 4))
-    assert _split_tables.cache_info().currsize == 1
+    trig._kept_tables.clear()
+    _grid_values(TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j})._box, (-2, 1), 11)
+    _grid_values(TrigPolynomial(1, {(-50,): 1.0, (49,): 2.0})._box, (-50,), 201)
+    first, second = (11, (-2, 1), (6, 4), (6, 4)), (201, (-50,), (100,), (10,))
+    assert list(trig._kept_tables) == [first, second]
+    pairs = trig._kept_tables[first]
     assert [(low.shape, high) for low, high in pairs] == [((11, 6), None),
                                                           ((11, 4), None)]
-    _poly_grid_values(TrigPolynomial(1, {(-50,): 1.0, (49,): 2.0}), 201)
-    ((low, high),) = _split_tables(201, (-50,), (100,))
-    assert _split_tables.cache_info().currsize == 1
+    ((low, high),) = trig._kept_tables[second]
     assert low.shape == high.shape == (201, 10)
     for table in (*pairs[0][:1], *pairs[1][:1], low, high):
         assert not table.flags.writeable
@@ -206,71 +260,74 @@ def test_cached_tables_are_read_only_and_one_box_is_kept():
             table[0, 0] = 0.0
         with pytest.raises(ValueError):
             table *= 2.0
-    # axes with the same frequency range and split share one pair
-    square = _split_tables(5, (-1, -1), (3, 3))
+    # a hit makes its entry the most recent, and a miss drops the least
+    # recent; axes with the same frequency range and split share one pair
+    assert trig._tables(*first) is pairs
+    square = trig._tables(5, (-1, -1), (3, 3), (3, 3))
     assert square[0] is square[1]
-    assert _split_tables.cache_info().currsize == 1
+    assert list(trig._kept_tables) == [first, (5, (-1, -1), (3, 3), (3, 3))]
 
 
-def root_tables_with_index_matrix(n, lo, shape):
-    """The former `_root_tables`: each table gathered through one int64
-    index matrix of its own size."""
+def tables_with_index_matrix(n, ks):
+    """Tables gathered through one int64 index matrix of their own size,
+    from the roots at phases in (-pi, pi], one per frequency list in ks."""
     t = np.arange(n)
-    roots = np.exp(2j * np.pi * t / n)
-    return tuple(roots[np.outer(t, np.arange(a, a + w)) % n] for a, w in zip(lo, shape))
+    roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)
+    return [roots[np.outer(t, k) % n] for k in ks]
 
 
 @pytest.mark.parametrize("block_entries", [1, 7, trig._EXP_BLOCK_ENTRIES])
 def test_row_blocks_gather_the_index_matrix_tables(monkeypatch, block_entries):
     # d = 1-3, axes that share a span, n that no block size divides, a span
-    # wider than a block and one-column spans
+    # wider than a block and one-column spans; every axis full, then every
+    # axis wider than 2 split
     monkeypatch.setattr(trig, "_EXP_BLOCK_ENTRIES", block_entries)
     cases = [(13, (-4,), (9,)), (1, (0,), (1,)), (7, (3,), (1,)),
              (1001, (-120, 5), (250, 3)), (97, (-9, -9), (19, 19)),
              (41, (-4, 2, -4), (9, 5, 9)), (8195, (-2, -2, -2), (5, 5, 5))]
     for n, lo, shape in cases:
-        got = _root_tables(n, lo, shape)
-        for table, expect in zip(got, root_tables_with_index_matrix(n, lo, shape)):
-            assert table.shape == expect.shape
-            assert np.array_equal(bits(table), bits(expect))
-            assert not table.flags.writeable
-        for a in range(len(lo)):
-            for b in range(a):
-                assert (got[a] is got[b]) == ((lo[a], shape[a]) == (lo[b], shape[b]))
-        # the split tables hold the columns lo + k1 and K1 k2 of the roots at
-        # phases in (-pi, pi]
-        t = np.arange(n)
-        roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)
-        for (low, high), a, w in zip(_split_tables(n, lo, shape), lo, shape):
-            k1 = low.shape[1]
-            ks = [np.arange(a, a + k1)]
-            if high is not None:
-                ks.append(k1 * np.arange(high.shape[1]))
-                assert k1 == math.isqrt(w - 1) + 1 and k1 * high.shape[1] >= w
-            for table, k in zip((low, high), ks):
-                expect = roots[np.outer(t, k) % n]
-                assert np.array_equal(bits(table), bits(expect))
-                assert not table.flags.writeable
+        for k1s in (shape, tuple(math.isqrt(w - 1) + 1 for w in shape)):
+            trig._kept_tables.clear()
+            got = trig._tables(n, lo, shape, k1s)
+            for (low, high), a, w, k1 in zip(got, lo, shape, k1s):
+                ks = [np.arange(a, a + k1)]
+                if k1 < w:
+                    ks.append(k1 * np.arange(-(-w // k1)))
+                assert (high is None) == (k1 == w)
+                for table, expect in zip((low, high), tables_with_index_matrix(n, ks)):
+                    assert table.shape == expect.shape
+                    assert np.array_equal(bits(table), bits(expect))
+                    assert not table.flags.writeable
+            for a in range(len(lo)):
+                for b in range(a):
+                    same = (lo[a], shape[a], k1s[a]) == (lo[b], shape[b], k1s[b])
+                    assert (got[a] is got[b]) == same
 
 
-def test_a_miss_frees_the_last_tables_before_building():
-    # at most one box's tables are alive, also while the next are built
+@pytest.mark.parametrize("split", [False, True])
+def test_a_miss_with_both_entries_full_frees_one_before_building(split):
+    # at most two entries are alive, also while a third is built
     n, width = 1001, 250
+    k1s = (math.isqrt(width - 1) + 1 if split else width,)
+    trig._kept_tables.clear()
     tracemalloc.start()
     try:
-        _split_tables(n, (0,), (width,))
+        for a in (0, 1):
+            trig._tables(n, (a,), (width,), k1s)
         tracemalloc.reset_peak()
-        pairs = _split_tables(n, (1,), (width,))
+        pairs = trig._tables(n, (2,), (width,), k1s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the new tables (n x 16 and n x 16) and one row block's work: two
-    # int64 row blocks (the last one lives until the next is bound), the two
-    # input buffers of numpy's broadcast product, the arange and roots of
-    # length n and 16 KB of slack.  The last box's tables would add 512 KB
-    tables = sum(t.nbytes for t in pairs[0])
+    # one kept entry, the new tables (n x 250, or n x 16 and n x 16) and one
+    # row block's work: two int64 row blocks (the last one lives until the
+    # next is bound), the two input buffers of numpy's broadcast product,
+    # the arange and roots of length n and 16 KB of slack.  The dropped
+    # entry would add one more set of tables
+    tables = sum(t.nbytes for t in pairs[0] if t is not None)
     work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
-    assert peak < tables + work < 2 * tables
+    assert peak < 2 * tables + work < 3 * tables
+    assert len(trig._kept_tables) == 2
 
 
 def test_a_degree_400_norm_stays_small():
@@ -279,7 +336,7 @@ def test_a_degree_400_norm_stays_small():
     rng = np.random.default_rng(6)
     coeff = rng.standard_normal(801) + 1j * rng.standard_normal(801)
     poly = TrigPolynomial(1, dict(zip(((k,) for k in range(-400, 401)), coeff)))
-    _split_tables.cache_clear()
+    trig._kept_tables.clear()
     tracemalloc.start()
     try:
         norm = lp_norm(poly, 2.0)

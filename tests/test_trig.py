@@ -417,7 +417,7 @@ def test_mixture_norms_are_bitwise_the_inline_formula():
         sample_abs = np.abs(samples)
         for p, got in zip(ps, lp_norms(f, ps, samples=samples)):
             n = quadrature_grid_size(f.degree, p, trig.OVERSAMPLE)
-            grid_abs = np.abs(trig._poly_grid_values(f, n))
+            grid_abs = np.abs(trig._grid_values(f._box, f._lo, n))
             if p == math.inf:
                 expect = float(max(grid_abs.max(), sample_abs.max()))
             else:
