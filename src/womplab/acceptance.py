@@ -118,7 +118,7 @@ def criterion_greedy_recovery():
             return False, f"seed {seed}: residual norm increased"
         for k in range(1, trace.steps + 1):
             res = project(sampled, y, trace.selected[:k]).residual
-            ips = sampled.matrix[:, trace.selected[:k]].conj().T @ res / sampled.m
+            ips = sampled.columns(trace.selected[:k]).conj().T @ res / sampled.m
             if np.abs(ips).max() > 1e-10 * max(1.0, norm0):
                 return False, f"seed {seed}: residual not orthogonal at step {k}"
     return True, f"100 seeds, v<=4; max final residual {worst_resid:.2e} (<=1e-10)"

@@ -12,12 +12,13 @@ never a certificate.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigSystem, _as_points, _tensor_grid, lp_norm, reconstruct
+from .trig import TrigSystem, _as_points, _tensor_grid, _window, lp_norm, reconstruct
 
 # Two-sided comparison constants: the discrete p-th power must stay within
 # [LOWER_CONST, UPPER_CONST] times the continuous one.
@@ -132,34 +133,65 @@ class SampledSystem:
     """A dictionary of exponentials evaluated at sample points, in C^m with
     the (1/m)-weighted inner product.
 
-    matrix[i, j] = (j-th exponential)(i-th point), so every entry has
-    modulus 1.  Build it with build_sampled: the exhaustive check_usd and
-    womp's Gram route rely on the matrix being system.evaluate_at(points).
-    gram, the discrete Gram (1/m) * matrix^H matrix, is computed on first
-    use and kept read-only: the certificate's eigensolves and both best
-    v-term references share it.
+    Its m x N matrix A, A[i, j] = (j-th exponential)(i-th point), of entries
+    of modulus 1, is private; only build_sampled fills it, with
+    system.evaluate_at(points).  Callers read it through adjoint(y) = y^H A,
+    sampled @ a = A a, columns(support) = A[:, support], moments() and gram,
+    the discrete Gram (1/m) A^H A, computed on first use and kept read-only:
+    the certificate's eigensolves and both best v-term references share it.
     """
 
-    matrix: np.ndarray
+    _matrix: np.ndarray
     system: TrigSystem
     pointset: PointSet
 
     @property
     def m(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrix.shape[0]
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[1]
+        return self._matrix.shape[1]
 
     def norm(self, f) -> float:
         return float(np.linalg.norm(f) / math.sqrt(self.m))
+
+    def adjoint(self, y) -> np.ndarray:
+        """y^H A, not divided by m: a row for m samples y, k rows for m x k."""
+        return y.conj().T @ self._matrix
+
+    def __matmul__(self, a) -> np.ndarray:
+        return self._matrix @ a
+
+    def columns(self, support) -> np.ndarray:
+        return self._matrix[:, support]
+
+    def moments(self):
+        """row(p) = M[p, :] of M = A^H A, read from one table of the moments
+        m g(l) = sum_i exp(i<l, x_i>), |l| <= 2 box (M[p, q] = m g(k_q - k_p)):
+        the rows conj(A[:, c]) @ A of the corner columns c with first
+        coordinate -box[0] give l_1 >= 0, m g(-l) = conj(m g(l)) the rest,
+        and m g(0) = m."""
+        box, widths = self.system.box, tuple(2 * b + 1 for b in self.system.box)
+
+        def window(p):  # where row p lies in the table: at 2 box - (k_p + box)
+            return _window(2 * np.array(box) - np.unravel_index(p, widths), widths)
+
+        corners = sorted({int(np.ravel_multi_index((0,) + q, widths))
+                          for q in itertools.product(*[(0, 2 * b) for b in box[1:]])})
+        rows = self.adjoint(self.columns(corners)).reshape(-1, *widths)
+        table = np.empty(tuple(4 * b + 1 for b in box), dtype=complex)
+        for c, row in zip(corners, rows):
+            table[window(c)] = row
+        table[:2 * box[0]] = table[(slice(None, None, -1),) * len(box)][:2 * box[0]].conj()
+        table[tuple(2 * b for b in box)] = self.m
+        return lambda p: table[window(p)].reshape(-1)
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
         if self.m == 0:
             raise ValueError("empty point set has no discrete Gram")
-        gram = (self.matrix.conj().T @ self.matrix) / self.m
+        gram = self.adjoint(self._matrix) / self.m
         gram.setflags(write=False)
         return gram
 
@@ -171,7 +203,7 @@ def build_sampled(system: TrigSystem, pointset: PointSet) -> SampledSystem:
         raise ValueError("system and point set dimensions differ")
     matrix = system.evaluate_at(pointset.points)
     matrix.flags.writeable = False
-    return SampledSystem(matrix=matrix, system=system, pointset=pointset)
+    return SampledSystem(matrix, system, pointset)
 
 
 @dataclass(frozen=True)
@@ -558,10 +590,10 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     other members of each class whose representative came within the
     rounding bound of the extremes (_eig_rounding_bound).  On six box-10
     point sets with m = 600, u = 6 (seeds 0 to 5) the scan solves 150 to
-    531 blocks (7,874 to 7,884 without the screen).  This needs
-    sampled.matrix = system.evaluate_at(points), as build_sampled makes
-    it.  With m < u all classes tie at c_low ~ 0 and every support is
-    solved once.
+    531 blocks (7,874 to 7,884 without the screen).  This needs the
+    sampled matrix to be system.evaluate_at(points), which build_sampled,
+    the only maker of one, ensures.  With m < u all classes tie at
+    c_low ~ 0 and every support is solved once.
 
     The representatives (_box_representatives) are kept until a call with
     another (box, u): 378 KB for box 10, u = 6, under 16 u MB at the cap.
@@ -641,7 +673,7 @@ def _check_usd_lp(sampled, u, p, trials, seed):
     rng = np.random.default_rng(seed)
 
     def ratio(support, coeff):
-        vals = sampled.matrix[:, support] @ coeff
+        vals = sampled.columns(support) @ coeff
         disc = float(np.mean(np.abs(vals) ** p))
         cont = lp_norm(reconstruct(sampled.system, support, coeff), p) ** p
         return disc / cont

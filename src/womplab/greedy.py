@@ -13,7 +13,6 @@ threshold, which exercises the weak guarantee.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,7 +53,7 @@ def project(h: SampledSystem, target, support) -> ProjectionResult:
     target = _samples(h, target)
     if not support:
         return ProjectionResult(np.zeros(0, dtype=complex), target.copy(), False)
-    cols = h.matrix[:, support]
+    cols = h.columns(support)
     coeff, _, rank, _ = np.linalg.lstsq(cols, target, rcond=None)
     return ProjectionResult(coeff, target - cols @ coeff, rank < len(support))
 
@@ -146,7 +145,7 @@ def _womp_lstsq(h, target, t, steps, weak):
     selected, res_norms, chosen_ips, max_ips = [], [norm0], [], []
     proj, rank_flag = project(h, target, selected), False
     for _ in range(steps):
-        abs_ips = np.abs(proj.residual.conj() @ h.matrix) / h.m
+        abs_ips = np.abs(h.adjoint(proj.residual)) / h.m
         if (found := _select(abs_ips, selected, norm0, weak)) is None:
             break
         pick, max_ip = found
@@ -170,38 +169,16 @@ def _select(abs_ips, selected, norm0, weak):
     return int(np.argmax(abs_ips >= weak * max_ip)), max_ip
 
 
-def _window(box, col):
-    """Where row col of A^H A lies in _moment_table's array."""
-    q = np.unravel_index(col, [2 * b + 1 for b in box])  # k_col + box
-    return tuple(slice(2 * b - qa, 4 * b - qa + 1) for b, qa in zip(box, q))
-
-
-def _moment_table(h):
-    """m g(l) = sum_i exp(i<l, x_i>) at l + 2 box, |l| <= 2 box: the rows
-    conj(A[:, c]) @ A of the corner columns c with first coordinate -box[0]
-    give l_1 >= 0, m g(-l) = conj(m g(l)) the rest, and m g(0) = m."""
-    box, widths = h.system.box, tuple(2 * b + 1 for b in h.system.box)
-    corners = sorted({int(np.ravel_multi_index((0,) + q, widths))
-                      for q in itertools.product(*[(0, 2 * b) for b in box[1:]])})
-    rows = (h.matrix[:, corners].conj().T @ h.matrix).reshape(-1, *widths)
-    table = np.empty(tuple(4 * b + 1 for b in box), dtype=complex)
-    for c, row in zip(corners, rows):
-        table[_window(box, c)] = row
-    table[:2 * box[0]] = table[(slice(None, None, -1),) * len(box)][:2 * box[0]].conj()
-    table[tuple(2 * b for b in box)] = h.m
-    return table
-
-
 def _womp_gram(h, target, t, steps, weak):
     """womp in Gram space (the batch OMP of Rubinstein, Zibulevsky and Elad,
     Technion CS-2008-08), or None to hand the run to _womp_lstsq.  The rows
-    M[p, :] of M = A^H A are windows of _moment_table, built at the first
-    pick; R^H R = M[S, S] grows a column a step, kept as W = R^-1.
+    M[p, :] of M = A^H A come from h.moments(), built at the first pick;
+    R^H R = M[S, S] grows a column a step, kept as W = R^-1.
     c = W W^H A_S^H y, the inner products y^H A - c^H M[S, :] and the
     residual norm |y - A_S c| (k x m buffer) cost O(k (N + m)) a step.
 
     Fallback bound, to first order in e = 2^-53, gamma_k = k e / (1 - k e):
-    the table is within m g of M (g: discretization._entry_bound).  W's new
+    the rows are within m g of M's (g: discretization._entry_bound).  W's new
     column (-W r, 1) / d, r = W^H M[S, p], d = sqrt(m - |r|^2), keeps
     |W R - I| <= gamma_(n+1) |W||R| (n = |S|), so R^H R = M + E with
     |E|_2 <= phi = n m (g + 4 gamma_(n+1) kappa), kappa = sqrt(n m) |W|_F.
@@ -214,9 +191,8 @@ def _womp_gram(h, target, t, steps, weak):
     route flags rank_deficient; and c is within 2 (phi |c| + |d(A^H y)|) / mu
     of the exact solution.
     """
-    matrix, m, box = h.matrix, h.m, h.system.box
-    beta0 = target.conj() @ matrix  # y^H A
-    g, norm0, table = _entry_bound(h), h.norm(target), None
+    m, beta0 = h.m, h.adjoint(target)  # y^H A
+    g, norm0, moment_row = _entry_bound(h), h.norm(target), None
     rows = np.empty((steps, h.size), dtype=complex)  # M[p, :] of the picks
     cols = np.empty((steps, m), dtype=complex)  # A[:, p] of the picks
     w = np.zeros((steps, steps), dtype=complex)  # W = R^-1
@@ -227,8 +203,8 @@ def _womp_gram(h, target, t, steps, weak):
         if (found := _select(abs_ips, selected, norm0, weak)) is None:
             break
         pick, max_ip = found
-        table = _moment_table(h) if table is None else table
-        rows[k] = table[_window(box, pick)].reshape(-1)
+        moment_row = h.moments() if moment_row is None else moment_row
+        rows[k] = moment_row(pick)
         r = w[:k, :k].conj().T @ rows[:k, pick]
         d2 = m - float(np.vdot(r, r).real)
         if not d2 > 0:
@@ -239,7 +215,7 @@ def _womp_gram(h, target, t, steps, weak):
         if 1 / wsq <= 4 * n * m * (g + 4 * _gamma(n + 1) * math.sqrt(n * m * wsq)):
             return None
         selected.append(pick)
-        cols[k] = matrix[:, pick]
+        cols[k] = h.columns(pick)
         c = w[:n, :n] @ (w[:n, :n].conj().T @ beta0[selected].conj())
         beta = beta0 - c.conj() @ rows[:n]
         res_norms.append(h.norm(target - c @ cols[:n]))
@@ -341,7 +317,7 @@ def best_vterm(h: SampledSystem, target, v: int) -> BestTermResult:
         raise ValueError("v must be >= 1")
     target = _samples(h, target)
     supports = _supports(h.size, v)
-    rhs = (target.conj() @ h.matrix).conj() / h.m
+    rhs = h.adjoint(target).conj() / h.m
     norm_sq = float(np.vdot(target, target).real) / h.m
     bound = np.concatenate([_screen_bound(h.gram, idx, norm_sq, h.m)
                             for idx in _chunks(supports)])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .discretization import (DiscretizationReport, PointSet, SampledSystem,
                              SubsetCapError, build_sampled, check_usd)
-from .greedy import WompTrace, _block_solve, _supports, best_vterm, womp
+from .greedy import WompTrace, _block_solve, _samples, _supports, best_vterm, womp
 from .trig import (_EVAL_CHUNK_ENTRIES, OVERSAMPLE, TrigPolynomial, TrigSystem,
                    _box_coefficients, _grid_values, fejer_kernel, lp_norm,
                    lp_norms, quadrature_grid_size, reconstruct, write_polynomial)
@@ -32,40 +32,37 @@ def sample_target(f0: TrigPolynomial, sampled: SampledSystem) -> np.ndarray:
     """Samples of f0 at the sampled points.
 
     The terms of f0 inside the box are a coefficient vector a on the
-    dictionary, sampled as sampled.matrix @ a without a second pass of
+    dictionary, sampled as sampled @ a without a second pass of
     exponentials; terms outside the box are evaluated directly and added.
     """
     if f0.dim != sampled.system.dim:
         raise ValueError("target and system dimensions differ")
     a = _box_coefficients(f0, sampled.system)
-    y = sampled.matrix @ a
+    y = sampled @ a
     rest = f0 - reconstruct(sampled.system, range(sampled.size), a)
     if rest.coeffs:
         y += rest.eval(sampled.pointset.points)
     return y
 
 
-def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int):
+def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int, y=None):
     """Best v-term approximation in the mixture norm L2(mu_xi), exhaustive.
 
     The mixture Gram is (I + discrete Gram)/2, so each support admits an
     exact normal-equations solve; the supports are solved in stacked
     blocks (_block_solve).  Returns (error, support, approximant).  Ties
-    keep the lexicographically first support.  Refuses v < 1 and more
-    than DEFAULT_SUBSET_CAP supports.
+    keep the lexicographically first support.  y, if given, is
+    sample_target(f0, sampled), which the result does not depend on.
+    Refuses v < 1 and more than DEFAULT_SUBSET_CAP supports.
     """
     if v < 1:
         raise ValueError("v must be >= 1")
-    return _best_vterm_l2_muxi(f0, sampled, v, sample_target(f0, sampled))
-
-
-def _best_vterm_l2_muxi(f0, sampled, v, y):
-    """best_vterm_l2_muxi on the samples y = sample_target(f0, sampled)."""
+    y = sample_target(f0, sampled) if y is None else _samples(sampled, y)
     a_box = _box_coefficients(f0, sampled.system)
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     supports = _supports(sampled.size, v)
     gram = 0.5 * (np.eye(sampled.size) + sampled.gram)
-    rhs = 0.5 * (a_box + (y.conj() @ sampled.matrix).conj() / sampled.m)
+    rhs = 0.5 * (a_box + sampled.adjoint(y).conj() / sampled.m)
 
     err_sq = np.maximum(_block_solve(gram, rhs, norm2_sq, supports), 0.0)
     i = int(np.argmin(err_sq))  # ties keep the first support
@@ -185,7 +182,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     if compute_sigma:
         try:
             sigma_disc = best_vterm(sampled, y, v).sigma
-            _, _, ref_poly = _best_vterm_l2_muxi(f0, sampled, v, y)
+            _, _, ref_poly = best_vterm_l2_muxi(f0, sampled, v, y)
         except SubsetCapError as exc:
             sigma_warning = f"sigma references skipped: {exc}"
         else:

@@ -37,7 +37,7 @@ def best_vterm_l2_muxi_loop(f0, sampled, v):
     a_box = np.array([f0.coeffs.get(k, 0.0) for k in sampled.system.indices()])
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     gram = 0.5 * (np.eye(n) + sampled.gram)
-    rhs = 0.5 * (a_box + sampled.matrix.conj().T @ y / sampled.m)
+    rhs = 0.5 * (a_box + sampled._matrix.conj().T @ y / sampled.m)
     best = None
     for support in itertools.combinations(range(n), v):
         idx = list(support)
@@ -130,7 +130,7 @@ def test_best_vterm_v1_projects_only_near_minimal_columns(monkeypatch):
     system = TrigSystem(1, (10,))
     sampled = build_sampled(system, draw_points(600, 1, 3964924996))
     rng = np.random.default_rng(1)
-    y = sampled.matrix @ (rng.standard_normal(21) + 1j * rng.standard_normal(21))
+    y = sampled @ (rng.standard_normal(21) + 1j * rng.standard_normal(21))
     calls = []
 
     def counting(h, target, support):
@@ -160,3 +160,29 @@ def test_best_vterm_l2_muxi_rejects_v_past_the_dictionary():
     sampled = build_sampled(system, draw_points(5, 1, 0))
     with pytest.raises(ValueError, match="dictionary size 3"):
         best_vterm_l2_muxi(f0, sampled, 4)
+
+
+@pytest.mark.parametrize("box, m, v, seed", [
+    ((10,), 600, 2, 3964924996), ((2, 1), 40, 2, 3), ((3,), 2, 3, 5)])
+def test_best_vterm_l2_muxi_with_the_callers_samples_is_the_same(box, m, v, seed):
+    # y is data the caller already has, not an option: the result keeps its
+    # bits, also for a target with terms outside the box
+    system = TrigSystem(len(box), box)
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal(system.size) + 1j * rng.standard_normal(system.size)
+    terms = dict(zip(system.indices(), coeff)) | {(box[0] + 1,) * system.dim: 0.5}
+    f0 = TrigPolynomial(system.dim, terms)
+    sampled = build_sampled(system, draw_points(m, system.dim, seed))
+    err, support, approx = best_vterm_l2_muxi(f0, sampled, v)
+    got = best_vterm_l2_muxi(f0, sampled, v, sample_target(f0, sampled))
+    assert (np.float64(got[0]).tobytes(), got[1]) == (np.float64(err).tobytes(), support)
+    assert got[2]._lo.tolist() == approx._lo.tolist()
+    assert got[2]._box.tobytes() == approx._box.tobytes()
+
+
+def test_best_vterm_l2_muxi_refuses_samples_of_the_wrong_length():
+    system = TrigSystem(1, (2,))
+    f0 = TrigPolynomial(1, {(0,): 1.0, (1,): 0.5})
+    sampled = build_sampled(system, draw_points(10, 1, 0))
+    with pytest.raises(ValueError, match=r"expected \(10,\) samples"):
+        best_vterm_l2_muxi(f0, sampled, 1, sample_target(f0, sampled)[:9])

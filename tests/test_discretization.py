@@ -94,7 +94,7 @@ def test_gram_is_computed_once_and_read_only():
     assert sampled.gram is sampled.gram
     assert not sampled.gram.flags.writeable
     np.testing.assert_array_equal(
-        sampled.gram, sampled.matrix.conj().T @ sampled.matrix / 20)
+        sampled.gram, sampled._matrix.conj().T @ sampled._matrix / 20)
 
 
 def test_sampled_matrix_is_read_only():
@@ -102,12 +102,12 @@ def test_sampled_matrix_is_read_only():
     sampled = build_sampled(TrigSystem(1, (3,)), draw_points(20, 1, seed=2))
     gram = sampled.gram.copy()
     with pytest.raises(ValueError, match="read-only"):
-        sampled.matrix[0, 0] = 2.0
+        sampled._matrix[0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
-        sampled.matrix *= 2.0
+        sampled._matrix *= 2.0
     np.testing.assert_array_equal(sampled.gram, gram)
     np.testing.assert_array_equal(
-        sampled.gram, sampled.matrix.conj().T @ sampled.matrix / 20)
+        sampled.gram, sampled._matrix.conj().T @ sampled._matrix / 20)
 
 
 def test_uniform_grid_is_exact_quadrature():
@@ -195,8 +195,8 @@ def test_certificate_band_bounds_sampled_rayleigh_ratios():
     rng = np.random.default_rng(0)
     lo, hi = np.inf, 0.0
     for support in itertools.combinations(range(sampled.size), 3):
-        gram = (sampled.matrix[:, support].conj().T
-                @ sampled.matrix[:, support]) / sampled.m
+        gram = (sampled.columns(support).conj().T
+                @ sampled.columns(support)) / sampled.m
         c = rng.standard_normal((10000, 3)) + 1j * rng.standard_normal((10000, 3))
         c /= np.linalg.norm(c, axis=1, keepdims=True)
         ratios = np.einsum("ni,ij,nj->n", c.conj(), gram, c).real

@@ -64,7 +64,7 @@ def test_womp_orthogonality_after_each_step():
     trace = womp(h, y, steps=5)
     for k in range(1, trace.steps + 1):
         res = project(h, y, trace.selected[:k]).residual
-        ips = h.matrix[:, trace.selected[:k]].conj().T @ res / h.m
+        ips = h.columns(trace.selected[:k]).conj().T @ res / h.m
         assert np.abs(ips).max() <= 1e-10 * max(1.0, h.norm(y))
 
 
@@ -192,7 +192,7 @@ def test_project_matches_normal_equations_oracle():
     h = build_sampled(TrigSystem(1, (3,)), draw_points(50, 1, seed=21))
     support = [0, 2, 5]
     res = project(h, y, support)
-    cols = h.matrix[:, support]
+    cols = h.columns(support)
     gram = cols.conj().T @ cols / 50
     rhs = cols.conj().T @ y / 50
     np.testing.assert_allclose(res.coefficients, np.linalg.solve(gram, rhs),
@@ -210,7 +210,7 @@ def test_best_vterm_matches_brute_force_oracle():
 
     best_err, best_support = math.inf, None
     for support in itertools.combinations(range(7), 2):
-        cols = h.matrix[:, list(support)]
+        cols = h.columns(list(support))
         coeff = np.linalg.lstsq(cols, y, rcond=None)[0]
         err = float(np.linalg.norm(y - cols @ coeff) / math.sqrt(15))
         if err < best_err - 1e-15:

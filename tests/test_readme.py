@@ -2,6 +2,7 @@
 package in src/."""
 
 import argparse
+import json
 import os
 import re
 import subprocess
@@ -65,3 +66,29 @@ def test_readme_quotes_the_scope_limits_of_the_constants():
     text = (ROOT / "README.md").read_text()
     for value in (DEFAULT_SUBSET_CAP, SCOPE_ENTRIES):
         assert f"{value:,}" in text
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # README's reproducibility claim: a default sweep (two seeds) and
+    # criteria 2, 3 and 7 write the same bytes at 1 and 2 BLAS threads
+    (tmp_path / "sweep.ini").write_text("[rate-sweep]\nseeds = 2\n")
+    code = "import sys; from womplab.cli import main; sys.exit(main(sys.argv[1:]))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        out = tmp_path / threads
+        for args in (["rate-sweep", "--config", "sweep.ini"],
+                     ["verify", "--criteria", "2,3,7"]):
+            proc = subprocess.run([sys.executable, "-c", code, *args, "--out",
+                                   str(out / args[0])], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        report = json.loads((out / "verify" / "verify.json").read_text())
+        for criterion in report["criteria"]:
+            del criterion["seconds"]
+        (out / "verify" / "verify.json").write_text(json.dumps(report))
+        outputs.append({str(f.relative_to(out)): f.read_bytes()
+                        for f in sorted(out.rglob("*")) if f.is_file()})
+    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]

@@ -252,7 +252,7 @@ def test_sample_target_inside_the_box_is_the_matrix_product():
     a[3] = 0.0
     f0 = TrigPolynomial(2, dict(zip(system.indices(), a)))
     np.testing.assert_array_equal(sample_target(f0, sampled),
-                                  sampled.matrix @ a)
+                                  sampled._matrix @ a)
     np.testing.assert_allclose(sample_target(f0, sampled),
                                f0.eval(sampled.pointset.points),
                                rtol=1e-12, atol=1e-12)
@@ -281,7 +281,7 @@ def test_best_vterm_l2_muxi_matches_direct_minimization():
     # independent oracle: per-column normal equations in the mixture norm
     y = f0.eval(xi.points)
     gram = 0.5 * (np.eye(5) + sampled.gram)
-    rhs = 0.5 * (coeff + sampled.matrix.conj().T @ y / xi.m)
+    rhs = 0.5 * (coeff + sampled._matrix.conj().T @ y / xi.m)
     norm_sq = lp_norms(f0, (2,), y)[0] ** 2
     brute = [math.sqrt(max(norm_sq - abs(rhs[c]) ** 2 / gram[c, c].real, 0.0))
              for c in range(5)]

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from womplab.classes import ClassSpec, default_truncation_level, \
     sample_class_function
-from womplab.discretization import PointSet, _entry_bound, build_sampled, \
-    draw_points
+from womplab.discretization import PointSet, SampledSystem, _entry_bound, \
+    build_sampled, draw_points
 from womplab.experiments import default_config, schedule_m
 from womplab import greedy
 from womplab.greedy import STOP_REL_TOL, project, womp
@@ -28,8 +28,8 @@ def womp_lstsq(h, target, t=1.0, steps=None, selection="argmax"):
     if steps is None:
         steps = min(h.m, h.size)
     target = np.asarray(target, dtype=complex)
-    col_norms = np.linalg.norm(h.matrix, axis=0) / math.sqrt(h.m)
-    normalized = h.matrix / col_norms
+    col_norms = np.linalg.norm(h._matrix, axis=0) / math.sqrt(h.m)
+    normalized = h._matrix / col_norms
     norm0 = h.norm(target)
     residual = target.copy()
     selected, res_norms, chosen_ips, max_ips = [], [norm0], [], []
@@ -214,9 +214,8 @@ def test_moment_table_entries_match_the_product_gram(box):
     system = TrigSystem(d, box)
     for m, seed in ((1, 0), (7, 1), (300, 2)):
         h = build_sampled(system, draw_points(m, d, seed))
-        table = greedy._moment_table(h)
-        rows = np.array([table[greedy._window(box, p)].ravel()
-                         for p in range(system.size)])
+        row = h.moments()
+        rows = np.array([row(p) for p in range(system.size)])
         assert np.abs(rows / m - h.gram).max() <= 2 * _entry_bound(h)
         assert np.all(np.diagonal(rows) == m)  # g(0) = 1 exactly
 
@@ -300,6 +299,6 @@ def test_zero_data_builds_no_moment_table(monkeypatch):
     # before its first pick, so the table is never built
     h = build_sampled(TrigSystem(2, (3, 3)), draw_points(40, 2, 0))
     built = []
-    monkeypatch.setattr(greedy, "_moment_table", lambda h: built.append(h))
+    monkeypatch.setattr(SampledSystem, "moments", lambda h: built.append(h))
     trace = womp(h, np.zeros(40, dtype=complex))
     assert trace.steps == 0 and trace.coefficients.size == 0 and not built
