@@ -378,10 +378,6 @@ CRITERIA = (
 )
 
 
-def criterion_names():
-    return [(num, name) for num, name, _ in CRITERIA]
-
-
 def run_criterion(number: int) -> CriterionResult:
     for num, name, fn in CRITERIA:
         if num == number:

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .acceptance import criterion_names, run_all
+from .acceptance import CRITERIA, run_all
 from .experiments import (ConfigError, dump_config, parse_config,
                           run_check_disc, run_find_points, run_fooling,
                           run_rate_sweep, run_recover)
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(cfg, args) -> int:
     if args.list:
-        for num, name in criterion_names():
+        for num, name, _ in CRITERIA:
             print(f"{num}  {name}")
         return 0
     numbers = None

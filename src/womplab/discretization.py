@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trig import TrigSystem, _as_points, _tensor_grid, _window, lp_norm, reconstruct
+from .trig import (TrigSystem, _as_points, _keep_last, _tensor_grid, _window, lp_norm,
+                   reconstruct)
 
 # Two-sided comparison constants: the discrete p-th power must stay within
 # [LOWER_CONST, UPPER_CONST] times the continuous one.
@@ -329,7 +330,7 @@ def _class_members(reps, box):
                            translates(mirror, fits & distinct[:, None])[:, ::-1]])
 
 
-@functools.lru_cache(maxsize=1)
+@_keep_last
 def _box_representatives(box: tuple, u: int) -> np.ndarray:
     """Read-only rows, in lexicographic order, of the first support of each
     symmetry class of the u-supports of the box's dictionary.
@@ -337,10 +338,8 @@ def _box_representatives(box: tuple, u: int) -> np.ndarray:
     Representatives are pushed against the corner, so their first column
     lies in the first slab along axis 0: only those supports are
     enumerated.  The rows depend on (box, u) alone, not on the points, so
-    consecutive certificates on one box share them; only the last
-    (box, u) is kept.
+    certificates on one box share them, kept by _keep_last.
     """
-    _box_representatives.cache_clear()  # free the last box's rows before building these
     n = math.prod(2 * b + 1 for b in box)
     reps = np.concatenate([
         c[(_class_representatives(c, box) == c).all(axis=1)] for c in
@@ -595,8 +594,8 @@ def check_usd(sampled: SampledSystem, u: int, p: float = 2.0,
     the only maker of one, ensures.  With m < u all classes tie at
     c_low ~ 0 and every support is solved once.
 
-    The representatives (_box_representatives) are kept until a call with
-    another (box, u): 378 KB for box 10, u = 6, under 16 u MB at the cap.
+    The representatives (_box_representatives) of the last two (box, u)
+    are kept: 378 KB for box 10, u = 6, under 16 u MB at the cap.
     """
     n = sampled.size
     if not 1 <= u <= n:

@@ -241,11 +241,14 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     """Build the fooling polynomial for a point set and frequency box.
 
     The null space of the m x theta evaluation matrix of the box system is
-    nonempty whenever m < theta.  Among a basis of it, the element with
-    the largest grid sup-to-L2 ratio is kept, normalized to grid sup 1,
-    and multiplied by the Fejer kernel centered at its grid argmax.  The
-    product vanishes at every sample, has degree at most twice the box,
-    and its value at the center is exactly the product of the box orders.
+    nonempty whenever m < theta.  Of its orthonormal basis (vh's rows, or
+    the identity at m = 0), the element with the largest grid sup-to-L2
+    ratio is kept: with n > 2 max(box) grid points per axis every grid L2
+    norm is 1 up to rounding (Parseval), so the largest grid sup picks it.
+    It is normalized to grid sup 1 and multiplied by the Fejer kernel
+    centered at its grid argmax.  The product vanishes at every sample, has
+    degree at most twice the box, and its value at the center is exactly
+    the product of the box orders.
 
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
     + 1) + 1, by the sum factorisation _grid_values, one batch entry per
@@ -275,19 +278,18 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     assert null_dim >= theta - xi.m >= 1
 
     # evaluate the null basis on an oversampled grid, a chunk of null
-    # vectors at a time, keeping each one's grid sup, L2 norm and argmax
+    # vectors at a time, keeping each one's grid sup and argmax
     n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
     lo = tuple(-b for b in box)
     batch = null_basis.T.reshape(-1, *(2 * b + 1 for b in box))
     chunk = max(1, _EVAL_CHUNK_ENTRIES // n ** dim)
-    sups, l2s, peaks = [], [], []
+    sups, peaks = [], []
     for start in range(0, null_dim, chunk):
         grid_abs = np.abs(_grid_values(batch[start:start + chunk], lo, n))
         peaks.append(peak := grid_abs.argmax(axis=0))
         sups.append(grid_abs[peak, np.arange(peak.size)])  # the max, exactly
-        l2s.append(np.sqrt(np.mean(np.square(grid_abs, out=grid_abs), axis=0)))
-    sups, l2s, peaks = map(np.concatenate, (sups, l2s, peaks))
-    best = int(np.argmax(sups / l2s))
+    sups, peaks = map(np.concatenate, (sups, peaks))
+    best = int(np.argmax(sups))
     column = null_basis[:, best]
     sup = float(sups[best])
     x_star = 2 * np.pi * np.array(np.unravel_index(peaks[best], (n,) * dim)) / n

@@ -333,13 +333,30 @@ def _roots(roots: np.ndarray, k: np.ndarray) -> np.ndarray:
     return table
 
 
-# Entries of _tables' cache: make_fooling's batch and the norms of its
-# polynomial alternate on one box, and each keeps its tables.
-_KEPT = 2
-_kept_tables = collections.OrderedDict()  # least recently used first
-_kept_lock = threading.Lock()
+_KEPT = 2  # make_fooling's batch and norms alternate, as do certificates on two boxes
 
 
+def _keep_last(build):
+    """Keep build's read-only values for its last _KEPT argument tuples in
+    build.kept, least recently used first.  A miss drops the oldest, then
+    builds under the same lock, so at most _KEPT - 1 others live meanwhile."""
+    lock, kept = threading.Lock(), collections.OrderedDict()
+
+    @functools.wraps(build)
+    def keep(*key):
+        with lock:
+            if key not in kept:
+                while len(kept) >= _KEPT:
+                    kept.popitem(last=False)
+                kept[key] = build(*key)
+            kept.move_to_end(key)
+            return kept[key]
+
+    keep.kept = kept
+    return keep
+
+
+@_keep_last
 def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
     """_grid_values' tables for a box of the given shape from corner lo:
     per axis a pair (low, high) of _roots tables, low holding k = lo .. lo
@@ -347,18 +364,8 @@ def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
     k1s; an axis with K1 = w keeps its full table as low, with high None.
     The roots are taken at phases in (-pi, pi]: a split term multiplies
     two entries, and a phase's rounding error grows with its size.  Equal
-    pairs are shared.  The tables are read-only and cached by the
-    arguments; _KEPT entries are kept, and a miss drops the least recently
-    used one before it builds, so that no more than _KEPT - 1 other
-    entries are alive while tables are built.
+    pairs are shared.  The tables are read-only and kept by _keep_last.
     """
-    key = (n, lo, shape, k1s)
-    with _kept_lock:
-        if key in _kept_tables:
-            _kept_tables.move_to_end(key)
-            return _kept_tables[key]
-        while len(_kept_tables) >= _KEPT:
-            _kept_tables.popitem(last=False)
     t = np.arange(n)
     roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)  # phases in (-pi, pi]
     built, pairs = {}, []
@@ -367,11 +374,7 @@ def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
             high = _roots(roots, k1 * np.arange(-(-w // k1))) if k1 < w else None
             built[a, w, k1] = (_roots(roots, np.arange(a, a + k1)), high)
         pairs.append(built[a, w, k1])
-    with _kept_lock:
-        _kept_tables[key] = tables = tuple(pairs)
-        while len(_kept_tables) > _KEPT:
-            _kept_tables.popitem(last=False)
-    return tables
+    return tuple(pairs)
 
 
 def _grid_values(vals: np.ndarray, lo, n: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from womplab import discretization
 from womplab.discretization import (PointSet, _box_representatives,
                                     _class_members, _class_representatives,
                                     _combinations, _holds, _pick_worst,
@@ -174,27 +175,41 @@ def test_class_members_cover_every_support_once(box, u_max):
     ((1, 1, 1), 2)])
 def test_cached_representatives_are_one_per_brute_force_class(box, u):
     system = TrigSystem(len(box), box)
-    _box_representatives.cache_clear()
+    _box_representatives.kept.clear()
     reps = _box_representatives(system.box, u)
     assert [tuple(r) for r in reps.tolist()] == sorted(
         {_brute_representative(system, s)
          for s in itertools.combinations(range(system.size), u)})
     assert not reps.flags.writeable
     assert _box_representatives(system.box, u) is reps
-    assert _box_representatives.cache_info().currsize == 1
+    assert len(_box_representatives.kept) == 1
 
 
-def test_check_usd_across_boxes_equals_a_cold_cache():
-    # box A twice (a cache hit), then box B, then A again (rebuilt): every
-    # report is bit for bit the one computed with the cache cleared first
-    calls = [((4,), 3, 1), ((4,), 3, 2), ((1, 1), 3, 3), ((4,), 2, 4), ((4,), 3, 1)]
+def test_check_usd_across_boxes_equals_a_cold_cache(monkeypatch):
+    # box A twice (a cache hit), then box B, then A at another u, then A
+    # again (rebuilt: two other keys came between); then a certified run's
+    # order, boxes 10 and (2, 1) at u = 6 twice each, which rebuilds
+    # nothing after the first of each.  Every report is bit for bit the
+    # one computed with the cache cleared first
+    calls = [((4,), 3, 1, 30), ((4,), 3, 2, 30), ((1, 1), 3, 3, 30), ((4,), 2, 4, 30),
+             ((4,), 3, 1, 30), ((10,), 6, 5, 600), ((2, 1), 6, 6, 600),
+             ((10,), 6, 7, 600), ((2, 1), 6, 8, 600)]
     sampled = [(build_sampled(TrigSystem(len(box), box),
-                              draw_points(30, len(box), seed)), u)
-               for box, u, seed in calls]
-    warm = [check_usd(s, u) for s, u in sampled]
-    assert _box_representatives.cache_info().currsize == 1
+                              draw_points(m, len(box), seed)), u)
+               for box, u, seed, m in calls]
+    builds, real = [], discretization._class_representatives
+    monkeypatch.setattr(discretization, "_class_representatives",
+                        lambda idx, box: builds.append(box) or real(idx, box))
+    warm = []
+    for i, (s, u) in enumerate(sampled):
+        if i == 7:  # the first of each certified box was built
+            assert {(10,), (2, 1)} <= set(builds)
+            builds.clear()
+        warm.append(check_usd(s, u))
+    assert builds == []
+    assert len(_box_representatives.kept) == 2
     for (s, u), rep in zip(sampled, warm):
-        _box_representatives.cache_clear()
+        _box_representatives.kept.clear()
         cold = check_usd(s, u)
         assert (rep.c_low.hex(), rep.c_high.hex()) == (cold.c_low.hex(),
                                                        cold.c_high.hex())

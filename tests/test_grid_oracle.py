@@ -90,7 +90,7 @@ def worst_ratios(mpmath, boxes, lo, n, rng, count):
                            for _ in range(count)]
     rows = [np.ravel_multi_index(t, (n,) * d) for t in points]
     got = _grid_values(boxes, lo, n)[rows]
-    *_, shape, k1s = next(reversed(trig._kept_tables))  # the tables it read
+    *_, shape, k1s = next(reversed(trig._tables.kept))  # the tables it read
     l1 = np.abs(boxes).reshape(len(boxes), -1).sum(axis=1)
     with mpmath.workprec(120):
         exact = exact_values(mpmath, boxes, lo, n, points)

@@ -256,7 +256,7 @@ def test_batched_grid_values_match_the_evaluation_matrix(box, m, seed):
     n = 8 * (max(box) + 1) + 1
     lo = tuple(-b for b in box)
     got = _grid_values(batch.T.reshape(-1, *(2 * b + 1 for b in box)), lo, n)
-    *_, shape, k1s = next(reversed(trig._kept_tables))  # the tables it read
+    *_, shape, k1s = next(reversed(trig._tables.kept))  # the tables it read
     assert k1s == shape  # are full
     expect = system.evaluate_at(_tensor_grid(n, len(box))) @ batch
     assert got.shape == expect.shape == (n ** len(box), system.size - m)

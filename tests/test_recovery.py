@@ -346,9 +346,9 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
     pts = [draw_points(m, len(box), seed) if m
            else PointSet(len(box), np.zeros((0, len(box)))) for box, m, seed in calls]
     warm = [make_fooling(xi, box) for (box, _, _), xi in zip(calls, pts)]
-    assert len(trig._kept_tables) == trig._KEPT
+    assert len(trig._tables.kept) == trig._KEPT
     for (box, _, _), xi, inst in zip(calls, pts, warm):
-        trig._kept_tables.clear()
+        trig._tables.kept.clear()
         cold = make_fooling(xi, box)
         for name in ("g_xi", "f"):
             got, expect = getattr(inst, name), getattr(cold, name)
@@ -361,7 +361,7 @@ def test_make_fooling_across_boxes_equals_a_cold_cache():
 
 
 def test_make_fooling_keeps_its_batch_and_norm_tables_read_only():
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     inst = make_fooling(draw_points(3, 2, 5), (2, 1))
     assert not inst.x_star.flags.writeable
     with pytest.raises(ValueError):
@@ -369,15 +369,15 @@ def test_make_fooling_keeps_its_batch_and_norm_tables_read_only():
     # the null basis's full tables on the grid of n = 25 points per axis,
     # then those of f's norms, f on the box (-3 .. 3, -1 .. 1), n = 33
     batch, norms = (25, (-2, -1), (5, 3), (5, 3)), (33, (-3, -1), (7, 3), (7, 3))
-    assert list(trig._kept_tables) == [batch, norms]
-    tables = trig._kept_tables[batch]
+    assert list(trig._tables.kept) == [batch, norms]
+    tables = trig._tables.kept[batch]
     assert [(low.shape, high) for low, high in tables] == [((25, 5), None),
                                                            ((25, 3), None)]
     assert all(not low.flags.writeable for low, _ in tables)
     # another point set on the box, with another null dimension, reads both
     make_fooling(draw_points(5, 2, 6), (2, 1))
-    assert list(trig._kept_tables) == [batch, norms]
-    assert trig._kept_tables[batch] is tables
+    assert list(trig._tables.kept) == [batch, norms]
+    assert trig._tables.kept[batch] is tables
 
 
 def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
@@ -388,7 +388,7 @@ def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
     monkeypatch.setattr(trig, "_roots", lambda roots, k: builds.append(k.size)
                         or real(roots, k))
     box, system = (16,), TrigSystem(1, (16,))
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     for m, seed in ((8, 1), (6, 2)):
         builds.clear()
         xi = draw_points(m, 1, seed)
@@ -396,7 +396,7 @@ def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
     assert builds == []
     # on a cold cache the pass builds the batch's 257 x 33 table and the
     # norms' 257 x 8 and 257 x 8
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
     assert builds == [33, 8, 8]
 
@@ -406,9 +406,9 @@ def test_the_tables_kept_for_the_top_box_are_small():
     # and the norms' one 241 x 29 table (with no points the winning null
     # vector is one exponential, so f has the Fejer kernel's width), no
     # grid matrix (16,641 x 961 complex, 256 MB)
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     make_fooling(PointSet(2, np.zeros((0, 2))), (15, 15))
-    kept = {id(t): t.nbytes for tables in trig._kept_tables.values()
+    kept = {id(t): t.nbytes for tables in trig._tables.kept.values()
             for pair in tables for t in pair if t is not None}
     assert sorted(kept.values()) == [129 * 31 * 16, 241 * 29 * 16]
     assert sum(kept.values()) < 2 ** 20

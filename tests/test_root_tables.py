@@ -136,7 +136,7 @@ def kept_and_cold(calls):
     keys, out, real = [], [], trig._tables
 
     def spy(*key):
-        keys[-1].append((key, key in trig._kept_tables))
+        keys[-1].append((key, key in real.kept))
         return real(*key)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -144,12 +144,12 @@ def kept_and_cold(calls):
         for fn, *args in calls:
             keys.append([])
             out.append(fn(*args))
-            assert len(trig._kept_tables) <= trig._KEPT
+            assert len(real.kept) <= trig._KEPT
     cold = []
     for (fn, *args), read in zip(calls, keys):
         hit = any(kept for _, kept in read)
         if hit:
-            trig._kept_tables.clear()
+            real.kept.clear()
         cold.append(fn(*args) if hit else None)
     return [(got, again, [key for key, _ in read])
             for got, again, read in zip(out, cold, keys)]
@@ -228,7 +228,7 @@ def test_same_width_at_another_offset_is_a_new_table():
         poly = in_window(rng, lo, [3, 3] if d == 2 else [100], terms=4)
         n = 7 if d == 2 else 201
         warm = _grid_values(poly._box, poly._lo, n)
-        trig._kept_tables.clear()
+        trig._tables.kept.clear()
         assert np.array_equal(bits(warm), bits(_grid_values(poly._box, poly._lo, n)))
 
 
@@ -244,15 +244,15 @@ def test_degree_and_products_on_negative_frequencies():
 def test_cached_tables_are_read_only_and_two_entries_are_kept():
     # d = 2: neither axis splits, as each full table is smaller than its
     # step's partial sums would be; d = 1: width 100 splits as K1 = K2 = 10
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     _grid_values(TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j})._box, (-2, 1), 11)
     _grid_values(TrigPolynomial(1, {(-50,): 1.0, (49,): 2.0})._box, (-50,), 201)
     first, second = (11, (-2, 1), (6, 4), (6, 4)), (201, (-50,), (100,), (10,))
-    assert list(trig._kept_tables) == [first, second]
-    pairs = trig._kept_tables[first]
+    assert list(trig._tables.kept) == [first, second]
+    pairs = trig._tables.kept[first]
     assert [(low.shape, high) for low, high in pairs] == [((11, 6), None),
                                                           ((11, 4), None)]
-    ((low, high),) = trig._kept_tables[second]
+    ((low, high),) = trig._tables.kept[second]
     assert low.shape == high.shape == (201, 10)
     for table in (*pairs[0][:1], *pairs[1][:1], low, high):
         assert not table.flags.writeable
@@ -265,7 +265,7 @@ def test_cached_tables_are_read_only_and_two_entries_are_kept():
     assert trig._tables(*first) is pairs
     square = trig._tables(5, (-1, -1), (3, 3), (3, 3))
     assert square[0] is square[1]
-    assert list(trig._kept_tables) == [first, (5, (-1, -1), (3, 3), (3, 3))]
+    assert list(trig._tables.kept) == [first, (5, (-1, -1), (3, 3), (3, 3))]
 
 
 def tables_with_index_matrix(n, ks):
@@ -287,7 +287,7 @@ def test_row_blocks_gather_the_index_matrix_tables(monkeypatch, block_entries):
              (41, (-4, 2, -4), (9, 5, 9)), (8195, (-2, -2, -2), (5, 5, 5))]
     for n, lo, shape in cases:
         for k1s in (shape, tuple(math.isqrt(w - 1) + 1 for w in shape)):
-            trig._kept_tables.clear()
+            trig._tables.kept.clear()
             got = trig._tables(n, lo, shape, k1s)
             for (low, high), a, w, k1 in zip(got, lo, shape, k1s):
                 ks = [np.arange(a, a + k1)]
@@ -309,7 +309,7 @@ def test_a_miss_with_both_entries_full_frees_one_before_building(split):
     # at most two entries are alive, also while a third is built
     n, width = 1001, 250
     k1s = (math.isqrt(width - 1) + 1 if split else width,)
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     tracemalloc.start()
     try:
         for a in (0, 1):
@@ -327,7 +327,7 @@ def test_a_miss_with_both_entries_full_frees_one_before_building(split):
     tables = sum(t.nbytes for t in pairs[0] if t is not None)
     work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
     assert peak < 2 * tables + work < 3 * tables
-    assert len(trig._kept_tables) == 2
+    assert len(trig._tables.kept) == 2
 
 
 def test_a_degree_400_norm_stays_small():
@@ -336,7 +336,7 @@ def test_a_degree_400_norm_stays_small():
     rng = np.random.default_rng(6)
     coeff = rng.standard_normal(801) + 1j * rng.standard_normal(801)
     poly = TrigPolynomial(1, dict(zip(((k,) for k in range(-400, 401)), coeff)))
-    trig._kept_tables.clear()
+    trig._tables.kept.clear()
     tracemalloc.start()
     try:
         norm = lp_norm(poly, 2.0)
