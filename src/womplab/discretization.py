@@ -52,7 +52,7 @@ class PointSet:
     (None for a grid or explicit points).
 
     Empty point sets (m = 0) are legal; they only arise in adversarial
-    constructions, every sampling routine produces m >= 1.
+    constructions, and build_sampled refuses them.
     """
 
     dim: int
@@ -190,18 +190,18 @@ class SampledSystem:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        if self.m == 0:
-            raise ValueError("empty point set has no discrete Gram")
         gram = self.adjoint(self._matrix) / self.m
         gram.setflags(write=False)
         return gram
 
 
 def build_sampled(system: TrigSystem, pointset: PointSet) -> SampledSystem:
-    """The system evaluated at the points, as a read-only matrix, so the
-    cached gram always matches it."""
+    """The system evaluated at the m >= 1 points, as a read-only matrix,
+    so the cached gram always matches it."""
     if system.dim != pointset.dim:
         raise ValueError("system and point set dimensions differ")
+    if pointset.m == 0:
+        raise ValueError("a sampled system needs m >= 1 points")
     matrix = system.evaluate_at(pointset.points)
     matrix.flags.writeable = False
     return SampledSystem(matrix, system, pointset)
@@ -407,7 +407,7 @@ def _gamma(k):
 def _entry_bound(sampled):
     """g of steps 1 and 2 of _eig_rounding_bound: every computed entry of
     (1/m) A^H A, in any summation order, is within g of the exact one."""
-    x_max = float(np.abs(sampled.pointset.points).max()) if sampled.m else 0.0
+    x_max = float(np.abs(sampled.pointset.points).max())
     eta = _gamma(sampled.system.dim) * x_max * sum(sampled.system.box) + 8 * _E
     return (2 * eta + eta ** 2
             + (math.sqrt(2) * _gamma(2 * sampled.m) + 2 * _E) * (1 + eta) ** 2)
@@ -628,7 +628,7 @@ def _check_usd_l2(sampled, u, method, trials, seed):
     if method == "exhaustive" and count > DEFAULT_SUBSET_CAP:
         raise SubsetCapError(f"C({n},{u}) = {count} supports exceed the "
                              f"subset cap {DEFAULT_SUBSET_CAP}")
-    gram = sampled.gram if sampled.m else np.zeros((n, n), dtype=complex)
+    gram = sampled.gram
     if method == "exhaustive":
         # One eigensolve per symmetry class that the Cholesky screen cannot
         # rule out, plus the other members of each class near an extreme:

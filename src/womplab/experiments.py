@@ -259,6 +259,9 @@ def _pointset_from(sec, section, system, seed):
             raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
                               f"holds points of dimension {pts.dim}, the "
                               f"system has d = {system.dim}")
+        if pts.m == 0:
+            raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
+                              "holds no points")
         return pts
     if sec.get("grid"):
         n = 2 * max(system.box) + 1
@@ -369,8 +372,6 @@ def run_recover(cfg: dict):
     seed = cfg["common"]["seed"]
     system = TrigSystem(sec["d"], (sec["degree"],) * sec["d"])
     pts = _pointset_from(sec, "recover", system, seed)
-    if pts.m == 0:
-        raise ConfigError(f"[recover] points_file: {sec['points_file']} holds no points")
     u = math.ceil((1 + sec["c_emp"]) * sec["v"])
     if u > system.size:
         raise ConfigError(f"[recover] v: u = ceil((1 + c_emp) v) = {u} "

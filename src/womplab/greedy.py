@@ -116,8 +116,6 @@ def womp(h: SampledSystem, target, t: float = 1.0, steps: int | None = None,
     under _womp_gram's rounding bound falls back to _womp_lstsq, which
     calls project() after every pick.
     """
-    if h.m == 0:
-        raise ValueError("womp needs m >= 1 samples")
     if not 0 < t <= 1:
         raise ValueError("t must lie in (0, 1]")
     if selection not in SELECTIONS:

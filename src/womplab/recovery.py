@@ -37,10 +37,9 @@ def sample_target(f0: TrigPolynomial, sampled: SampledSystem) -> np.ndarray:
     """
     if f0.dim != sampled.system.dim:
         raise ValueError("target and system dimensions differ")
-    a = _box_coefficients(f0, sampled.system)
+    a, rest = _box_coefficients(f0, sampled.system)
     y = sampled @ a
-    rest = f0 - reconstruct(sampled.system, range(sampled.size), a)
-    if rest.coeffs:
+    if rest._box.size:
         y += rest.eval(sampled.pointset.points)
     return y
 
@@ -58,7 +57,7 @@ def best_vterm_l2_muxi(f0: TrigPolynomial, sampled: SampledSystem, v: int, y=Non
     if v < 1:
         raise ValueError("v must be >= 1")
     y = sample_target(f0, sampled) if y is None else _samples(sampled, y)
-    a_box = _box_coefficients(f0, sampled.system)
+    a_box, _ = _box_coefficients(f0, sampled.system)
     norm2_sq = 0.5 * (f0.l2_norm() ** 2 + float(np.mean(np.abs(y) ** 2)))
     supports = _supports(sampled.size, v)
     gram = 0.5 * (np.eye(sampled.size) + sampled.gram)
@@ -152,8 +151,6 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
         raise ValueError("recovery guarantees need p >= 2")
     if v < 1:
         raise ValueError("v must be >= 1")
-    if xi.m == 0:
-        raise ValueError("recovery needs m >= 1 sample points")
     u = int(math.ceil((1 + c_emp) * v))
     steps = int(math.ceil(c_emp * v))
     if u > system.size:
@@ -164,7 +161,7 @@ def recover(f0: TrigPolynomial, system: TrigSystem, xi: PointSet,
     if certify:
         try:
             certificate = check_usd(sampled, u, 2.0, "two-sided", "exhaustive")
-        except ValueError as exc:
+        except SubsetCapError as exc:
             warning = f"certificate skipped: {exc}"
     else:
         warning = "certificate skipped by caller"

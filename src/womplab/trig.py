@@ -287,14 +287,17 @@ def reconstruct(system: TrigSystem, columns, coefficients) -> TrigPolynomial:
                                     box.reshape([2 * v + 1 for v in system.box]))
 
 
-def _box_coefficients(poly: TrigPolynomial, system: TrigSystem) -> np.ndarray:
-    """poly's coefficients on the system's columns: one slice of its box."""
+def _box_coefficients(poly: TrigPolynomial, system: TrigSystem) -> tuple:
+    """(a, rest): poly's coefficients a on the system's columns, one slice of
+    its box, and rest, its other terms: that box with the slice zeroed."""
     box = np.array(system.box)
     lo = np.maximum(poly._lo, -box)
     hi = np.maximum(lo, np.minimum(poly._lo + poly._box.shape, box + 1))
     inside = np.zeros(2 * box + 1, dtype=complex)
-    inside[_window(lo + box, hi - lo)] = poly._box[_window(lo - poly._lo, hi - lo)]
-    return inside.reshape(-1)
+    outside, part = poly._box.copy(), _window(lo - poly._lo, hi - lo)
+    inside[_window(lo + box, hi - lo)] = outside[part]
+    outside[part] = 0
+    return inside.reshape(-1), TrigPolynomial._from_box(poly.dim, poly._lo, outside)
 
 
 def quadrature_grid_size(degree: int, p, oversample: int) -> int:

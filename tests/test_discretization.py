@@ -35,9 +35,8 @@ def test_empty_pointset_is_legal_but_not_samplable():
     ps = PointSet(1, np.zeros((0, 1)))
     assert ps.m == 0
     system = TrigSystem(1, (2,))
-    sampled = build_sampled(system, ps)
-    with pytest.raises(ValueError):
-        sampled.gram
+    with pytest.raises(ValueError, match="m >= 1"):
+        build_sampled(system, ps)
 
 
 @pytest.mark.parametrize("dim, shape", [(1, (3, 2)), (2, (3, 4)), (2, (6,)),

@@ -547,6 +547,14 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
      "[fooling] m_list: m = 5 exceeds theta/2 = 4.5 on box 4"),
     ("recover", "[recover]\npoints_file = {points}\n",
      "[recover] points_file: {points} holds no points"),
+    # check-disc once reported holds=False c_low=0 on the empty file and
+    # exited 1; at p = 4 it also warned "Mean of empty slice", c_low=nan
+    ("check-disc", "[check-disc]\npoints_file = {points}\n",
+     "[check-disc] points_file: {points} holds no points"),
+    ("check-disc", "[check-disc]\npoints_file = {points}\nmethod = randomized\n",
+     "[check-disc] points_file: {points} holds no points"),
+    ("check-disc", "[check-disc]\npoints_file = {points}\np = 4\nmethod = randomized\n",
+     "[check-disc] points_file: {points} holds no points"),
     ("recover", "[recover]\np = 1\n",
      "[recover] p: recovery guarantees need p >= 2, got 1"),
     ("recover", "[recover]\nt = 2\n", "[recover] t: expected 0 < t <= 1, got 2"),

@@ -13,7 +13,7 @@ from womplab.classes import ClassSpec, sample_class_function
 from womplab.discretization import (PointSet, SampledSystem, build_sampled,
                                     check_usd, draw_points, uniform_grid_points)
 from womplab.experiments import zero_data_recovery
-from womplab import greedy, trig
+from womplab import greedy, recovery, trig
 from womplab.greedy import womp
 from womplab.recovery import (RecoveryReport, adversary_gap, best_vterm_l2_muxi,
                               make_fooling, reconstruct, recover, sample_target,
@@ -102,6 +102,18 @@ def test_recover_keeps_the_l2_muxi_best_vterm_as_reference(monkeypatch):
     monkeypatch.setattr(greedy, "DEFAULT_SUBSET_CAP", 35)  # C(9, 2) = 36
     rep = recover(f0, system, xi, v=2, certify=False)
     assert rep.sigma_warning is not None and rep.reference is None
+
+
+def test_recover_skips_the_certificate_only_for_the_subset_cap(monkeypatch):
+    # any other failure inside check_usd is a fault, not a skipped certificate
+    def fail(*args, **kwargs):
+        raise ValueError("not the subset cap")
+
+    monkeypatch.setattr(recovery, "check_usd", fail)
+    system = TrigSystem(1, (4,))
+    f0 = reconstruct(system, [2, 6], [1.5, -0.7 + 0.3j])
+    with pytest.raises(ValueError, match="not the subset cap"):
+        recover(f0, system, draw_points(40, 1, seed=0), v=2)
 
 
 def test_recover_class_target_within_empirical_factor():

@@ -11,7 +11,7 @@ from womplab.discretization import uniform_grid_points
 from womplab.trig import (_EVAL_CHUNK_ENTRIES, TrigPolynomial, TrigSystem,
                           _tensor_grid, dyadic_block,
                           fejer_kernel, lp_norm, lp_norms, multiply,
-                          quadrature_grid_size, write_polynomial)
+                          quadrature_grid_size, reconstruct, write_polynomial)
 
 
 def _conj(poly: TrigPolynomial) -> TrigPolynomial:
@@ -424,6 +424,54 @@ def test_mixture_norms_are_bitwise_the_inline_formula():
                 val = 0.5 * (np.mean(grid_abs ** p) + np.mean(sample_abs ** p))
                 expect = float(val ** (1.0 / p))
             assert got.hex() == expect.hex(), (d, p)
+
+
+# --------------------------------------------------------------- box split
+
+def _box_split_cases(rng):
+    """(polynomial, system) pairs in d = 1-3 whose boxes lie inside,
+    straddle or miss the system's box, with exact zeros among the
+    coefficients and their parts, and the zero polynomial."""
+    for dim in (1, 2, 3):
+        for _ in range(60):
+            system = TrigSystem(dim, tuple(rng.integers(0, 4, dim).tolist()))
+            b = np.array(system.box)
+            yield TrigPolynomial(dim), system
+            lo = rng.integers(-b, b + 1)
+            yield _coefficient_box(rng, lo, rng.integers(1, b - lo + 2)), system
+            lo = rng.integers(-b - 3, b + 1)
+            yield _coefficient_box(rng, lo, rng.integers(1, 2 * b + 8)), system
+            axis, shape, gap = rng.integers(dim), rng.integers(1, 5, dim), rng.integers(3)
+            lo[axis] = (b[axis] + 1 + gap if rng.random() < 0.5
+                        else -b[axis] - shape[axis] - gap)
+            yield _coefficient_box(rng, lo, shape), system
+
+
+def _coefficient_box(rng, lo, shape):
+    """A random polynomial on the box of the given shape from corner lo,
+    some real or imaginary parts and some coefficients exactly zero."""
+    parts = rng.standard_normal((*shape, 2))
+    parts[rng.random(parts.shape) < 0.2] = 0.0
+    parts[rng.random(tuple(shape)) < 0.3] = 0.0
+    return TrigPolynomial._from_box(len(lo), lo, parts[..., 0] + 1j * parts[..., 1])
+
+
+def test_box_split_rest_is_bitwise_the_polynomial_difference():
+    # the terms outside the system's box were once found as the difference
+    # of f0 and the full-box polynomial of its coefficients inside it
+    counts = {"inside": 0, "straddle": 0, "outside": 0}
+    for f0, system in _box_split_cases(np.random.default_rng(41)):
+        a, rest = trig._box_coefficients(f0, system)
+        want = f0 - reconstruct(system, range(system.size), a)
+        assert rest._lo.dtype == want._lo.dtype and np.array_equal(rest._lo, want._lo)
+        assert rest._box.shape == want._box.shape
+        assert np.array_equal(rest._box.view(np.uint64), want._box.view(np.uint64))
+        if f0._box.size:
+            b = np.array(system.box)
+            hi = f0._lo + f0._box.shape - 1
+            counts["inside" if (f0._lo >= -b).all() and (hi <= b).all() else
+                   "outside" if ((hi < -b) | (f0._lo > b)).any() else "straddle"] += 1
+    assert min(counts.values()) >= 100, counts
 
 
 # --------------------------------------------------------------------- io
