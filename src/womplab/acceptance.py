@@ -379,13 +379,7 @@ CRITERIA = (
 
 
 def run_criterion(number: int) -> CriterionResult:
-    for num, name, fn in CRITERIA:
-        if num == number:
-            start = time.perf_counter()
-            passed, detail = fn()
-            return CriterionResult(num, name, passed, detail,
-                                   time.perf_counter() - start)
-    raise ValueError(f"no criterion numbered {number}")
+    return run_all([number])[0]
 
 
 def run_all(numbers=None, progress=None) -> list:
@@ -394,11 +388,13 @@ def run_all(numbers=None, progress=None) -> list:
     if unknown:
         raise ValueError(f"no criteria numbered {sorted(unknown)}")
     results = []
-    for num, name, _ in CRITERIA:
+    for num, name, fn in CRITERIA:
         if num not in chosen:
             continue
-        result = run_criterion(num)
-        results.append(result)
+        start = time.perf_counter()
+        passed, detail = fn()
+        results.append(CriterionResult(num, name, passed, detail,
+                                       time.perf_counter() - start))
         if progress:
-            progress(result)
+            progress(results[-1])
     return results

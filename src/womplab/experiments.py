@@ -3,8 +3,8 @@
 Each driver takes a plain config dict (already merged from defaults, an
 optional INI file, and CLI overrides), runs one experiment family, writes
 CSV output, and returns the record objects.  Every CSV starts with a
-comment line echoing the section config, so any row can be reproduced
-from the file alone.
+comment line echoing the section config and the seed, so any row can be
+reproduced from the file alone.
 """
 
 from __future__ import annotations
@@ -227,22 +227,27 @@ def _check(section, sec):
                 raise ConfigError(f"[{section}] {key}: {rule[1]}, got {x:.12g}")
 
 
-def _echo(section_cfg) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(section_cfg.items()))
-
-
-def _write_csv(path, header, rows, echo):
-    with open(path, "w") as fh:
-        fh.write(f"# config: {echo}\n")
+def _write_csv(cfg, section, name, header, rows) -> str:
+    """Make the output directory and write the table `name` in it: a `# config:`
+    line echoing cfg[section] and the common seed, the header, the rows."""
+    out = cfg["common"]["out"]
+    os.makedirs(out, exist_ok=True)
+    echo = sorted({**cfg[section], "seed": cfg["common"]["seed"]}.items())
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write("# config: " + " ".join(f"{k}={v}" for k, v in echo) + "\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")
-
-
-def _outdir(cfg) -> str:
-    out = cfg["common"]["out"]
-    os.makedirs(out, exist_ok=True)
     return out
+
+
+def _check_scope(section, key, m, noun, system):
+    """Refuse m points of `system` past SCOPE_ENTRIES sampled entries."""
+    entries = m * system.size
+    if entries > SCOPE_ENTRIES:
+        raise ConfigError(f"[{section}] {key}: {m} {noun} of N = {system.size} "
+                          f"columns are {entries:,} entries; the scope ends "
+                          f"at {SCOPE_ENTRIES:,}")
 
 
 def _pointset_from(sec, section, system, seed):
@@ -262,15 +267,13 @@ def _pointset_from(sec, section, system, seed):
         if pts.m == 0:
             raise ConfigError(f"[{section}] points_file: {sec['points_file']} "
                               "holds no points")
+        _check_scope(section, "points_file", pts.m, "points", system)
         return pts
     if sec.get("grid"):
         n = 2 * max(system.box) + 1
-        entries = n ** system.dim * system.size
-        if entries > SCOPE_ENTRIES:
-            raise ConfigError(f"[{section}] grid: {n ** system.dim} grid points "
-                              f"of N = {system.size} columns are {entries:,} "
-                              f"entries; the scope ends at {SCOPE_ENTRIES:,}")
+        _check_scope(section, "grid", n ** system.dim, "grid points", system)
         return uniform_grid_points(n, system.dim)
+    _check_scope(section, "m", sec["m"], "points", system)
     return draw_points(sec["m"], system.dim, seed)
 
 
@@ -306,11 +309,9 @@ def run_find_points(cfg: dict):
     except SubsetCapError as exc:
         raise ConfigError(f"[find-points] u: {exc}") from None
 
-    out = _outdir(cfg)
-    echo = _echo({**sec, "seed": seed})
-    _write_csv(os.path.join(out, "find_points_trail.csv"),
-               DiscretizationReport.CSV_HEADER,
-               [r.csv_row() for r in reports], echo)
+    out = _write_csv(cfg, "find-points", "find_points_trail.csv",
+                     DiscretizationReport.CSV_HEADER,
+                     [r.csv_row() for r in reports])
     if found is not None:
         write_pointset(found, os.path.join(out, "points.txt"))
     return found, reports
@@ -336,10 +337,8 @@ def run_check_disc(cfg: dict) -> DiscretizationReport:
     except SubsetCapError as exc:
         raise ConfigError(f"[check-disc] u: {exc}; use [check-disc] method = "
                           "randomized") from None
-    out = _outdir(cfg)
-    _write_csv(os.path.join(out, "discretization.csv"),
-               DiscretizationReport.CSV_HEADER, [rep.csv_row()],
-               _echo({**sec, "seed": seed}))
+    _write_csv(cfg, "check-disc", "discretization.csv",
+               DiscretizationReport.CSV_HEADER, [rep.csv_row()])
     return rep
 
 
@@ -380,12 +379,10 @@ def run_recover(cfg: dict):
     report = recover(f0, system, pts, v=sec["v"], p=sec["p"], t=sec["t"],
                      c_emp=sec["c_emp"], certify=sec["certify"],
                      selection=sec["selection"], seed=seed)
-    out = _outdir(cfg)
-    echo = _echo({**sec, "seed": seed})
-    _write_csv(os.path.join(out, "recovery.csv"),
-               type(report).CSV_HEADER, [report.csv_row()], echo)
-    _write_csv(os.path.join(out, "womp_trace.csv"), report.trace.CSV_HEADER,
-               report.trace.csv_rows(), echo)
+    _write_csv(cfg, "recover", "recovery.csv", type(report).CSV_HEADER,
+               [report.csv_row()])
+    _write_csv(cfg, "recover", "womp_trace.csv", report.trace.CSV_HEADER,
+               report.trace.csv_rows())
     return report
 
 
@@ -519,12 +516,9 @@ def run_rate_sweep(cfg: dict):
     cells, fits, dropped = rate_sweep_compute(sec, base_seed)
     p_list = _numbers(sec, "rate-sweep", "p_list")
 
-    out = _outdir(cfg)
-    echo = _echo({**sec, "seed": base_seed})
-    rows = [replace(c["report"], p=p, error_lp_mu=c["errors"][p]).csv_row()
-            for c in cells for p in p_list]
-    _write_csv(os.path.join(out, "rate_cells.csv"), RecoveryReport.CSV_HEADER,
-               rows, echo)
+    out = _write_csv(cfg, "rate-sweep", "rate_cells.csv", RecoveryReport.CSV_HEADER,
+                     [replace(c["report"], p=p, error_lp_mu=c["errors"][p]).csv_row()
+                      for c in cells for p in p_list])
 
     summary = {}
     for p, fit in fits.items():
@@ -559,7 +553,7 @@ def zero_data_recovery(system: TrigSystem, pts):
             return TrigPolynomial(system.dim, {})
         if sampled is None:
             sampled = build_sampled(system, pts)
-        trace = womp(sampled, samples, steps=min(sampled.m, sampled.size))
+        trace = womp(sampled, samples)
         return reconstruct(system, trace.selected, trace.coefficients)
 
     return recover_map
@@ -581,7 +575,6 @@ def run_fooling(cfg: dict):
         if m > half:
             raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
 
-    out = _outdir(cfg)
     records = []
     rows = []
     for box, m in zip(boxes, m_list):
@@ -599,10 +592,9 @@ def run_fooling(cfg: dict):
                         f"{inst.norm_p:.12g},{gap.guaranteed_error:.12g},"
                         f"{ratio:.12g},{inst.vanishing_defect:.3g},"
                         f"{gap.recovery_fooled}")
-            if s == 0:
-                write_fooling(inst, os.path.join(out, f"fooling_box{box}.txt"))
-    _write_csv(os.path.join(out, "fooling.csv"),
-               "box,theta,m,seed,norm_q,norm_p,guaranteed_error,"
-               "ratio_to_theta,vanishing_defect,recovery_fooled",
-               rows, _echo({**sec, "seed": seed}))
+    out = _write_csv(cfg, "fooling", "fooling.csv",
+                     "box,theta,m,seed,norm_q,norm_p,guaranteed_error,"
+                     "ratio_to_theta,vanishing_defect,recovery_fooled", rows)
+    for box, gap in zip(boxes, records[::sec["seeds"]]):
+        write_fooling(gap.instance, os.path.join(out, f"fooling_box{box}.txt"))
     return records

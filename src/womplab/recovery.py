@@ -269,7 +269,7 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     else:
         matrix = system.evaluate_at(xi.points)
         _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
-        rank = int(np.sum(svals > NULL_SPACE_TOL * svals[0])) if svals.size else 0
+        rank = int(np.sum(svals > NULL_SPACE_TOL * svals[0]))
         null_basis = vh[rank:].conj().T
     null_dim = null_basis.shape[1]
     assert null_dim >= theta - xi.m >= 1

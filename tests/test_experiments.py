@@ -21,8 +21,10 @@ from womplab.experiments import (DEFAULTS, VALID, ConfigError, _cell_shape,
                                  run_find_points, run_fooling, run_rate_sweep,
                                  run_recover, schedule_m, target_exponent,
                                  zero_data_recovery)
-from womplab.discretization import PointSet, build_sampled, draw_points
+from womplab.discretization import (PointSet, build_sampled, draw_points,
+                                    write_pointset)
 from womplab.greedy import womp
+from womplab.recovery import write_fooling
 from womplab.trig import TrigSystem, reconstruct
 
 
@@ -408,6 +410,40 @@ def test_run_fooling_explicit_budgets_must_align(tmp_path):
         run_fooling(cfg)
 
 
+@pytest.mark.parametrize("section, values, run, tables", [
+    ("find-points", {"degree": 2, "m_cap": 2048}, run_find_points,
+     ["find_points_trail.csv"]),
+    ("check-disc", {"degree": 3, "grid": True}, run_check_disc,
+     ["discretization.csv"]),
+    ("recover", {}, run_recover, ["recovery.csv", "womp_trace.csv"]),
+    ("rate-sweep", {"v_list": "1,2,3,4", "seeds": 2, "a": 8.0},
+     run_rate_sweep, ["rate_cells.csv"]),
+    ("fooling", {"box_list": "4,6", "seeds": 2}, run_fooling, ["fooling.csv"]),
+])
+def test_every_driver_table_starts_with_its_section_and_seed(
+        tmp_path, section, values, run, tables):
+    # the echo is what reruns a row from the file alone: every key of the
+    # section, sorted, plus the common seed
+    cfg = _cfg(tmp_path, **{section: values})
+    cfg["common"]["seed"] = 3
+    run(cfg)
+    echo = "# config: " + " ".join(
+        f"{k}={v}" for k, v in sorted({**cfg[section], "seed": 3}.items()))
+    for name in tables:
+        first = (tmp_path / "out" / name).read_text().splitlines()[0]
+        assert first == echo, name
+
+
+def test_each_fooling_box_file_is_its_seed_0_instance(tmp_path):
+    cfg = _cfg(tmp_path, fooling={"box_list": "4,6", "seeds": 2})
+    records = run_fooling(cfg)
+    for box, record in (("4", records[0]), ("6", records[2])):
+        assert record.instance.box == (int(box),)
+        write_fooling(record.instance, tmp_path / "expected.txt")
+        assert ((tmp_path / "out" / f"fooling_box{box}.txt").read_bytes()
+                == (tmp_path / "expected.txt").read_bytes())
+
+
 def test_zero_data_recovery_map():
     system = TrigSystem(1, (3,))
     empty = zero_data_recovery(system, PointSet(1, np.zeros((0, 1))))
@@ -697,6 +733,48 @@ def test_cli_grid_past_the_scope_is_refused_before_sampling(
     assert capsys.readouterr().err == (
         f"config error: [{section}] grid: 40401 grid points of N = 40401 "
         f"columns are 1,632,240,801 entries; the scope ends at 24,012,000\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _refuse_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampling reached")
+    monkeypatch.setattr(experiments, "draw_points", refuse)
+    monkeypatch.setattr(TrigSystem, "evaluate_at", refuse)
+
+
+@pytest.mark.parametrize("section", ["check-disc", "recover"])
+def test_cli_m_past_the_scope_is_refused_before_sampling(
+        tmp_path, capsys, monkeypatch, section):
+    # m = 100,000,000,000 once ended in numpy's raw _ArrayMemoryError
+    # (745 GiB) from draw_points; 2,668,001 points of the default N = 9
+    # are the first count past the scope
+    _refuse_sampling(monkeypatch)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[{section}]\nm = 2668001\n")
+    assert main([section, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [{section}] m: 2668001 points of N = 9 columns are "
+        f"24,012,009 entries; the scope ends at 24,012,000\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section", ["check-disc", "recover"])
+def test_cli_points_file_past_the_scope_is_refused_before_sampling(
+        tmp_path, capsys, monkeypatch, section):
+    # a file of 12,001 points against N = 2,001 columns once went on to
+    # evaluate its 24,014,001-entry sampled matrix
+    pts = tmp_path / "pts.txt"
+    write_pointset(draw_points(12_001, 1, 0), pts)
+    _refuse_sampling(monkeypatch)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(f"[{section}]\ndegree = 1000\npoints_file = {pts}\n")
+    assert main([section, "--config", str(cfgfile),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: [{section}] points_file: 12001 points of N = 2001 "
+        f"columns are 24,014,001 entries; the scope ends at 24,012,000\n")
     assert not (tmp_path / "o").exists()
 
 
