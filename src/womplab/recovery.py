@@ -249,11 +249,11 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
 
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
     + 1) + 1, by the sum factorisation _grid_values, one batch entry per
-    null vector and at most _EVAL_CHUNK_ENTRIES grid values per chunk of
-    the batch; no grid matrix is built.  The kernel keeps the box's tables
-    beside those of the norms of f, so repeated calls on one box rebuild
-    neither.  x_star is read-only, the grid point 2 pi t / n of the winning
-    vector's first grid maximum.
+    null vector and at most _EVAL_CHUNK_ENTRIES grid values per chunk; no
+    grid matrix is built.  The kernel keeps the box's real half tables, a
+    quarter of the complex n x (2 box + 1) ones, beside those of f's norms,
+    so repeated calls on one box rebuild neither.  x_star is read-only, the
+    grid point 2 pi t / n of the winning vector's first grid maximum.
     """
     box = tuple(int(b) for b in box)
     dim = len(box)

@@ -22,6 +22,8 @@ import numpy as np
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
 _EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's and _roots' row blocks
+_GRID_BLOCK_ENTRIES = 1 << 16  # values of _half_sums' blocks and temporaries
+_BUTTERFLY_H = 160  # from this h on, _half_sums forms X and Y once for t and n - t
 
 # Grid refinement of lp_norms' quadrature and of make_fooling's sup search.
 OVERSAMPLE = 8
@@ -319,19 +321,20 @@ def _tensor_grid(n: int, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _roots(roots: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Read-only table of roots[(t * k) % n], n = roots.size, t = 0..n-1
-    down the rows, one column per frequency in k, gathered in row blocks
-    without an index matrix of its size."""
-    n = roots.size
-    t = np.arange(n)
-    table = np.empty((n, k.size), dtype=complex)
+def _roots(roots: np.ndarray, t: np.ndarray, k: np.ndarray, real=False) -> np.ndarray:
+    """Read-only table of roots[(t * k) % n], n = roots.size, rows t and
+    columns k, gathered in row blocks without an index matrix of its size;
+    real, for k = 0 .. h: imaginary parts for k = h .. 1, real for 0 .. h."""
+    n, parts = roots.size, [roots.imag.copy(), roots.real.copy()] if real else [roots]
+    table = np.empty((t.size, len(parts) * k.size - real), dtype=parts[0].dtype)
     rows = max(1, _EXP_BLOCK_ENTRIES // max(1, k.size))
-    for r in range(0, n, rows):
+    for r in range(0, t.size, rows):
         phase = np.multiply.outer(t[r:r + rows], k)
         phase -= phase // n * n  # t k mod n; // by a scalar is faster than %
         # phase < n, so "clip" clips nothing; "raise" would buffer out
-        np.take(roots, phase, out=table[r:r + rows], mode="clip")
+        np.take(parts[-1], phase, out=table[r:r + rows, -k.size:], mode="clip")
+        if real:
+            np.take(parts[0], phase[:, :0:-1], out=table[r:r + rows, :k.size - 1], mode="clip")
     table.flags.writeable = False
     return table
 
@@ -361,62 +364,96 @@ def _keep_last(build):
 
 @_keep_last
 def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
-    """_grid_values' tables for a box of the given shape from corner lo:
-    per axis a pair (low, high) of _roots tables, low holding k = lo .. lo
-    + K1 - 1 and high k = K1 k2, k2 = 0 .. ceil(w / K1) - 1, with K1 from
-    k1s; an axis with K1 = w keeps its full table as low, with high None.
-    The roots are taken at phases in (-pi, pi]: a split term multiplies
-    two entries, and a phase's rounding error grows with its size.  Equal
-    pairs are shared.  The tables are read-only and kept by _keep_last.
-    """
+    """_grid_values' _roots tables for a box of the given shape from corner
+    lo, per axis with K1 from k1s: (low, high) on all n rows for a split
+    axis, low holding k = lo .. lo + K1 - 1 and high k = K1 k2, k2 = 0 ..
+    ceil(w / K1) - 1; (half, None) for K1 = w, half the real [S | C] on
+    rows t <= n / 2, the sines S for k = h .. 1 and cosines C for 0 .. h,
+    h = max(-lo, lo + w - 1).  The roots are taken at phases in (-pi, pi]:
+    a split term multiplies two entries, and a phase's rounding error grows
+    with its size.  Equal pairs are shared, read-only, kept by _keep_last."""
     t = np.arange(n)
     roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)  # phases in (-pi, pi]
     built, pairs = {}, []
     for a, w, k1 in zip(lo, shape, k1s):
         if (a, w, k1) not in built:
-            high = _roots(roots, k1 * np.arange(-(-w // k1))) if k1 < w else None
-            built[a, w, k1] = (_roots(roots, np.arange(a, a + k1)), high)
+            high = _roots(roots, t, k1 * np.arange(-(-w // k1))) if k1 < w else None
+            k = np.arange(a, a + k1) if k1 < w else np.arange(max(-a, a + w - 1) + 1)
+            built[a, w, k1] = (_roots(roots, t[:n // 2 + 1] if high is None else t, k,
+                                      real=high is None), high)
         pairs.append(built[a, w, k1])
     return tuple(pairs)
+
+
+def _half_sums(x: np.ndarray, a: int, n: int, table: np.ndarray) -> np.ndarray:
+    """The middle axis of x, shape (P, w, S), frequencies k = a .. a + w - 1,
+    summed on the n-point grid from its half table, giving (P, n, S).  With
+    c zero-padded to -h .. h, p_j = c_j + c_-j (p_0 = c_0), q_j = c_j - c_-j,
+    X = C p and Y = S q, row t is X + iY and row n - t X - iY, real products
+    of float pairs.  From h = _BUTTERFLY_H on, X and iY are formed once (a
+    quarter of the complex multiply-adds); below, where their sum and
+    difference cost more, a row is one [S | C] [+-iq; p] (half of them).
+    Columns go in blocks of _GRID_BLOCK_ENTRIES values, of w at least."""
+    (P, w, S), h, half, m = x.shape, (table.shape[1] - 1) // 2, n // 2 + 1, (n - 1) // 2
+    out, cols = np.empty((P, n, S), dtype=complex), max(w, _GRID_BLOCK_ENTRIES // (P * n))
+    rows = max(1, _GRID_BLOCK_ENTRIES // (P * min(cols, S)))  # of iY
+    for s in range(0, S, cols):
+        c = np.zeros((P, 2 * h + 1, min(cols, S - s)), dtype=complex)  # k = -h .. h
+        c[:, a + h:a + h + w] = x[:, :, s:s + cols]
+        (up, down), c_f = (c[:, h + 1:], c[:, :h][:, ::-1]), c.view(np.float64)
+        c_down = down.copy()  # rows k and -k become p_k and i q_k
+        np.subtract(up, c_down, out=down)
+        up += c_down
+        down *= 1j
+        y = out[:, :, s:s + cols]
+        if h < _BUTTERFLY_H:
+            np.matmul(table, c_f, out=y[:, :half].view(np.float64))
+            np.negative(c[:, :h], out=c[:, :h])
+            np.matmul(table[m:0:-1], c_f, out=y[:, half:].view(np.float64))
+            continue
+        np.matmul(table[:, h:], c_f[:, h:], out=y[:, :half].view(np.float64))
+        for r in range(1, half, rows):  # iY on rows t = r .. e - 1, mirrored up to m
+            e, k = min(r + rows, half), max(0, min(rows, m + 1 - r))
+            iy = np.matmul(table[r:e, :h], c_f[:, :h]).view(complex)
+            np.subtract(y[:, r:r + k], iy[:, :k], out=y[:, n - r:n - r - k:-1])
+            y[:, r:e] += iy
+    return out
 
 
 def _grid_values(vals: np.ndarray, lo, n: int) -> np.ndarray:
     """Dense coefficient boxes vals[..., w_1, .., w_d] from corner lo on
     _tensor_grid(n, d), d = len(lo), in the same row order: summed one axis
-    at a time (sum factorisation, not an FFT).  Leading axes of vals are a
-    batch, kept last: the result has shape (n^d, *batch).
+    at a time (sum factorisation, not an FFT), from the last, in place,
+    with the batch (the leading axes of vals) moved last: the result has
+    shape (n^d, *batch).  An axis is summed by _half_sums, or split as k =
+    lo + k1 + K1 k2, K1 = ceil(sqrt(w)), K2 = ceil(w / K1): k1 against an
+    n x K1 table, then k2 against an n x K2 one, batched over the rows t.
+    That holds n x rest x K2 partial sums, rest = batch size x prod(w_1 ..
+    w_(axis-1)) x n^(d - axis) the step's other values, so an axis is split
+    only where the two tables and those sums hold fewer entries than the
+    n x w table, by more than one _EXP_BLOCK_ENTRIES row block: for one
+    polynomial every d = 1 box from a width of 45 (one-sided) to 58
+    (centred) up and, in d >= 2, at most a much wider last axis; no batch
+    of make_fooling on the default and benchmark boxes.  The tables are
+    keyed by the split, not the batch size: chunks of a batch share them.
 
-    An axis of width w may be split as k = lo + k1 + K1 k2, K1 =
-    ceil(sqrt(w)), K2 = ceil(w / K1): its coefficients are padded with
-    zeros to K1 K2, k1 is contracted against an n x K1 table and then k2
-    against an n x K2 table, in one product batched over the grid rows t.
-    The flops stay O(n w), and the tables hold n (K1 + K2) entries instead
-    of n w, but the step also holds n x rest x K2 partial sums, rest =
-    batch size x prod(w_1 .. w_(axis-1)) x n^(d - axis) being the step's
-    other values.  So an axis is split only where the two tables and the
-    partial sums hold fewer entries than its full n x w table, by more than
-    one _EXP_BLOCK_ENTRIES row block.  For lp_norms' one polynomial that is
-    every d = 1 box from a width of 45 (one-sided) to 58 (centred on 0) up
-    and, in d >= 2, at most the last axis, summed first, where it is much
-    wider than the others together; make_fooling's null-basis batches keep
-    full tables on every box of the defaults and of the benchmark.  The
-    tables come from _tables, keyed by the split (K1 per axis), not by the
-    batch size, so that all chunks of one batch share them.
-
-    Rounding.  With u = 2^-53, gamma_k = k u / (1 - k u) and
-    beta(m) = sqrt(2) gamma_(m+1), the bound of a length-m complex dot
-    product (sqrt(2) gamma_2 per product, Higham Lemma 3.5, and gamma_(m-1)
-    on each part of the sum): a table entry's phase 2 pi r / n, |r| <= n / 2,
-    takes a product by 2 fl(pi) and a quotient, so it is off by pi gamma_3,
-    and numpy's exponential adds at most 4 ulp <= 8 u per component
-    (tests/test_exp_oracle.py), so each entry is within
-    e_T = pi gamma_3 + 8 sqrt(2) u of its root of unity.  An axis then
-    adds, relative to the sum of |input| along it, e_a = 2 e_T + beta(K1)
-    + beta(K2) when split and e_T + beta(w) when not.  Every table entry
-    has modulus at most 1 + e_T, so errors carry through later axes at
-    most by the l1 sum, and each batch entry's computed values are within
-    (e_1 + .. + e_d) |c|_1 of the exact sum_k c_k exp(2 pi i <k, t> / n),
-    to first order in u.
+    Rounding.  With u = 2^-53, gamma_k = k u / (1 - k u) and beta(m) =
+    sqrt(2) gamma_(m+1), the bound of a length-m complex dot product
+    (Higham Lemma 3.5): a table entry's phase 2 pi r / n, |r| <= n / 2, is
+    off by pi gamma_3 (a product by 2 fl(pi) and a quotient) and numpy's
+    exponential adds at most 4 ulp <= 8 u per component
+    (tests/test_exp_oracle.py), so each entry is within e_T = pi gamma_3 +
+    8 sqrt(2) u of its root of unity.  Relative to the sum of |input| along
+    it, a split axis adds e_a = 2 e_T + beta(K1) + beta(K2).  On a half
+    table, with s_j = |c_j| + |c_-j|: the pair sums add u s_j to each of
+    p_j and q_j; C_tj +- i S_tj are an entry and its conjugate, within
+    e_T s_j on both; each real or imaginary part is a real dot product, of
+    length 2h + 1 ([S | C] [+-iq; p]) or h + 1 (X, Y), of terms
+    |C_tj| |p_j| + |S_tj| |q_j| <= sqrt(2) s_j; X +- iY adds u |c|_1.  So
+    either way e_a = e_T + sqrt(2) (u + gamma_(2h+1)).  Entries have
+    modulus at most 1 + e_T, so errors carry through later axes at most by
+    the l1 sum: each batch entry's values are within (e_1 + .. + e_d) |c|_1
+    of the exact sum_k c_k exp(2 pi i <k, t> / n), to first order in u.
     """
     lo, d = tuple(int(a) for a in lo), len(lo)
     batch, shape = vals.shape[:-d], vals.shape[-d:]
@@ -428,17 +465,20 @@ def _grid_values(vals: np.ndarray, lo, n: int) -> np.ndarray:
         k1 = math.isqrt(w - 1) + 1
         k2 = -(-w // k1)
         k1s.append(w if n * (w - k1 - k2 - rest * k2) <= _EXP_BLOCK_ENTRIES else k1)
-    for low, high in reversed(_tables(n, lo, shape, tuple(k1s))):
+    tables = _tables(n, lo, shape, tuple(k1s))
+    x = vals.reshape(-1, math.prod(shape)).T
+    for axis in reversed(range(d)):
+        x = x.reshape(math.prod(shape[:axis]), shape[axis], -1)  # (P, w, S)
+        (low, high), w, k1 = tables[axis], shape[axis], k1s[axis]
         if high is None:
-            vals = np.tensordot(low, vals, axes=([1], [-1]))
+            x = _half_sums(x, lo[axis], n, low)
             continue
-        k1, k2 = low.shape[1], high.shape[1]
-        padded = np.zeros((*vals.shape[:-1], k2, k1), dtype=complex)
-        padded.reshape(*vals.shape[:-1], -1)[..., :vals.shape[-1]] = vals
-        part = np.tensordot(low, padded, axes=([1], [-1]))  # (n, *rest, k2)
-        vals = np.matmul(part.reshape(n, -1, k2), high[:, :, None])
-        vals = vals.reshape(part.shape[:-1])
-    return vals.reshape(-1, *batch)
+        padded = np.zeros((*x.shape[::2], high.shape[1], k1), dtype=complex)
+        padded.reshape(*x.shape[::2], -1)[..., :w] = x.transpose(0, 2, 1)
+        part = np.tensordot(low, padded, axes=([1], [-1]))  # (n, P, S, k2)
+        x = np.matmul(part.reshape(n, -1, high.shape[1]), high[:, :, None])
+        x = x.reshape(part.shape[:3]).transpose(1, 0, 2)
+    return x.reshape(n ** d, *batch)
 
 
 def lp_norms(poly: TrigPolynomial, ps, samples=None) -> tuple:

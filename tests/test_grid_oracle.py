@@ -1,7 +1,7 @@
 """An exact oracle for the grid kernel `trig._grid_values`.
 
 The kernel sums coefficient boxes on the tensor grid {2 pi t / n}^d from
-root tables, split or full, and its docstring bounds the error of each
+root tables, split or half, and its docstring bounds the error of each
 batch entry by (e_1 + .. + e_d) |c|_1 to first order.  Here the exact
 sums, at 120 bits, check that bound on d = 1-3 boxes of one polynomial
 with random dense coefficients, as `lp_norms` passes them, and on each
@@ -42,18 +42,19 @@ def gamma(k):
     return k * U / (1 - k * U)
 
 
-def kernel_bound(n, shape, k1s):
+def kernel_bound(lo, shape, k1s):
     """The first-order bound of _grid_values' docstring over |c|_1, for the
-    per-axis split k1s (K1 = w on an axis that keeps its full table)."""
+    per-axis split k1s (K1 = w on an axis summed on its half table, with
+    h = max(-lo, lo + w - 1))."""
     e_t = math.pi * gamma(3) + 8 * math.sqrt(2) * U
 
     def beta(m):
         return math.sqrt(2) * gamma(m + 1)
 
     total = 0.0
-    for w, k1 in zip(shape, k1s):
+    for a, w, k1 in zip(lo, shape, k1s):
         if k1 == w:
-            total += e_t + beta(w)
+            total += e_t + math.sqrt(2) * (U + gamma(2 * max(-a, a + w - 1) + 1))
         else:
             total += 2 * e_t + beta(k1) + beta(-(-w // k1))
     return total
@@ -90,43 +91,49 @@ def worst_ratios(mpmath, boxes, lo, n, rng, count):
                            for _ in range(count)]
     rows = [np.ravel_multi_index(t, (n,) * d) for t in points]
     got = _grid_values(boxes, lo, n)[rows]
-    *_, shape, k1s = next(reversed(trig._tables.kept))  # the tables it read
+    _, lo, shape, k1s = next(reversed(trig._tables.kept))  # the tables it read
     l1 = np.abs(boxes).reshape(len(boxes), -1).sum(axis=1)
     with mpmath.workprec(120):
         exact = exact_values(mpmath, boxes, lo, n, points)
         errors = np.array([[float(abs(mpmath.mpc(complex(z)) - x)) for z, x in zip(row, ex)]
                            for row, ex in zip(got.tolist(), exact)])
-    return errors.max(axis=0) / l1 / kernel_bound(n, shape, k1s), shape, k1s
+    return errors.max(axis=0) / l1 / kernel_bound(lo, shape, k1s), shape, k1s
 
 
-def test_one_polynomial_is_within_the_kernel_bound():
+def test_one_polynomial_is_within_the_kernel_bound(monkeypatch):
     mpmath = pytest.importorskip(
         "mpmath", reason="the oracle needs 120-bit roots of unity")
-    rng = np.random.default_rng(29)
-    splits = 0
-    for shape, p in CASES:
-        lo = tuple(int(rng.integers(-w, 1)) for w in shape)
-        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        n = quadrature_grid_size(TrigPolynomial._from_box(len(shape), lo, box).degree,
-                                 p, OVERSAMPLE)
-        (ratio,), _, k1s = worst_ratios(mpmath, box[None], lo, n, rng, POINTS)
-        # second-order terms are below 1e-10 of the first-order bound here
-        assert 0 < ratio <= 1.01, (shape, ratio)
-        splits += sum(k1 < w for k1, w in zip(k1s, shape))
-    assert splits >= 8
+    # the half tables' axes here are all below _BUTTERFLY_H; at 0 they take
+    # the sum and difference of X and iY instead
+    for butterfly_h in (trig._BUTTERFLY_H, 0):
+        monkeypatch.setattr(trig, "_BUTTERFLY_H", butterfly_h)
+        rng = np.random.default_rng(29)
+        splits = 0
+        for shape, p in CASES:
+            lo = tuple(int(rng.integers(-w, 1)) for w in shape)
+            box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            n = quadrature_grid_size(TrigPolynomial._from_box(len(shape), lo, box).degree,
+                                     p, OVERSAMPLE)
+            (ratio,), _, k1s = worst_ratios(mpmath, box[None], lo, n, rng, POINTS)
+            # second-order terms are below 1e-10 of the first-order bound here
+            assert 0 < ratio <= 1.01, (shape, ratio)
+            splits += sum(k1 < w for k1, w in zip(k1s, shape))
+        assert splits >= 8
 
 
-def test_null_basis_batches_are_within_the_kernel_bound():
+def test_null_basis_batches_are_within_the_kernel_bound(monkeypatch):
     mpmath = pytest.importorskip(
         "mpmath", reason="the oracle needs 120-bit roots of unity")
-    rng = np.random.default_rng(30)
-    for box, m in BATCHES:
-        system = TrigSystem(len(box), box)
-        vh = np.linalg.svd(system.evaluate_at(draw_points(m, len(box), m).points))[2]
-        boxes = vh[m:].conj().reshape(-1, *(2 * b + 1 for b in box))
-        n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
-        ratios, shape, k1s = worst_ratios(mpmath, boxes, tuple(-b for b in box), n,
-                                          rng, BATCH_POINTS)
-        assert k1s == shape
-        assert len(ratios) == system.size - m
-        assert np.all((0 < ratios) & (ratios <= 1.01)), (box, ratios.max())
+    for butterfly_h in (trig._BUTTERFLY_H, 0):  # as in the test above
+        monkeypatch.setattr(trig, "_BUTTERFLY_H", butterfly_h)
+        rng = np.random.default_rng(30)
+        for box, m in BATCHES:
+            system = TrigSystem(len(box), box)
+            vh = np.linalg.svd(system.evaluate_at(draw_points(m, len(box), m).points))[2]
+            boxes = vh[m:].conj().reshape(-1, *(2 * b + 1 for b in box))
+            n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
+            ratios, shape, k1s = worst_ratios(mpmath, boxes, tuple(-b for b in box), n,
+                                              rng, BATCH_POINTS)
+            assert k1s == shape
+            assert len(ratios) == system.size - m
+            assert np.all((0 < ratios) & (ratios <= 1.01)), (box, ratios.max())

@@ -208,6 +208,25 @@ def test_grid_values_edge_cases():
     vals = _grid_values(g._box, g._lo, 4).reshape(4, 4)
     assert np.allclose(vals, np.tile(np.exp(2j * np.pi * np.arange(4) / 4), (4, 1)),
                        atol=1e-15)
+    # even n with a batch: row t = n / 2 is its own mirror, on boxes centred
+    # on 0 and off centre (padded to -h .. h), in both ways of summing
+    rng = np.random.default_rng(8)
+    for butterfly_h in (trig._BUTTERFLY_H, 0):
+        for n, lo, shape in ((2, (-1,), (3,)), (4, (-2, -1), (5, 3)), (2, (1, -3), (2, 3)),
+                             (4, (-4,), (3,))):
+            batch = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+            keys = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
+            expect = np.exp(1j * (_tensor_grid(n, len(lo)) @ (keys + lo).T))
+            if lo == tuple(-(w // 2) for w in shape):
+                expect = TrigSystem(len(lo), [w // 2 for w in shape]).evaluate_at(
+                    _tensor_grid(n, len(lo)))
+            expect = expect @ batch.reshape(3, -1).T
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trig, "_BUTTERFLY_H", butterfly_h)
+                got = _grid_values(batch, lo, n)
+            assert got.shape == expect.shape == (n ** len(lo), 3)
+            scale = np.abs(batch).reshape(3, -1).sum(axis=1)
+            assert np.all(np.abs(got - expect) <= 1e-14 * scale)
 
 
 def batch_entry_bound(box, n, batch):
@@ -224,9 +243,12 @@ def batch_entry_bound(box, n, batch):
       t k mod n (|r| <= n / 2, so the phase is at most pi), takes a product
       and a quotient, gamma_3 pi, and exp 8 u, so a product of d table
       entries is within d (gamma_3 pi + 8 u); each axis of the sum
-      factorisation adds (sqrt(2) gamma_2 + gamma_2w) |c|_1 for its width
-      w.  The batches here keep full tables; a split axis would add a
-      second table entry and a second sum.
+      factorisation, summed on its half table of the real and imaginary
+      parts of the roots for k = 0 .. b, b its box order, adds
+      sqrt(2) (u + gamma_(2b+1)) |c|_1: the pair sums c_k +- c_-k, then
+      real dot products of length at most 2b + 1.  The batches here keep
+      half tables; a split axis would add a second table entry and a
+      second sum.
     The factor 2 absorbs the second-order terms.
     """
     u = np.finfo(float).eps / 2
@@ -236,17 +258,19 @@ def batch_entry_bound(box, n, batch):
 
     d, widths, x = len(box), [2 * b + 1 for b in box], 2 * np.pi
     entry = (gamma(3) + gamma(d)) * sum(box) * x + (d + 1) * 8 * u + d * gamma(3) * np.pi
-    sums = (d + 1) * math.sqrt(2) * gamma(2) + gamma(2 * math.prod(widths))
-    sums += sum(gamma(2 * w) for w in widths)
+    sums = math.sqrt(2) * gamma(2) + gamma(2 * math.prod(widths))
+    sums += sum(math.sqrt(2) * (u + gamma(2 * b + 1)) for b in box)
     return 2 * (entry + sums) * np.abs(batch).sum(axis=0)
 
 
 @pytest.mark.parametrize("box, m, seed", [
     ((6,), 0, 0), ((6,), 5, 1), ((40,), 20, 2),
-    ((3, 2), 0, 0), ((3, 2), 7, 3), ((4, 4), 20, 4), ((2, 5), 10, 5)])
+    ((3, 2), 0, 0), ((3, 2), 7, 3), ((4, 4), 20, 4), ((2, 5), 10, 5),
+    ((96,), 48, 6), ((2, 1, 3), 30, 7), ((200,), 100, 8)])
 def test_batched_grid_values_match_the_evaluation_matrix(box, m, seed):
     # the batch make_fooling passes: a null basis of the box system at m
-    # points (every column at m = 0), on its oversampled grid
+    # points (every column at m = 0), on its oversampled grid; box 96 is
+    # the adversary workload's widest, and box 200 is past _BUTTERFLY_H
     system = TrigSystem(len(box), box)
     if m:
         pts = draw_points(m, len(box), seed).points

@@ -378,13 +378,14 @@ def test_make_fooling_keeps_its_batch_and_norm_tables_read_only():
     assert not inst.x_star.flags.writeable
     with pytest.raises(ValueError):
         inst.x_star[0] = 0.0
-    # the null basis's full tables on the grid of n = 25 points per axis,
-    # then those of f's norms, f on the box (-3 .. 3, -1 .. 1), n = 33
+    # the null basis's half tables on the grid of n = 25 points per axis,
+    # rows t = 0 .. 12, sines for k = h .. 1, cosines for 0 .. h, then those of
+    # f's norms, f on the box (-3 .. 3, -1 .. 1), n = 33
     batch, norms = (25, (-2, -1), (5, 3), (5, 3)), (33, (-3, -1), (7, 3), (7, 3))
     assert list(trig._tables.kept) == [batch, norms]
     tables = trig._tables.kept[batch]
-    assert [(low.shape, high) for low, high in tables] == [((25, 5), None),
-                                                           ((25, 3), None)]
+    assert [(low.shape, low.dtype, high) for low, high in tables] == [
+        ((13, 5), np.float64, None), ((13, 3), np.float64, None)]
     assert all(not low.flags.writeable for low, _ in tables)
     # another point set on the box, with another null dimension, reads both
     make_fooling(draw_points(5, 2, 6), (2, 1))
@@ -395,10 +396,10 @@ def test_make_fooling_keeps_its_batch_and_norm_tables_read_only():
 def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
     # as in the adversary workload: the greedy fed zero data, here on box 16
     # with 8 and then 6 new points, whose null bases of 25 and 27 vectors
-    # share the batch's full table; f's width-63 norm axis splits
-    builds, real = [], trig._roots
-    monkeypatch.setattr(trig, "_roots", lambda roots, k: builds.append(k.size)
-                        or real(roots, k))
+    # share the batch's half table; f's width-63 norm axis splits
+    builds, build = [], trig._roots
+    monkeypatch.setattr(trig, "_roots", lambda roots, t, k, real=False:
+                        builds.append(k.size) or build(roots, t, k, real))
     box, system = (16,), TrigSystem(1, (16,))
     trig._tables.kept.clear()
     for m, seed in ((8, 1), (6, 2)):
@@ -406,24 +407,31 @@ def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
         xi = draw_points(m, 1, seed)
         adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
     assert builds == []
-    # on a cold cache the pass builds the batch's 257 x 33 table and the
-    # norms' 257 x 8 and 257 x 8
+    # on a cold cache the pass builds the batch's half table, 129 x 33
+    # floats from the roots of k = 0 .. 16, and the norms' split tables,
+    # 257 x 8 and 257 x 8 complex
     trig._tables.kept.clear()
     adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
-    assert builds == [33, 8, 8]
+    assert builds == [17, 8, 8]
 
 
 def test_the_tables_kept_for_the_top_box_are_small():
-    # box (15, 15) at the top of the scope: the batch's one 129 x 31 table
-    # and the norms' one 241 x 29 table (with no points the winning null
-    # vector is one exponential, so f has the Fejer kernel's width), no
-    # grid matrix (16,641 x 961 complex, 256 MB)
+    # box (15, 15) at the top of the scope: the batch's one half table,
+    # 65 x 31 floats (rows t <= 64 of n = 129, k = -15 .. 15 folded), and
+    # the norms' one 121 x 59 (with no points the winning null vector is
+    # one exponential, so f has the Fejer kernel's width, here on k = -29
+    # .. -1, n = 241), no grid matrix (16,641 x 961 complex, 256 MB)
     trig._tables.kept.clear()
     make_fooling(PointSet(2, np.zeros((0, 2))), (15, 15))
     kept = {id(t): t.nbytes for tables in trig._tables.kept.values()
             for pair in tables for t in pair if t is not None}
-    assert sorted(kept.values()) == [129 * 31 * 16, 241 * 29 * 16]
+    assert sorted(kept.values()) == [65 * 31 * 8, 121 * 59 * 8]
     assert sum(kept.values()) < 2 ** 20
+    # no axis that keeps its full table keeps a complex n x w one
+    for (n, _, shape, k1s), tables in trig._tables.kept.items():
+        for w, k1, (low, high) in zip(shape, k1s, tables):
+            assert k1 == w and high is None
+            assert low.dtype == np.float64 and low.shape[0] == n // 2 + 1
 
 
 def old_fooling_choice(xi, box):

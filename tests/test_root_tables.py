@@ -243,17 +243,19 @@ def test_degree_and_products_on_negative_frequencies():
 
 def test_cached_tables_are_read_only_and_two_entries_are_kept():
     # d = 2: neither axis splits, as each full table is smaller than its
-    # step's partial sums would be; d = 1: width 100 splits as K1 = K2 = 10
+    # step's partial sums would be, and each keeps a half table of rows
+    # t = 0 .. 5, sines for k = h .. 1, cosines for 0 .. h, h = 3 for k = -2 .. 3
+    # and h = 4 for k = 1 .. 4; d = 1: width 100 splits as K1 = K2 = 10
     trig._tables.kept.clear()
     _grid_values(TrigPolynomial(2, {(-2, 1): 1.0, (3, 4): 0.5j})._box, (-2, 1), 11)
     _grid_values(TrigPolynomial(1, {(-50,): 1.0, (49,): 2.0})._box, (-50,), 201)
     first, second = (11, (-2, 1), (6, 4), (6, 4)), (201, (-50,), (100,), (10,))
     assert list(trig._tables.kept) == [first, second]
     pairs = trig._tables.kept[first]
-    assert [(low.shape, high) for low, high in pairs] == [((11, 6), None),
-                                                          ((11, 4), None)]
+    assert [(low.shape, low.dtype, high) for low, high in pairs] == [
+        ((6, 7), np.float64, None), ((6, 9), np.float64, None)]
     ((low, high),) = trig._tables.kept[second]
-    assert low.shape == high.shape == (201, 10)
+    assert low.shape == high.shape == (201, 10) and low.dtype == high.dtype == complex
     for table in (*pairs[0][:1], *pairs[1][:1], low, high):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -268,34 +270,42 @@ def test_cached_tables_are_read_only_and_two_entries_are_kept():
     assert list(trig._tables.kept) == [first, (5, (-1, -1), (3, 3), (3, 3))]
 
 
-def tables_with_index_matrix(n, ks):
-    """Tables gathered through one int64 index matrix of their own size,
-    from the roots at phases in (-pi, pi], one per frequency list in ks."""
+def tables_with_index_matrix(n, a, w, k1):
+    """The tables of an axis gathered through one int64 index matrix of
+    their own size, from the roots at phases in (-pi, pi]: the complex
+    (low, high) of a split axis, or (half, None) for K1 = w, half the
+    imaginary parts of rows t = 0 .. n // 2 for k = h .. 1, then the real
+    parts for k = 0 .. h."""
     t = np.arange(n)
     roots = np.exp(2j * np.pi * (t - n * (2 * t > n)) / n)
-    return [roots[np.outer(t, k) % n] for k in ks]
+    if k1 < w:
+        return [roots[np.outer(t, k) % n] for k in (np.arange(a, a + k1),
+                                                    k1 * np.arange(-(-w // k1)))]
+    z = roots[np.outer(t[:n // 2 + 1], np.arange(max(-a, a + w - 1) + 1)) % n]
+    return [np.hstack([z.imag[:, :0:-1], z.real]), None]
 
 
 @pytest.mark.parametrize("block_entries", [1, 7, trig._EXP_BLOCK_ENTRIES])
 def test_row_blocks_gather_the_index_matrix_tables(monkeypatch, block_entries):
-    # d = 1-3, axes that share a span, n that no block size divides, a span
-    # wider than a block and one-column spans; every axis full, then every
-    # axis wider than 2 split
+    # d = 1-3, axes that share a span, n that no block size divides, even
+    # n, a span wider than a block, one-column spans and spans off centre;
+    # every axis full, then every axis wider than 2 split
     monkeypatch.setattr(trig, "_EXP_BLOCK_ENTRIES", block_entries)
-    cases = [(13, (-4,), (9,)), (1, (0,), (1,)), (7, (3,), (1,)),
+    cases = [(13, (-4,), (9,)), (1, (0,), (1,)), (7, (3,), (1,)), (2, (-1,), (3,)),
              (1001, (-120, 5), (250, 3)), (97, (-9, -9), (19, 19)),
-             (41, (-4, 2, -4), (9, 5, 9)), (8195, (-2, -2, -2), (5, 5, 5))]
+             (41, (-4, 2, -4), (9, 5, 9)), (8195, (-2, -2, -2), (5, 5, 5)),
+             (64, (-7, -20), (3, 12))]
     for n, lo, shape in cases:
         for k1s in (shape, tuple(math.isqrt(w - 1) + 1 for w in shape)):
             trig._tables.kept.clear()
             got = trig._tables(n, lo, shape, k1s)
             for (low, high), a, w, k1 in zip(got, lo, shape, k1s):
-                ks = [np.arange(a, a + k1)]
-                if k1 < w:
-                    ks.append(k1 * np.arange(-(-w // k1)))
                 assert (high is None) == (k1 == w)
-                for table, expect in zip((low, high), tables_with_index_matrix(n, ks)):
-                    assert table.shape == expect.shape
+                for table, expect in zip((low, high), tables_with_index_matrix(n, a, w, k1)):
+                    if expect is None:
+                        assert table is None
+                        continue
+                    assert table.shape == expect.shape and table.dtype == expect.dtype
                     assert np.array_equal(bits(table), bits(expect))
                     assert not table.flags.writeable
             for a in range(len(lo)):
@@ -319,11 +329,13 @@ def test_a_miss_with_both_entries_full_frees_one_before_building(split):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one kept entry, the new tables (n x 250, or n x 16 and n x 16) and one
-    # row block's work: two int64 row blocks (the last one lives until the
-    # next is bound), the two input buffers of numpy's broadcast product,
-    # the arange and roots of length n and 16 KB of slack.  The dropped
-    # entry would add one more set of tables
+    # one kept entry, the new tables (the half table, 501 x 503 floats for
+    # k = -251 .. 251, or n x 16 and n x 16 complex) and one row block's
+    # work: two int64 row blocks (the last one lives until the next is
+    # bound), the two input buffers of numpy's broadcast product, the
+    # arange and roots of length n and 16 KB of slack, which also holds the
+    # half table's copies of the roots' real and imaginary parts, 16 n
+    # bytes.  The dropped entry would add one more set of tables
     tables = sum(t.nbytes for t in pairs[0] if t is not None)
     work = 2 * 8 * trig._EXP_BLOCK_ENTRIES + 2 * 8 * np.getbufsize() + 24 * n + 2 ** 14
     assert peak < 2 * tables + work < 3 * tables
