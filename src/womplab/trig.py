@@ -22,8 +22,7 @@ import numpy as np
 # Cap on entries of any single evaluation block (points x coefficients).
 _EVAL_CHUNK_ENTRIES = 1 << 22
 _EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's and _roots' row blocks
-_GRID_BLOCK_ENTRIES = 1 << 16  # values of _half_sums' blocks and temporaries
-_BUTTERFLY_H = 160  # from this h on, _half_sums forms X and Y once for t and n - t
+_GRID_BLOCK_ENTRIES = 1 << 16  # values of _half_sums' blocks
 
 # Grid refinement of lp_norms' quadrature and of make_fooling's sup search.
 OVERSAMPLE = 8
@@ -321,22 +320,16 @@ def _tensor_grid(n: int, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _roots(roots: np.ndarray, t: np.ndarray, k: np.ndarray, real=False) -> np.ndarray:
-    """Read-only table of roots[(t * k) % n], n = roots.size, rows t and
-    columns k, gathered in row blocks without an index matrix of its size;
-    real, for k = 0 .. h: imaginary parts for k = h .. 1, real for 0 .. h."""
-    n, parts = roots.size, [roots.imag.copy(), roots.real.copy()] if real else [roots]
-    table = np.empty((t.size, len(parts) * k.size - real), dtype=parts[0].dtype)
-    rows = max(1, _EXP_BLOCK_ENTRIES // max(1, k.size))
+def _roots(roots: np.ndarray, t: np.ndarray, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, rows t and columns k, filled with roots[(t * k) % n], n =
+    roots.size, in row blocks without an index matrix of its size."""
+    n, rows = roots.size, max(1, _EXP_BLOCK_ENTRIES // max(1, k.size))
     for r in range(0, t.size, rows):
         phase = np.multiply.outer(t[r:r + rows], k)
         phase -= phase // n * n  # t k mod n; // by a scalar is faster than %
         # phase < n, so "clip" clips nothing; "raise" would buffer out
-        np.take(parts[-1], phase, out=table[r:r + rows, -k.size:], mode="clip")
-        if real:
-            np.take(parts[0], phase[:, :0:-1], out=table[r:r + rows, :k.size - 1], mode="clip")
-    table.flags.writeable = False
-    return table
+        np.take(roots, phase, out=out[r:r + rows], mode="clip")
+    return out
 
 
 _KEPT = 2  # make_fooling's batch and norms alternate, as do certificates on two boxes
@@ -377,10 +370,17 @@ def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
     built, pairs = {}, []
     for a, w, k1 in zip(lo, shape, k1s):
         if (a, w, k1) not in built:
-            high = _roots(roots, t, k1 * np.arange(-(-w // k1))) if k1 < w else None
-            k = np.arange(a, a + k1) if k1 < w else np.arange(max(-a, a + w - 1) + 1)
-            built[a, w, k1] = (_roots(roots, t[:n // 2 + 1] if high is None else t, k,
-                                      real=high is None), high)
+            if k1 < w:
+                low, high = (_roots(roots, t, k, np.empty((n, k.size), dtype=complex))
+                             for k in (np.arange(a, a + k1), k1 * np.arange(-(-w // k1))))
+                high.flags.writeable = False
+            else:  # [S | C]
+                h, half, high = max(-a, a + w - 1), t[:n // 2 + 1], None
+                low = np.empty((half.size, 2 * h + 1))
+                _roots(roots.imag.copy(), half, np.arange(h, 0, -1), low[:, :h])
+                _roots(roots.real.copy(), half, np.arange(h + 1), low[:, h:])
+            low.flags.writeable = False
+            built[a, w, k1] = (low, high)
         pairs.append(built[a, w, k1])
     return tuple(pairs)
 
@@ -388,15 +388,13 @@ def _tables(n: int, lo: tuple, shape: tuple, k1s: tuple) -> tuple:
 def _half_sums(x: np.ndarray, a: int, n: int, table: np.ndarray) -> np.ndarray:
     """The middle axis of x, shape (P, w, S), frequencies k = a .. a + w - 1,
     summed on the n-point grid from its half table, giving (P, n, S).  With
-    c zero-padded to -h .. h, p_j = c_j + c_-j (p_0 = c_0), q_j = c_j - c_-j,
-    X = C p and Y = S q, row t is X + iY and row n - t X - iY, real products
-    of float pairs.  From h = _BUTTERFLY_H on, X and iY are formed once (a
-    quarter of the complex multiply-adds); below, where their sum and
-    difference cost more, a row is one [S | C] [+-iq; p] (half of them).
-    Columns go in blocks of _GRID_BLOCK_ENTRIES values, of w at least."""
+    c zero-padded to -h .. h, p_j = c_j + c_-j (p_0 = c_0) and q_j = c_j -
+    c_-j, row t is [S | C]_t [iq; p] = X + iY and row n - t is [S | C]_t
+    [-iq; p] = X - iY, X = C p and Y = S q: real products of float pairs,
+    half the multiply-adds of the complex n x w table.  Columns go in
+    blocks of _GRID_BLOCK_ENTRIES values, of w at least."""
     (P, w, S), h, half, m = x.shape, (table.shape[1] - 1) // 2, n // 2 + 1, (n - 1) // 2
     out, cols = np.empty((P, n, S), dtype=complex), max(w, _GRID_BLOCK_ENTRIES // (P * n))
-    rows = max(1, _GRID_BLOCK_ENTRIES // (P * min(cols, S)))  # of iY
     for s in range(0, S, cols):
         c = np.zeros((P, 2 * h + 1, min(cols, S - s)), dtype=complex)  # k = -h .. h
         c[:, a + h:a + h + w] = x[:, :, s:s + cols]
@@ -406,17 +404,9 @@ def _half_sums(x: np.ndarray, a: int, n: int, table: np.ndarray) -> np.ndarray:
         up += c_down
         down *= 1j
         y = out[:, :, s:s + cols]
-        if h < _BUTTERFLY_H:
-            np.matmul(table, c_f, out=y[:, :half].view(np.float64))
-            np.negative(c[:, :h], out=c[:, :h])
-            np.matmul(table[m:0:-1], c_f, out=y[:, half:].view(np.float64))
-            continue
-        np.matmul(table[:, h:], c_f[:, h:], out=y[:, :half].view(np.float64))
-        for r in range(1, half, rows):  # iY on rows t = r .. e - 1, mirrored up to m
-            e, k = min(r + rows, half), max(0, min(rows, m + 1 - r))
-            iy = np.matmul(table[r:e, :h], c_f[:, :h]).view(complex)
-            np.subtract(y[:, r:r + k], iy[:, :k], out=y[:, n - r:n - r - k:-1])
-            y[:, r:e] += iy
+        np.matmul(table, c_f, out=y[:, :half].view(np.float64))
+        np.negative(c[:, :h], out=c[:, :h])
+        np.matmul(table[m:0:-1], c_f, out=y[:, half:].view(np.float64))
     return out
 
 
@@ -447,13 +437,13 @@ def _grid_values(vals: np.ndarray, lo, n: int) -> np.ndarray:
     it, a split axis adds e_a = 2 e_T + beta(K1) + beta(K2).  On a half
     table, with s_j = |c_j| + |c_-j|: the pair sums add u s_j to each of
     p_j and q_j; C_tj +- i S_tj are an entry and its conjugate, within
-    e_T s_j on both; each real or imaginary part is a real dot product, of
-    length 2h + 1 ([S | C] [+-iq; p]) or h + 1 (X, Y), of terms
-    |C_tj| |p_j| + |S_tj| |q_j| <= sqrt(2) s_j; X +- iY adds u |c|_1.  So
-    either way e_a = e_T + sqrt(2) (u + gamma_(2h+1)).  Entries have
-    modulus at most 1 + e_T, so errors carry through later axes at most by
-    the l1 sum: each batch entry's values are within (e_1 + .. + e_d) |c|_1
-    of the exact sum_k c_k exp(2 pi i <k, t> / n), to first order in u.
+    e_T s_j on both; each real or imaginary part is a real dot product of
+    length 2h + 1, [S | C]_t [+-iq; p], of terms |C_tj| |p_j| + |S_tj|
+    |q_j| <= sqrt(2) s_j.  So e_a = e_T + sqrt(2) (u + gamma_(2h+1)).
+    Entries have modulus at most 1 + e_T, so errors carry through later
+    axes at most by the l1 sum: each batch entry's values are within (e_1
+    + .. + e_d) |c|_1 of the exact sum_k c_k exp(2 pi i <k, t> / n), to
+    first order in u.
     """
     lo, d = tuple(int(a) for a in lo), len(lo)
     batch, shape = vals.shape[:-d], vals.shape[-d:]

@@ -100,40 +100,34 @@ def worst_ratios(mpmath, boxes, lo, n, rng, count):
     return errors.max(axis=0) / l1 / kernel_bound(lo, shape, k1s), shape, k1s
 
 
-def test_one_polynomial_is_within_the_kernel_bound(monkeypatch):
+def test_one_polynomial_is_within_the_kernel_bound():
     mpmath = pytest.importorskip(
         "mpmath", reason="the oracle needs 120-bit roots of unity")
-    # the half tables' axes here are all below _BUTTERFLY_H; at 0 they take
-    # the sum and difference of X and iY instead
-    for butterfly_h in (trig._BUTTERFLY_H, 0):
-        monkeypatch.setattr(trig, "_BUTTERFLY_H", butterfly_h)
-        rng = np.random.default_rng(29)
-        splits = 0
-        for shape, p in CASES:
-            lo = tuple(int(rng.integers(-w, 1)) for w in shape)
-            box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            n = quadrature_grid_size(TrigPolynomial._from_box(len(shape), lo, box).degree,
-                                     p, OVERSAMPLE)
-            (ratio,), _, k1s = worst_ratios(mpmath, box[None], lo, n, rng, POINTS)
-            # second-order terms are below 1e-10 of the first-order bound here
-            assert 0 < ratio <= 1.01, (shape, ratio)
-            splits += sum(k1 < w for k1, w in zip(k1s, shape))
-        assert splits >= 8
+    rng = np.random.default_rng(29)
+    splits = 0
+    for shape, p in CASES:
+        lo = tuple(int(rng.integers(-w, 1)) for w in shape)
+        box = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        n = quadrature_grid_size(TrigPolynomial._from_box(len(shape), lo, box).degree,
+                                 p, OVERSAMPLE)
+        (ratio,), _, k1s = worst_ratios(mpmath, box[None], lo, n, rng, POINTS)
+        # second-order terms are below 1e-10 of the first-order bound here
+        assert 0 < ratio <= 1.01, (shape, ratio)
+        splits += sum(k1 < w for k1, w in zip(k1s, shape))
+    assert splits >= 8
 
 
-def test_null_basis_batches_are_within_the_kernel_bound(monkeypatch):
+def test_null_basis_batches_are_within_the_kernel_bound():
     mpmath = pytest.importorskip(
         "mpmath", reason="the oracle needs 120-bit roots of unity")
-    for butterfly_h in (trig._BUTTERFLY_H, 0):  # as in the test above
-        monkeypatch.setattr(trig, "_BUTTERFLY_H", butterfly_h)
-        rng = np.random.default_rng(30)
-        for box, m in BATCHES:
-            system = TrigSystem(len(box), box)
-            vh = np.linalg.svd(system.evaluate_at(draw_points(m, len(box), m).points))[2]
-            boxes = vh[m:].conj().reshape(-1, *(2 * b + 1 for b in box))
-            n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
-            ratios, shape, k1s = worst_ratios(mpmath, boxes, tuple(-b for b in box), n,
-                                              rng, BATCH_POINTS)
-            assert k1s == shape
-            assert len(ratios) == system.size - m
-            assert np.all((0 < ratios) & (ratios <= 1.01)), (box, ratios.max())
+    rng = np.random.default_rng(30)
+    for box, m in BATCHES:
+        system = TrigSystem(len(box), box)
+        vh = np.linalg.svd(system.evaluate_at(draw_points(m, len(box), m).points))[2]
+        boxes = vh[m:].conj().reshape(-1, *(2 * b + 1 for b in box))
+        n = quadrature_grid_size(max(box), math.inf, OVERSAMPLE)
+        ratios, shape, k1s = worst_ratios(mpmath, boxes, tuple(-b for b in box), n,
+                                          rng, BATCH_POINTS)
+        assert k1s == shape
+        assert len(ratios) == system.size - m
+        assert np.all((0 < ratios) & (ratios <= 1.01)), (box, ratios.max())

@@ -209,24 +209,21 @@ def test_grid_values_edge_cases():
     assert np.allclose(vals, np.tile(np.exp(2j * np.pi * np.arange(4) / 4), (4, 1)),
                        atol=1e-15)
     # even n with a batch: row t = n / 2 is its own mirror, on boxes centred
-    # on 0 and off centre (padded to -h .. h), in both ways of summing
+    # on 0 and off centre (padded to -h .. h)
     rng = np.random.default_rng(8)
-    for butterfly_h in (trig._BUTTERFLY_H, 0):
-        for n, lo, shape in ((2, (-1,), (3,)), (4, (-2, -1), (5, 3)), (2, (1, -3), (2, 3)),
-                             (4, (-4,), (3,))):
-            batch = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
-            keys = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
-            expect = np.exp(1j * (_tensor_grid(n, len(lo)) @ (keys + lo).T))
-            if lo == tuple(-(w // 2) for w in shape):
-                expect = TrigSystem(len(lo), [w // 2 for w in shape]).evaluate_at(
-                    _tensor_grid(n, len(lo)))
-            expect = expect @ batch.reshape(3, -1).T
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(trig, "_BUTTERFLY_H", butterfly_h)
-                got = _grid_values(batch, lo, n)
-            assert got.shape == expect.shape == (n ** len(lo), 3)
-            scale = np.abs(batch).reshape(3, -1).sum(axis=1)
-            assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+    for n, lo, shape in ((2, (-1,), (3,)), (4, (-2, -1), (5, 3)), (2, (1, -3), (2, 3)),
+                         (4, (-4,), (3,))):
+        batch = rng.standard_normal((3, *shape)) + 1j * rng.standard_normal((3, *shape))
+        keys = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=-1)
+        expect = np.exp(1j * (_tensor_grid(n, len(lo)) @ (keys + lo).T))
+        if lo == tuple(-(w // 2) for w in shape):
+            expect = TrigSystem(len(lo), [w // 2 for w in shape]).evaluate_at(
+                _tensor_grid(n, len(lo)))
+        expect = expect @ batch.reshape(3, -1).T
+        got = _grid_values(batch, lo, n)
+        assert got.shape == expect.shape == (n ** len(lo), 3)
+        scale = np.abs(batch).reshape(3, -1).sum(axis=1)
+        assert np.all(np.abs(got - expect) <= 1e-14 * scale)
 
 
 def batch_entry_bound(box, n, batch):
@@ -270,7 +267,7 @@ def batch_entry_bound(box, n, batch):
 def test_batched_grid_values_match_the_evaluation_matrix(box, m, seed):
     # the batch make_fooling passes: a null basis of the box system at m
     # points (every column at m = 0), on its oversampled grid; box 96 is
-    # the adversary workload's widest, and box 200 is past _BUTTERFLY_H
+    # the adversary workload's widest, and box 200 a wider half table
     system = TrigSystem(len(box), box)
     if m:
         pts = draw_points(m, len(box), seed).points

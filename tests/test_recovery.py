@@ -398,8 +398,8 @@ def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
     # with 8 and then 6 new points, whose null bases of 25 and 27 vectors
     # share the batch's half table; f's width-63 norm axis splits
     builds, build = [], trig._roots
-    monkeypatch.setattr(trig, "_roots", lambda roots, t, k, real=False:
-                        builds.append(k.size) or build(roots, t, k, real))
+    monkeypatch.setattr(trig, "_roots", lambda roots, t, k, out:
+                        builds.append(k.size) or build(roots, t, k, out))
     box, system = (16,), TrigSystem(1, (16,))
     trig._tables.kept.clear()
     for m, seed in ((8, 1), (6, 2)):
@@ -408,11 +408,11 @@ def test_a_second_adversary_gap_on_one_box_builds_no_table(monkeypatch):
         adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
     assert builds == []
     # on a cold cache the pass builds the batch's half table, 129 x 33
-    # floats from the roots of k = 0 .. 16, and the norms' split tables,
-    # 257 x 8 and 257 x 8 complex
+    # floats, from the sines of k = 16 .. 1 and the cosines of k = 0 .. 16,
+    # and the norms' split tables, 257 x 8 and 257 x 8 complex
     trig._tables.kept.clear()
     adversary_gap(xi, box, recovery=zero_data_recovery(system, xi))
-    assert builds == [17, 8, 8]
+    assert builds == [16, 17, 8, 8]
 
 
 def test_the_tables_kept_for_the_top_box_are_small():
