@@ -16,6 +16,6 @@ from .recovery import (FoolingInstance, GapRecord, RecoveryReport,
 from .experiments import (ConfigError, RateFit, default_config, fit_rate,
                           parse_config, rate_sweep_compute, schedule_m,
                           target_exponent)
-from .acceptance import CriterionResult, run_all, run_criterion
+from .acceptance import CriterionResult, run_all
 
 __version__ = "0.1.0"

@@ -378,10 +378,6 @@ CRITERIA = (
 )
 
 
-def run_criterion(number: int) -> CriterionResult:
-    return run_all([number])[0]
-
-
 def run_all(numbers=None, progress=None) -> list:
     chosen = set(numbers) if numbers else {num for num, _, _ in CRITERIA}
     unknown = chosen - {num for num, _, _ in CRITERIA}

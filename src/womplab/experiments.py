@@ -295,6 +295,8 @@ def run_find_points(cfg: dict):
     if sec["m0"] > sec["m_cap"]:
         raise ConfigError(f"[find-points] m0: expected <= m_cap = "
                           f"{sec['m_cap']}, got {sec['m0']}")
+    if not sec["grid"]:
+        _check_scope("find-points", "m0", sec["m0"], "points", system)
     attempts = ([_pointset_from(sec, "find-points", system, seed)] if sec["grid"]
                 else (draw_points(sec["m0"] << k, d, seed + k)
                       for k in range((sec["m_cap"] // sec["m0"]).bit_length())))
@@ -430,9 +432,8 @@ def _cell_shape(sec, v):
     return J, TrigSystem(sec["d"], (2 ** J - 1,) * sec["d"]), schedule_m(v, sec["a"])
 
 
-def _sweep_cell(args):
+def _sweep_cell(sec, base_seed, v, seed_idx):
     """One (v, seed) cell: draw points, sample the target, recover, measure."""
-    sec, base_seed, v, seed_idx = args
     d = sec["d"]
     J, system, m = _cell_shape(sec, v)
     spec = ClassSpec(sec["r"], sec["beta"], J)
@@ -448,8 +449,7 @@ def _sweep_cell(args):
     tol = EXACT_RECOVERY_REL_TOL * report.trace.residual_norms[0]
     errors = {p: 0.0 if e <= tol else e
               for p, e in zip(p_list, lp_norms(f0 - report.approximant, p_list))}
-    return {"v": v, "seed": seed_idx, "m": m, "J": J, "size": system.size,
-            "steps": report.trace.steps, "errors": errors, "report": report}
+    return {"v": v, "seed": seed_idx, "m": m, "errors": errors, "report": report}
 
 
 def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
@@ -460,8 +460,12 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
     runs.  A v whose sample budget falls below its greedy step count is
     dropped and reported back; a section that leaves the fit fewer than
     4 distinct v, repeats a p, or has a cell with u above N or with more
-    than SCOPE_ENTRIES sampled entries is refused.
+    than SCOPE_ENTRIES sampled entries is refused.  The cells run in one
+    serial loop; `threads` accepts only 1, and goes once the benchmark's
+    sweep workload stops passing it (ROADMAP item 1a).
     """
+    if threads != 1:
+        raise ValueError(f"threads: expected 1 (serial sweep), got {threads}")
     _check("rate-sweep", sec)
     v_list = _numbers(sec, "rate-sweep", "v_list")
     p_list = _numbers(sec, "rate-sweep", "p_list")
@@ -485,19 +489,10 @@ def rate_sweep_compute(sec: dict, base_seed: int = 0, threads: int = 1):
         if u > n:
             raise ConfigError(f"[rate-sweep] c_emp: at v = {v}, u = ceil((1 + "
                               f"c_emp) v) = {u} exceeds the dictionary size N = {n}")
-        if m * n > SCOPE_ENTRIES:
-            raise ConfigError(f"[rate-sweep] v_list: v = {v} takes m = {m} "
-                              f"samples of N = {n} columns, {m * n:,} entries; "
-                              f"the scope ends at {SCOPE_ENTRIES:,}")
+        _check_scope("rate-sweep", "v_list", m, f"samples (v = {v})", system)
     n_seeds = sec["seeds"]
-    jobs = [(sec, base_seed, v, s) for v in kept for s in range(n_seeds)]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(_sweep_cell, jobs))
-    else:
-        cells = [_sweep_cell(job) for job in jobs]
+    cells = [_sweep_cell(sec, base_seed, v, s)
+             for v in kept for s in range(n_seeds)]
 
     fits = {}
     for p in p_list:
@@ -574,6 +569,11 @@ def run_fooling(cfg: dict):
         half = (2 * box + 1) ** d / 2
         if m > half:
             raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
+        # make_fooling factors the m x theta evaluation matrix by a full SVD,
+        # whose theta x theta factor (the identity at m = 0) holds the null basis
+        system = TrigSystem(d, (box,) * d)
+        _check_scope("fooling", "box_list", m, "points", system)
+        _check_scope("fooling", "box_list", system.size, "SVD factor rows", system)
 
     records = []
     rows = []

@@ -420,12 +420,15 @@ def _grid_values(vals: np.ndarray, lo, n: int) -> np.ndarray:
     n x K1 table, then k2 against an n x K2 one, batched over the rows t.
     That holds n x rest x K2 partial sums, rest = batch size x prod(w_1 ..
     w_(axis-1)) x n^(d - axis) the step's other values, so an axis is split
-    only where the two tables and those sums hold fewer entries than the
-    n x w table, by more than one _EXP_BLOCK_ENTRIES row block: for one
-    polynomial every d = 1 box from a width of 45 (one-sided) to 58
-    (centred) up and, in d >= 2, at most a much wider last axis; no batch
-    of make_fooling on the default and benchmark boxes.  The tables are
-    keyed by the split, not the batch size: chunks of a batch share them.
+    only where the two tables and those sums hold fewer entries than n w,
+    by more than one _EXP_BLOCK_ENTRIES row block: for one polynomial every
+    d = 1 box from a width of 45 (one-sided) to 58 (centred) up and, in d
+    >= 2, at most a much wider last axis; no batch of make_fooling on the
+    default and benchmark boxes.  n w counts the complex n x w table, which
+    no axis holds (an unsplit axis sums on a real half table); that count
+    stays the yardstick so that the same axes split and wide d = 1 norms
+    keep their bits.  The tables are keyed by the split, not the batch
+    size: chunks of a batch share them.
 
     Rounding.  With u = 2^-53, gamma_k = k u / (1 - k u) and beta(m) =
     sqrt(2) gamma_(m+1), the bound of a length-m complex dot product

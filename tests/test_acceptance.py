@@ -10,7 +10,7 @@ how much.
 import pytest
 
 from womplab import acceptance, greedy
-from womplab.acceptance import largest_uncertifiable_m, run_criterion
+from womplab.acceptance import largest_uncertifiable_m, run_all
 from womplab.discretization import build_sampled, check_usd, draw_points
 from womplab.trig import TrigSystem
 
@@ -26,7 +26,7 @@ def _check(number):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "_womp_lstsq", counted)
-        result = run_criterion(number)
+        result, = run_all([number])
     assert result.passed, f"[{result.number}] {result.name}: {result.detail}"
     assert not fallbacks, f"[{result.number}] {len(fallbacks)} womp fallbacks"
     return result
@@ -90,9 +90,9 @@ def test_criterion_9_sparse_norm_ratio():
     _check(9)
 
 
-def test_run_criterion_rejects_unknown_number():
+def test_run_all_rejects_unknown_number():
     with pytest.raises(ValueError):
-        run_criterion(10)
+        run_all([10])
 
 
 def test_exact_cells_are_judged_relative_to_the_target_scale(monkeypatch):

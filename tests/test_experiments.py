@@ -292,7 +292,7 @@ def test_rate_sweep_single_spike_collapses_to_exact_recovery():
     sec.update({"profile": "single-spike", "v_list": "1,2,3,4", "seeds": 2,
                 "p_list": "2"})
     for v in (1, 2, 3, 4):
-        cell = _sweep_cell((sec, 0, v, 0))
+        cell = _sweep_cell(sec, 0, v, 0)
         assert cell["errors"][2.0] == 0.0
     with pytest.raises(ValueError, match="usable"):
         rate_sweep_compute(sec, base_seed=0)
@@ -315,8 +315,8 @@ def test_rate_sweep_compute_leaves_numpy_ma_unloaded():
 
 
 def test_import_leaves_concurrent_futures_unloaded():
-    # the sweep's thread pool is the only user, and importing it costs
-    # about 8 ms in every process
+    # importing it costs about 8 ms in every process, and the library runs
+    # on one Python thread
     code = "import sys, womplab; print('concurrent.futures' in sys.modules)"
     path = os.pathsep.join(filter(None, [str(Path(womplab.__file__).parents[1]),
                                          os.environ.get("PYTHONPATH")]))
@@ -326,12 +326,16 @@ def test_import_leaves_concurrent_futures_unloaded():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
-def test_rate_sweep_threads_match_serial():
+def test_rate_sweep_refuses_threads_other_than_1_before_any_cell(monkeypatch):
+    # the sweep is serial; the parameter stays only for the benchmark's
+    # threads=1, and any other value must not run as if it were honoured
+    def reached(*args):
+        raise AssertionError("a cell ran")
+    monkeypatch.setattr(experiments, "_sweep_cell", reached)
     sec = default_config()["rate-sweep"]
-    sec.update({"v_list": "1,2,3,4", "seeds": 2, "a": 8.0})
-    _, serial, _ = rate_sweep_compute(sec, base_seed=3, threads=1)
-    _, threaded, _ = rate_sweep_compute(sec, base_seed=3, threads=4)
-    assert serial[2.0].medians == threaded[2.0].medians
+    for threads in (0, 2, 4):
+        with pytest.raises(ValueError, match=rf"^threads: .*got {threads}$"):
+            rate_sweep_compute(sec, base_seed=0, threads=threads)
 
 
 def test_run_rate_sweep_writes_tables(tmp_path):
@@ -620,6 +624,18 @@ def test_cli_out_of_range_config_value_is_exit_2(tmp_path, capsys, args, ini, ke
     # m0 above m_cap once made no attempt and exited 1 with an empty trail
     ("find-points", "[find-points]\nm0 = 5000\n",
      "[find-points] m0: expected <= m_cap = 4096, got 5000"),
+    # the first two once exited 1, with a MemoryError building the 9^12
+    # indices and numpy's 149 GiB evaluation matrix; the third asks for a
+    # 6,001-square SVD factor, past the scope though its matrix is one row
+    ("find-points", "[find-points]\nd = 12\n", "[find-points] m0: 8 points "
+     "of N = 282429536481 columns are 2,259,436,291,848 entries; the scope "
+     "ends at 24,012,000"),
+    ("fooling", "[fooling]\nbox_list = 100000\n", "[fooling] box_list: 50000 "
+     "points of N = 200001 columns are 10,000,050,000 entries; the scope "
+     "ends at 24,012,000"),
+    ("fooling", "[fooling]\nbox_list = 3000\nm_list = 1\n", "[fooling] "
+     "box_list: 6001 SVD factor rows of N = 6001 columns are 36,012,001 "
+     "entries; the scope ends at 24,012,000"),
 ])
 def test_cli_value_refused_by_a_library_check_names_its_key(
         tmp_path, capsys, command, ini, message):
@@ -850,8 +866,8 @@ def test_cli_rate_sweep_refuses_a_section_the_fit_cannot_use(tmp_path, capsys,
     # c_emp = 20 drops v = 1 (7 samples, 20 steps) and stops at v = 2
     ("c_emp = 20", "[rate-sweep] c_emp: at v = 2, u = ceil((1 + c_emp) v) = 42 "
      "exceeds the dictionary size N = 15"),
-    ("v_list = 1,2,3,400", "[rate-sweep] v_list: v = 400 takes m = 23959955 "
-     "samples of N = 4095 columns, 98,116,015,725 entries; the scope ends at "
+    ("v_list = 1,2,3,400", "[rate-sweep] v_list: 23959955 samples (v = 400) "
+     "of N = 4095 columns are 98,116,015,725 entries; the scope ends at "
      "24,012,000"),
     ("p_list = 2,2", "[rate-sweep] p_list: expected no repeated entry, got '2,2'"),
 ])

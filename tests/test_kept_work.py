@@ -1,7 +1,9 @@
 """Work that depends on the frequency box alone is kept by one store,
 trig._keep_last: no module of the library keeps such work in a cache of
 its own, so the policy (the last _KEPT keys per builder, the oldest
-dropped before a build) lives in one place."""
+dropped before a build) lives in one place.  The library runs on one
+Python thread and starts no pool of its own; _keep_last's lock serves
+callers that share it between their threads."""
 
 import ast
 import threading
@@ -56,6 +58,24 @@ def test_the_check_finds_own_caches():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_box_work_is_kept_by_keep_last_alone(path):
     assert own_caches(path.read_text()) == []
+
+
+def pool_imports(source):
+    """(line, module) of each import of concurrent.futures or multiprocessing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                 else [])
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] in ("concurrent", "multiprocessing")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_thread_or_process_pool(path):
+    # a thread pool measured slower than the serial rate sweep (e95ac80)
+    assert pool_imports(path.read_text()) == []
 
 
 class Value:
