@@ -265,16 +265,14 @@ def criterion_scaling():
     sufficient sample count; at least SCALING_PASS_MIN draws must certify
     there.  The small budget is largest_uncertifiable_m(deg, u), where no
     point set can certify, so every draw must fail; at most
-    SCALING_FAIL_MAX may certify.  The count at 1/16 of the full budget
-    (four halvings, rounding up) lies inside the certify/fail transition
-    and is reported, not asserted.
+    SCALING_FAIL_MAX may certify.  The count at 1/16 of the full budget,
+    rounded up, lies inside the certify/fail transition and is reported,
+    not asserted.
     """
     deg, u, n_seeds = 4, 2, 50
     m_full = int(math.ceil(30 * u * math.log(2 * u) ** 4))
     m_small = largest_uncertifiable_m(deg, u)
-    m_sixteenth = m_full
-    for _ in range(4):
-        m_sixteenth = (m_sixteenth + 1) // 2
+    m_sixteenth = -(-m_full // 16)
     holds_full = _scaling_counts(m_full, deg, u, n_seeds)
     holds_small = _scaling_counts(m_small, deg, u, n_seeds)
     holds_sixteenth = _scaling_counts(m_sixteenth, deg, u, n_seeds)

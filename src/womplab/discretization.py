@@ -51,8 +51,8 @@ class PointSet:
     """Sample points on the torus, with the seed draw_points drew them from
     (None for a grid or explicit points).
 
-    Empty point sets (m = 0) are legal; they only arise in adversarial
-    constructions, and build_sampled refuses them.
+    Empty point sets (m = 0) are legal, drawn or not; they only arise in
+    adversarial constructions, and build_sampled refuses them.
     """
 
     dim: int
@@ -70,9 +70,9 @@ class PointSet:
 
 
 def draw_points(m: int, d: int, seed: int) -> PointSet:
-    """Draw m independent uniform points on [0, 2 pi)^d."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    """Draw m >= 0 independent uniform points on [0, 2 pi)^d."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     rng = np.random.default_rng(seed)
     return PointSet(d, rng.uniform(0.0, 2.0 * np.pi, size=(m, d)), seed)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classes import (PROFILES, ClassSpec, default_truncation_level,
                       sample_class_function)
-from .discretization import (METHODS, MODES, DiscretizationReport, PointSet,
+from .discretization import (METHODS, MODES, DiscretizationReport,
                              SubsetCapError, build_sampled, check_usd,
                              draw_points, read_pointset, uniform_grid_points,
                              write_pointset)
@@ -560,30 +560,28 @@ def run_fooling(cfg: dict):
     seed = cfg["common"]["seed"]
     d = sec["d"]
     boxes = _numbers(sec, "fooling", "box_list")
+    systems = [TrigSystem(d, (box,) * d) for box in boxes]
     m_list = (_numbers(sec, "fooling", "m_list")
-              or [TrigSystem(d, (b,) * d).size // 4 for b in boxes])
+              or [system.size // 4 for system in systems])
     if len(m_list) != len(boxes):
         raise ConfigError(f"[fooling] m_list: expected {len(boxes)} "
                           f"entries, one per box, got {len(m_list)}")
-    for box, m in zip(boxes, m_list):
-        half = (2 * box + 1) ** d / 2
-        if m > half:
-            raise ConfigError(f"[fooling] m_list: m = {m} exceeds theta/2 = {half} on box {box}")
+    for box, system, m in zip(boxes, systems, m_list):
+        if m > system.size / 2:
+            raise ConfigError(f"[fooling] m_list: m = {m} exceeds "
+                              f"theta/2 = {system.size / 2} on box {box}")
         # make_fooling factors the m x theta evaluation matrix by a full SVD,
-        # whose theta x theta factor (the identity at m = 0) holds the null basis
-        system = TrigSystem(d, (box,) * d)
+        # whose theta x theta factor holds the null basis (vh = I at m = 0)
         _check_scope("fooling", "box_list", m, "points", system)
         _check_scope("fooling", "box_list", system.size, "SVD factor rows", system)
 
     records = []
     rows = []
-    for box, m in zip(boxes, m_list):
-        system = TrigSystem(d, (box,) * d)
+    for box, system, m in zip(boxes, systems, m_list):
         theta = system.size
         for s in range(sec["seeds"]):
-            pts = (draw_points(m, d, seed + 7919 * box + s) if m > 0
-                   else PointSet(d, np.zeros((0, d))))
-            gap = adversary_gap(pts, (box,) * d, p=sec["p"], q=sec["q"],
+            pts = draw_points(m, d, seed + 7919 * box + s)
+            gap = adversary_gap(pts, system.box, p=sec["p"], q=sec["q"],
                                 recovery=zero_data_recovery(system, pts))
             records.append(gap)
             inst = gap.instance

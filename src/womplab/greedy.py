@@ -51,8 +51,6 @@ def project(h: SampledSystem, target, support) -> ProjectionResult:
     if len(set(support)) != len(support):
         raise ValueError("support indices must be distinct")
     target = _samples(h, target)
-    if not support:
-        return ProjectionResult(np.zeros(0, dtype=complex), target.copy(), False)
     cols = h.columns(support)
     coeff, _, rank, _ = np.linalg.lstsq(cols, target, rcond=None)
     return ProjectionResult(coeff, target - cols @ coeff, rank < len(support))

@@ -225,8 +225,8 @@ class FoolingInstance:
 
     @property
     def vanishing_defect(self) -> float:
-        """max |f| on the samples relative to the grid sup norm."""
-        return self.samples_max / self.sup_grid if self.sup_grid else 0.0
+        """max |f| on the samples over the grid sup norm (>= ||f||_2 > 0)."""
+        return self.samples_max / self.sup_grid
 
 
 # SVD singular values below this multiple of the largest are null space.
@@ -238,14 +238,14 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     """Build the fooling polynomial for a point set and frequency box.
 
     The null space of the m x theta evaluation matrix of the box system is
-    nonempty whenever m < theta.  Of its orthonormal basis (vh's rows, or
-    the identity at m = 0), the element with the largest grid sup-to-L2
-    ratio is kept: with n > 2 max(box) grid points per axis every grid L2
-    norm is 1 up to rounding (Parseval), so the largest grid sup picks it.
-    It is normalized to grid sup 1 and multiplied by the Fejer kernel
-    centered at its grid argmax.  The product vanishes at every sample, has
-    degree at most twice the box, and its value at the center is exactly
-    the product of the box orders.
+    nonempty whenever m < theta.  Of its orthonormal basis (vh's last rows;
+    at m = 0 the full SVD of the empty matrix gives vh = I), the element
+    with the largest grid sup-to-L2 ratio is kept: with n > 2 max(box) grid
+    points per axis every grid L2 norm is 1 up to rounding (Parseval), so
+    the largest grid sup picks it.  It is normalized to grid sup 1 and
+    multiplied by the Fejer kernel centered at its grid argmax.  The
+    product vanishes at every sample, has degree at most twice the box,
+    and its value at the center is exactly the product of the box orders.
 
     The null basis is evaluated on the grid {2 pi t / n}^d, n = 8 (max(box)
     + 1) + 1, by the sum factorisation _grid_values, one batch entry per
@@ -264,13 +264,10 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     if xi.m >= theta:
         raise ValueError(f"need m < {theta} points for a nonzero null space")
 
-    if xi.m == 0:
-        null_basis = np.eye(theta, dtype=complex)
-    else:
-        matrix = system.evaluate_at(xi.points)
-        _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
-        rank = int(np.sum(svals > NULL_SPACE_TOL * svals[0]))
-        null_basis = vh[rank:].conj().T
+    matrix = system.evaluate_at(xi.points)
+    _, svals, vh = np.linalg.svd(matrix, full_matrices=True)
+    rank = int(np.sum(svals > NULL_SPACE_TOL * svals[:1]))
+    null_basis = vh[rank:].conj().T
     null_dim = null_basis.shape[1]
     assert null_dim >= theta - xi.m >= 1
 
@@ -295,7 +292,7 @@ def make_fooling(xi: PointSet, box: tuple, p: float = 4.0,
     g_xi = reconstruct(system, range(theta), column / sup)
     f = g_xi * fejer_kernel(box).translate(x_star)
 
-    samples_max = float(np.abs(f.eval(xi.points)).max()) if xi.m else 0.0
+    samples_max = float(np.abs(f.eval(xi.points)).max(initial=0.0))
     norm_q, norm_p, sup_grid = lp_norms(f, (q, p, math.inf))
     return FoolingInstance(
         pointset=xi, box=box, g_xi=g_xi, x_star=x_star,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Cap on entries of any single evaluation block (points x coefficients).
+# Cap on entries of TrigPolynomial.eval's row blocks and make_fooling's chunks.
 _EVAL_CHUNK_ENTRIES = 1 << 22
 _EXP_BLOCK_ENTRIES = 1 << 13  # entries of evaluate_at's and _roots' row blocks
 _GRID_BLOCK_ENTRIES = 1 << 16  # values of _half_sums' blocks
@@ -251,12 +251,12 @@ class TrigSystem:
         Column size - 1 - j carries -k_j, and exp(1j * -t) is bit for bit
         conj(exp(1j * t)) up to the sign of a zero imaginary part, so only
         the columns from k = 0 on are exponentiated and the others are
-        filled by conjugation; the result is bit for bit that of
-        exponentiating every phase.  No full-size temporary is made: one
-        product (another shape may round otherwise in d >= 2) puts a chunk's
-        phases, L rows of n, in the upper half of its own 2nL floats, row r
-        at float n(L + r).  Rows are exponentiated forward, R at a time, and
-        complex rows below r + R end at float 2n(r + R) <= n(L + r + R),
+        filled by conjugation; the result is bit for bit
+        exp(1j * (points @ K.T)) for the frequency rows K, at every m.  No
+        full-size temporary is made: that one product puts the phases, m
+        rows of n, in the upper half of the result's own 2nm floats, row r
+        at float n(m + r).  Rows are exponentiated forward, R at a time, and
+        complex rows below r + R end at float 2n(r + R) <= n(m + r + R),
         where phase row r + R starts: no phase is overwritten unread.
         """
         pts = _as_points(points, self.dim)
@@ -264,19 +264,16 @@ class TrigSystem:
         n = self.size
         zero = n // 2  # column of k = 0
         out = np.empty((pts.shape[0], n), dtype=complex)
-        chunk = max(1, _EVAL_CHUNK_ENTRIES // n)
+        phase = out.reshape(-1).view(np.float64)[out.size:].reshape(out.shape)
+        np.matmul(pts, K.T, out=phase)
         rows = max(1, _EXP_BLOCK_ENTRIES // n)
-        for lo in range(0, pts.shape[0], chunk):
-            block = out[lo:lo + chunk]
-            phase = block.reshape(-1).view(np.float64)[block.size:].reshape(block.shape)
-            np.matmul(pts[lo:lo + chunk], K.T, out=phase)
-            for r in range(0, len(block), rows):
-                part = block[r:r + rows]
-                part[:, zero:] = np.exp(1j * phase[r:r + rows, zero:])
-                # 0 - im, not -im: exp(1j * -0.0) has imaginary part +0.0
-                mirror, left = part[:, :zero:-1], part[:, :zero]
-                left.real = mirror.real
-                np.subtract(0.0, mirror.imag, out=left.imag)
+        for r in range(0, len(out), rows):
+            part = out[r:r + rows]
+            part[:, zero:] = np.exp(1j * phase[r:r + rows, zero:])
+            # 0 - im, not -im: exp(1j * -0.0) has imaginary part +0.0
+            mirror, left = part[:, :zero:-1], part[:, :zero]
+            left.real = mirror.real
+            np.subtract(0.0, mirror.imag, out=left.imag)
         return out
 
 

@@ -31,6 +31,17 @@ def test_draw_points_deterministic_and_in_range():
     assert a.seed == 9
 
 
+def test_draw_points_draws_the_empty_set():
+    # m = 0 gives an empty (0, d) set that keeps its seed; build_sampled
+    # still refuses it, and a negative m is refused by name
+    ps = draw_points(0, 3, seed=4)
+    assert ps.points.shape == (0, 3) and ps.m == 0 and ps.seed == 4
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        draw_points(-1, 3, seed=4)
+    with pytest.raises(ValueError, match="m >= 1"):
+        build_sampled(TrigSystem(3, (1, 1, 1)), ps)
+
+
 def test_empty_pointset_is_legal_but_not_samplable():
     ps = PointSet(1, np.zeros((0, 1)))
     assert ps.m == 0

@@ -477,7 +477,7 @@ def build_spy(monkeypatch):
 
 @pytest.mark.parametrize("d, box, m", [(1, (3,), 0), (1, (8,), 4), (2, (2, 3), 0), (2, (2, 3), 8)])
 def test_zero_data_recovery_builds_nothing_for_zero_samples(build_spy, d, box, m):
-    pts = draw_points(m, d, seed=1) if m else PointSet(d, np.zeros((0, d)))
+    pts = draw_points(m, d, seed=1)
     rec = zero_data_recovery(TrigSystem(d, box), pts)
     for samples in (np.zeros(m, dtype=complex), np.zeros(m), [-0.0] * m):
         zero = rec(samples)
@@ -508,7 +508,7 @@ def test_zero_data_recovery_runs_womp_on_nonzero_samples(build_spy, d, box, m):
 @pytest.mark.parametrize("m, samples", [(10, np.zeros(9)), (10, np.ones(11)),
                                         (10, np.zeros((10, 1))), (0, np.zeros(1))])
 def test_zero_data_recovery_refuses_samples_of_another_shape(build_spy, m, samples):
-    pts = draw_points(m, 1, seed=3) if m else PointSet(1, np.zeros((0, 1)))
+    pts = draw_points(m, 1, seed=3)
     rec = zero_data_recovery(TrigSystem(1, (3,)), pts)
     with pytest.raises(ValueError, match=rf"expected \({m},\) samples"):
         rec(samples)

@@ -161,6 +161,19 @@ def test_project_exact_on_in_span_target():
     np.testing.assert_allclose(res.coefficients, [1.0 + 1j, -2.0], rtol=1e-12)
 
 
+def test_project_on_the_empty_support_returns_the_target():
+    # least squares on m x 0 columns: no coefficients, full rank, and the
+    # residual is the target bit for bit, -0.0 parts included
+    _, _, h = _grid_hilbert(2)
+    y = np.array([1.5 - 2j, complex(-0.0, -0.0), complex(0.0, -0.0),
+                  -3e-300 + 1j, complex(7.0, -0.0)])
+    res = project(h, y, [])
+    assert res.coefficients.shape == (0,)
+    assert not res.rank_deficient
+    assert not np.shares_memory(res.residual, y)
+    assert (res.residual.view(np.uint64) == y.view(np.uint64)).all()
+
+
 def test_project_rejects_duplicate_support():
     _, _, h = _grid_hilbert(2)
     with pytest.raises(ValueError):

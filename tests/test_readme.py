@@ -76,9 +76,11 @@ def test_readme_quotes_the_scope_limits_of_the_constants():
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # README's reproducibility claim: a default sweep (two seeds), the
-    # default fooling grid and criteria 2, 3 and 7 write the same bytes at
-    # 1 and 2 BLAS threads
+    # default fooling grid, a fooling grid with empty point sets and
+    # criteria 2, 3 and 7 write the same bytes at 1 and 2 BLAS threads
     (tmp_path / "sweep.ini").write_text("[rate-sweep]\nseeds = 2\n")
+    (tmp_path / "edge.ini").write_text(
+        "[fooling]\nbox_list = 8,16\nm_list = 0,4\nseeds = 2\n")
     code = "import sys; from womplab.cli import main; sys.exit(main(sys.argv[1:]))"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
@@ -86,10 +88,12 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
         out = tmp_path / threads
-        for args in (["rate-sweep", "--config", "sweep.ini"], ["fooling"],
-                     ["verify", "--criteria", "2,3,7"]):
+        for name, args in (("rate-sweep", ["rate-sweep", "--config", "sweep.ini"]),
+                           ("fooling", ["fooling"]),
+                           ("fooling-edge", ["fooling", "--config", "edge.ini"]),
+                           ("verify", ["verify", "--criteria", "2,3,7"])):
             proc = subprocess.run([sys.executable, "-c", code, *args, "--out",
-                                   str(out / args[0])], cwd=tmp_path, env=env,
+                                   str(out / name)], cwd=tmp_path, env=env,
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
         report = json.loads((out / "verify" / "verify.json").read_text())
@@ -98,7 +102,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         (out / "verify" / "verify.json").write_text(json.dumps(report))
         outputs.append({str(f.relative_to(out)): f.read_bytes()
                         for f in sorted(out.rglob("*")) if f.is_file()})
-    assert len(outputs[0]) == 9 and outputs[0] == outputs[1]
+    assert len(outputs[0]) == 12 and outputs[0] == outputs[1]
 
     # the behaviour ledger: the same files' hashes at 1 BLAS thread, valid
     # only where numpy, its BLAS and the CPU kernels they pick are the same

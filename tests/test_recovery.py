@@ -347,6 +347,20 @@ def test_fooling_empty_pointset_gives_kernel_norm():
     assert inst.norm_q == pytest.approx(kernel.l2_norm(), rel=1e-11)
 
 
+@pytest.mark.parametrize("box", [(4,), (2, 3)])
+def test_fooling_on_an_empty_draw_is_the_explicit_empty_set(box):
+    # draw_points(0, ...) runs make_fooling's general path: the full SVD of
+    # the 0 x theta matrix gives the whole space as null basis, and no
+    # sample can lift samples_max or the vanishing defect off zero
+    d = len(box)
+    drawn = make_fooling(draw_points(0, d, seed=5), box)
+    given = make_fooling(PointSet(d, np.zeros((0, d))), box)
+    assert drawn.null_dim == TrigSystem(d, box).size
+    assert drawn.samples_max == 0.0 and drawn.vanishing_defect == 0.0
+    assert drawn.f._box.tobytes() == given.f._box.tobytes()
+    assert drawn.norm_p == given.norm_p and drawn.sup_grid == given.sup_grid
+
+
 def _bits(values):
     return np.asarray(values, dtype=complex).view(np.uint64).tolist()
 

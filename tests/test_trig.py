@@ -8,10 +8,10 @@ import pytest
 
 from womplab import trig
 from womplab.discretization import uniform_grid_points
-from womplab.trig import (_EVAL_CHUNK_ENTRIES, TrigPolynomial, TrigSystem,
-                          _tensor_grid, dyadic_block,
-                          fejer_kernel, lp_norm, lp_norms, multiply,
-                          quadrature_grid_size, reconstruct, write_polynomial)
+from womplab.trig import (TrigPolynomial, TrigSystem, _tensor_grid,
+                          dyadic_block, fejer_kernel, lp_norm, lp_norms,
+                          multiply, quadrature_grid_size, reconstruct,
+                          write_polynomial)
 
 
 def _conj(poly: TrigPolynomial) -> TrigPolynomial:
@@ -244,63 +244,60 @@ def test_system_evaluation_matches_member():
 
 @pytest.mark.parametrize("box", [(0,), (1,), (10,), (31,), (2, 1), (3, 3),
                                  (1, 2, 1), (0, 3), (4, 0), (2, 0, 1)])
-@pytest.mark.parametrize("chunk_entries", [_EVAL_CHUNK_ENTRIES, 200])
-def test_evaluate_at_is_bitwise_the_direct_exponential(box, chunk_entries,
+@pytest.mark.parametrize("block_entries", [trig._EXP_BLOCK_ENTRIES, 200])
+def test_evaluate_at_is_bitwise_the_direct_exponential(box, block_entries,
                                                        monkeypatch):
     # half the columns are filled by conjugation; every bit, the sign of a
-    # zero imaginary part included, must equal the direct formula.  The
-    # small chunk size makes m = 37 cross chunk boundaries (max(1, 200 // N)
-    # rows each) without a matrix of millions of entries.
-    monkeypatch.setattr(trig, "_EVAL_CHUNK_ENTRIES", chunk_entries)
+    # zero imaginary part included, must equal the direct formula: every
+    # entry exponentiated from one product of all the phases.  The small
+    # block size makes m = 37 cross row-block boundaries (max(1, 200 // N)
+    # rows each).
+    monkeypatch.setattr(trig, "_EXP_BLOCK_ENTRIES", block_entries)
     system = TrigSystem(len(box), box)
     K = np.array(system.indices(), dtype=float)
-    chunk = max(1, chunk_entries // system.size)
     rng = np.random.default_rng(sum(box))
     for m in (0, 1, 37):
         x = rng.uniform(0, 2 * np.pi, size=(m, system.dim))
         x[:1] = 0.0  # phase exactly zero
         got = system.evaluate_at(x)
-        # the former implementation: every entry exponentiated, in the
-        # same row chunks (a matrix product of another shape may round
-        # differently in d >= 2)
-        want = np.empty((m, system.size), dtype=complex)
-        for lo in range(0, m, chunk):
-            want[lo:lo + chunk] = np.exp(1j * (x[lo:lo + chunk] @ K.T))
+        want = np.exp(1j * (x @ K.T))
         assert (got == want).all()
         assert (got.view(np.uint64) == want.view(np.uint64)).all()
-        if m <= chunk:
-            assert (got == np.exp(1j * (x @ K.T))).all()
 
+
+def test_evaluate_at_on_many_rows_is_bitwise_one_product():
+    # m = 5,000 rows of N = 961 columns: 4.8 million entries, every one
+    # bit for bit the exponential of one product of all the phases
+    system = TrigSystem(2, (15, 15))
+    K = np.array(system.indices(), dtype=float)
+    x = np.random.default_rng(15).uniform(0, 2 * np.pi, size=(5_000, 2))
+    got = system.evaluate_at(x)
+    want = np.exp(1j * (x @ K.T))
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
 
 
 def _evaluate_at_reference(system, x):
     """evaluate_at as it was before it wrote its phases into its own
-    result: a full-size phase array per chunk, then the k >= 0 half
-    exponentiated from 1j * phase."""
+    result: a full-size phase array from one product, then the k >= 0
+    half exponentiated from 1j * phase."""
     K = np.array(system.indices(), dtype=float)
     n, zero = system.size, system.size // 2
     out = np.empty((x.shape[0], n), dtype=complex)
-    chunk = max(1, trig._EVAL_CHUNK_ENTRIES // n)
-    for lo in range(0, x.shape[0], chunk):
-        block = out[lo:lo + chunk]
-        phase = x[lo:lo + chunk] @ K.T
-        np.exp(1j * phase[:, zero:], out=block[:, zero:])
-        mirror, left = block[:, :zero:-1], block[:, :zero]
-        left.real = mirror.real
-        np.subtract(0.0, mirror.imag, out=left.imag)
+    phase = x @ K.T
+    np.exp(1j * phase[:, zero:], out=out[:, zero:])
+    mirror, left = out[:, :zero:-1], out[:, :zero]
+    left.real = mirror.real
+    np.subtract(0.0, mirror.imag, out=left.imag)
     return out
 
 
 @pytest.mark.parametrize("block_entries", [1, 7, 64, trig._EXP_BLOCK_ENTRIES])
-@pytest.mark.parametrize("chunk_entries", [_EVAL_CHUNK_ENTRIES, 500])
-def test_evaluate_at_is_bitwise_the_reference(block_entries, chunk_entries,
-                                              monkeypatch):
+def test_evaluate_at_is_bitwise_the_reference(block_entries, monkeypatch):
     # block entries 1 give one row per block, 7 and 64 partial last blocks
-    # and many blocks per chunk; 500 chunk entries put several chunks in
-    # every matrix, each with its phases in its own upper half
+    # and many blocks per matrix, each exponentiated from the phases in
+    # the matrix's own upper half
     monkeypatch.setattr(trig, "_EXP_BLOCK_ENTRIES", block_entries)
-    monkeypatch.setattr(trig, "_EVAL_CHUNK_ENTRIES", chunk_entries)
-    rng = np.random.default_rng(block_entries + chunk_entries)
+    rng = np.random.default_rng(block_entries)
     for box in [(0,), (1,), (5,), (31,), (0, 0), (2, 3), (3, 0), (0, 0, 0),
                 (1, 2, 1), (2, 2, 2)]:
         system = TrigSystem(len(box), box)
